@@ -5,22 +5,16 @@ Synthesizes a large session (default one million samples) by replicating
 a real seeded VIProf run's sample records, then measures end-to-end
 resolution throughput (samples/sec) and peak RSS for:
 
-* ``workers=1``, cache **off**, scalar loop — the raw per-sample walk;
-* ``workers=1``, cache **off**, columnar — the deduplicated batch path
-  against the raw walk (the headline columnar win);
-* ``workers=1``, cache **on**, scalar and columnar;
-* ``workers=2``/``4`` (columnar, cached) — sharded multi-process
-  resolution over shared-memory result transport;
+* ``workers=1`` — the sequential pass (the report-parity baseline);
+* ``workers=2``/``4`` — sharded multi-process resolution over
+  shared-memory result transport;
 * ``workers="auto"`` — the core-count heuristic (1 on a single-core box);
-* **cold start** (uncached, columnar, workers=1) with the code maps
+* **cold start** (workers=1) with the code maps
   loaded *inside* the timed region, once from the text maps and once
   from the compiled arena (``repro.viprof.arena``) — the padded map set
   makes the parse-vs-mmap gap visible;
 * **index load** — ``CodeMapIndex.load_dir`` alone, text vs arena,
   with the resident-memory delta of each load;
-* **worker warm-up** — the sharded run re-executed with
-  ``warm_top_k`` seeding, reporting the hit/miss shift (output parity
-  enforced like everything else);
 * **fleet scale-out** — a 16-guest multi-stack session amplified to the
   same order of magnitude, resolved once over the root stream
   (sequential layout) and once over the ``dom*/samples`` partition
@@ -32,9 +26,7 @@ resolution throughput (samples/sec) and peak RSS for:
 
 Every configuration's report is checked byte-identical against the
 sequential baseline before its numbers are recorded (a perf run that
-changes output is a failed run, not a fast one), and each config carries
-``speedup_vs_scalar`` — its time against the scalar loop at the same
-cache setting.  Results land in ``BENCH_pipeline.json`` at the repo
+changes output is a failed run, not a fast one).  Results land in ``BENCH_pipeline.json`` at the repo
 root; ``docs/performance.md`` explains how to read them.
 
 Usage::
@@ -380,22 +372,18 @@ def bench_index_load(map_dir: Path, repeats: int = 3) -> dict:
 def bench_config(
     make_post,
     workers: int | str,
-    cache: bool,
-    columnar: bool,
     baseline_table: str | None,
 ) -> tuple[dict, str]:
     resolved_workers = resolve_workers(workers)
-    post = make_post(cache)
+    post = make_post()
     t0 = time.perf_counter()
-    report = post.generate(workers=workers, columnar=columnar)
+    report = post.generate(workers=workers)
     elapsed = time.perf_counter() - t0
     stats = post.chain.stats_dict()
     total = stats["total_samples"]
     table = report.format_table(limit=20)
     result = {
         "workers": resolved_workers,
-        "resolve_cache": cache,
-        "columnar": columnar,
         "samples": total,
         "seconds": round(elapsed, 4),
         "samples_per_sec": round(total / elapsed) if elapsed else None,
@@ -409,8 +397,7 @@ def bench_config(
         result["workers_requested"] = "auto"
     if baseline_table is not None and table != baseline_table:
         raise SystemExit(
-            f"workers={workers} cache={cache} columnar={columnar} produced "
-            "a different report than the sequential baseline — parity "
+            f"workers={workers} produced a different report than the sequential baseline — parity "
             "broken, not measuring"
         )
     return result, table
@@ -460,61 +447,33 @@ def main(argv: list[str] | None = None) -> int:
               f"{map_info['epochs']} epochs "
               f"(arena {map_info['arena_bytes']} bytes)", flush=True)
 
-        def make_post(cache: bool) -> ViprofReport:
+        def make_post() -> ViprofReport:
             return ViprofReport(
                 kernel=seed_post.kernel,
                 sample_dir=big_dir,
                 codemaps=seed_post.codemaps,
                 rvm_map=seed_post.rvm_map,
                 registrations=seed_post.registrations,
-                resolve_cache=cache,
             )
 
         configs = []
         baseline_table = None
-        # Scalar references first (they double as the report-parity
-        # baseline), then the columnar sequential passes, then the
-        # sharded columnar runs and the auto heuristic.
-        plan: list[tuple[int | str, bool, bool]] = [
-            (1, False, False),
-            (1, False, True),
-            (1, True, False),
-            (1, True, True),
-        ]
-        plan += [(w, True, True) for w in worker_counts if w > 1]
-        plan.append(("auto", True, True))
-        scalar_secs: dict[bool, float] = {}
-        for workers, cache, columnar in plan:
-            result, table = bench_config(
-                make_post, workers, cache, columnar, baseline_table
-            )
+        # The sequential pass first (it doubles as the report-parity
+        # baseline), then the sharded runs and the auto heuristic.
+        plan: list[int | str] = [1]
+        plan += [w for w in worker_counts if w > 1]
+        plan.append("auto")
+        for workers in plan:
+            result, table = bench_config(make_post, workers, baseline_table)
             if baseline_table is None:
                 baseline_table = table
-            if workers == 1 and not columnar:
-                scalar_secs[cache] = result["seconds"]
-            ref = scalar_secs.get(cache)
-            result["speedup_vs_scalar"] = (
-                round(ref / result["seconds"], 2)
-                if ref and result["seconds"]
-                else None
-            )
             configs.append(result)
             rate = result["samples_per_sec"]
-            print(f"workers={workers} cache={'on' if cache else 'off'} "
-                  f"columnar={'on' if columnar else 'off'}: "
+            print(f"workers={workers}: "
                   f"{result['seconds']:.2f}s  {rate} samples/s", flush=True)
 
-        def pick(workers, cache, columnar):
-            return next(
-                c for c in configs
-                if c["workers"] == workers
-                and c["resolve_cache"] is cache
-                and c["columnar"] is columnar
-                and "workers_requested" not in c
-            )
-
         # -- cold start: map load inside the timed region --------------
-        # Same uncached single-core columnar resolve, but the cost of
+        # Same single-core resolve, but the cost of
         # getting the code maps into memory is *included* — the scenario
         # `viprof index` exists for.  Arena first, so the text parse
         # cannot inflate the arena leg's shared page cache... it can
@@ -534,9 +493,8 @@ def main(argv: list[str] | None = None) -> int:
                 codemaps=codemaps,
                 rvm_map=seed_post.rvm_map,
                 registrations=seed_post.registrations,
-                resolve_cache=False,
             )
-            report = post.generate(workers=1, columnar=True)
+            report = post.generate(workers=1)
             elapsed = time.perf_counter() - t0
             rss1 = current_rss_kb()
             table = report.format_table(limit=20)
@@ -576,54 +534,15 @@ def main(argv: list[str] | None = None) -> int:
               f"arena {index_load['arena']['seconds']}s "
               f"({index_load['speedup']}x)", flush=True)
 
-        # -- worker cache warm-up --------------------------------------
-        warm_workers = next((w for w in worker_counts if w > 1), 2)
-        warmup: dict[str, object] = {"workers": warm_workers}
-        for label, warm_flag in (("cold", None), ("warm", True)):
-            post = make_post(True)
-            post.generate(workers=1)  # warm the parent chain first
-            before = post.chain.stats_dict()["cache"]
-            t0 = time.perf_counter()
-            report = post.generate(
-                workers=warm_workers, warm_top_k=warm_flag
-            )
-            elapsed = time.perf_counter() - t0
-            after = post.chain.stats_dict()["cache"]
-            if report.format_table(limit=20) != baseline_table:
-                raise SystemExit(
-                    f"warm-up ({label}) produced a different report than "
-                    "the sequential baseline — parity broken"
-                )
-            warmup[label] = {
-                "seconds": round(elapsed, 4),
-                "samples_per_sec": (
-                    round(written / elapsed) if elapsed else None
-                ),
-                "worker_hits": after["hits"] - before["hits"],
-                "worker_misses": after["misses"] - before["misses"],
-            }
-        warmup["misses_avoided"] = (
-            warmup["cold"]["worker_misses"] - warmup["warm"]["worker_misses"]
-        )
-        print(f"warm-up (workers={warm_workers}): cold misses "
-              f"{warmup['cold']['worker_misses']}, warm misses "
-              f"{warmup['warm']['worker_misses']}", flush=True)
-
         # -- fleet scale-out -------------------------------------------
         fleet = bench_fleet(
             worker_counts,
             FLEET_TARGET_SMOKE if args.smoke else FLEET_TARGET,
         )
 
-        uncached_scalar = pick(1, False, False)
-        uncached_columnar = pick(1, False, True)
-        cached_scalar = pick(1, True, False)
-        cached_columnar = pick(1, True, True)
         auto = next(c for c in configs if "workers_requested" in c)
-        best_sharded = max(
-            (c["samples_per_sec"] for c in configs
-             if c["resolve_cache"] and c["columnar"]),
-            default=None,
+        best = max(
+            (c["samples_per_sec"] for c in configs), default=None
         )
         payload = {
             "benchmark": "pipeline_resolution_throughput",
@@ -641,26 +560,10 @@ def main(argv: list[str] | None = None) -> int:
                 "write_path": "pack_many+write_packed",
             },
             "configs": configs,
-            # Headlines: columnar vs the scalar loop at each cache
-            # setting, memoization on the default (columnar) path, and
-            # the worker heuristic's outcome on this box.
-            "speedup_columnar_uncached": uncached_columnar[
-                "speedup_vs_scalar"
-            ],
-            "speedup_columnar_cached": cached_columnar["speedup_vs_scalar"],
-            "speedup_cache_on_vs_off": (
-                round(
-                    uncached_columnar["seconds"] / cached_columnar["seconds"],
-                    2,
-                )
-                if cached_columnar["seconds"]
-                else None
-            ),
             "maps": map_info,
             "fleet": fleet,
             "cold_start": cold_start,
             "index_load": index_load,
-            "warmup": warmup,
             # Arena headlines: cold-start resolution (map load included)
             # and the index load alone, arena vs text over the same
             # padded map set.
@@ -679,25 +582,15 @@ def main(argv: list[str] | None = None) -> int:
             ],
             "workers_auto_resolved": auto["workers"],
             # The auto heuristic never picks a losing pool, so the best
-            # cached-columnar rate is ≥ the 1-worker rate by construction
-            # (on single-core boxes it *is* the 1-worker rate).
-            "best_samples_per_sec": best_sharded,
-            "scalar_uncached_samples_per_sec": uncached_scalar[
-                "samples_per_sec"
-            ],
-            "scalar_cached_samples_per_sec": cached_scalar[
-                "samples_per_sec"
-            ],
+            # rate is ≥ the 1-worker rate by construction (on single-core
+            # boxes it *is* the 1-worker rate).
+            "best_samples_per_sec": best,
         }
 
     # The shared writer stamps schema_version / cpu_count / python /
     # commit and embeds the bench summary for `viprof analyze`.
     write_bench_payload(args.out, payload)
     print(f"wrote {args.out}")
-    print(f"columnar speedup: uncached "
-          f"{payload['speedup_columnar_uncached']}x, cached "
-          f"{payload['speedup_columnar_cached']}x; cache on/off "
-          f"{payload['speedup_cache_on_vs_off']}x")
     print(f"arena speedup: cold start "
           f"{payload['speedup_arena_cold_start']}x, index load "
           f"{payload['speedup_arena_index_load']}x")

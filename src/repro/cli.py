@@ -156,10 +156,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         time_scale=args.scale, seed=args.seed,
     )
     workers = args.workers if args.workers == "auto" else int(args.workers)
-    vr = result.viprof_report(
-        workers=workers, resolve_cache=not args.no_resolve_cache,
-        columnar=args.columnar,
-    )
+    vr = result.viprof_report(workers=workers)
     if args.json:
         from repro.profiling.export import report_to_json
 
@@ -519,14 +516,6 @@ def main(argv: list[str] | None = None) -> int:
                         "processes, or 'auto' to size the pool from the "
                         "machine's core count (same output, faster; "
                         "default 1)")
-    p.add_argument("--no-resolve-cache", action="store_true",
-                   help="disable the epoch-aware PC resolution cache "
-                        "(performance ablation; output is unchanged)")
-    p.add_argument("--columnar", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="resolve with the columnar (deduplicated batch) "
-                        "path; --no-columnar falls back to the per-sample "
-                        "loop (performance ablation; output is unchanged)")
     _add_run_args(p)
 
     p = sub.add_parser("case-study", help="Figure 1 side-by-side")

@@ -19,14 +19,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from repro.os.kernel import Kernel
+from repro.pipeline import opreport_chain
 from repro.pipeline.aggregate import run_pipeline
 from repro.pipeline.resolver import ResolverChain
 from repro.pipeline.source import DirectorySource, as_pipeline_sample
-from repro.pipeline.stages import (
-    UNKNOWN_IMAGE,
-    KernelSymbolStage,
-    TaskVmaStage,
-)
+from repro.pipeline.stages import UNKNOWN_IMAGE
 from repro.profiling.model import RawSample, ResolvedSample
 from repro.profiling.report import ProfileReport
 
@@ -45,32 +42,15 @@ class OpReport:
     (``self.chain.stats_dict()``) travel with every report flavour.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        sample_dir: Path | str,
-        resolve_cache: bool = True,
-    ) -> None:
+    def __init__(self, kernel: Kernel, sample_dir: Path | str) -> None:
         self.kernel = kernel
         self.source = DirectorySource(sample_dir)
         self.sample_dir = self.source.sample_dir
-        self.resolve_cache = resolve_cache
         self.chain = self._build_chain()
-
-    @property
-    def _cache_size(self) -> int:
-        """Resolution-cache bound for the report's chain (0 = disabled;
-        the ``--no-resolve-cache`` ablation)."""
-        from repro.pipeline.cache import DEFAULT_RESOLVE_CACHE_SIZE
-
-        return DEFAULT_RESOLVE_CACHE_SIZE if self.resolve_cache else 0
 
     def _build_chain(self) -> ResolverChain:
         """Stock opreport resolution: kernel symbols, then task VMAs."""
-        return ResolverChain(
-            [KernelSymbolStage(self.kernel), TaskVmaStage(self.kernel)],
-            cache_size=self._cache_size,
-        )
+        return opreport_chain(self.kernel)
 
     # ------------------------------------------------------------------
 
@@ -142,8 +122,6 @@ class OpReport:
         events: tuple[str, ...] | None = None,
         pid: int | None = None,
         workers: int | str = 1,
-        columnar: bool = True,
-        warm_top_k: int | bool | None = None,
     ) -> ProfileReport:
         """Build the symbol-level report in one streaming pass.
 
@@ -156,13 +134,6 @@ class OpReport:
                 ``"auto"`` sizes the pool from the machine's core count.
                 Incompatible with ``pid`` — filtering is a sequential
                 pass over the stream.
-            columnar: resolve with the deduplicated batch path
-                (:mod:`repro.pipeline.columnar`); byte- and
-                stats-identical to the scalar loop, substantially faster.
-            warm_top_k: with ``workers > 1``, seed each shard worker's
-                resolution cache from this chain's hottest entries
-                (output-neutral; only useful when the chain is already
-                warm from a previous pass).
         """
         from repro.pipeline.parallel import resolve_workers
 
@@ -188,6 +159,4 @@ class OpReport:
             self.chain,
             events=events or self.event_names(),
             workers=workers,
-            columnar=columnar,
-            warm_top_k=warm_top_k,
         )

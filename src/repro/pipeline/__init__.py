@@ -13,9 +13,9 @@ The three report flavours are nothing but chain compositions:
   ``opreport``);
 * :func:`viprof_chain` — kernel, JIT epoch maps, RVM boot image, task
   VMAs (the paper's vertically integrated profile);
-* :func:`xen_domain_chain` / a :class:`~repro.pipeline.stages.DomainDispatchStage`
-  over per-domain chains behind a :class:`~repro.pipeline.stages.HypervisorStage`
-  (XenoProf multi-stack).
+* :func:`xen_chain` — a :class:`~repro.pipeline.stages.HypervisorStage`
+  in front of a :class:`~repro.pipeline.stages.DomainDispatchStage` over
+  one :func:`viprof_chain` per guest domain (XenoProf multi-stack).
 
 ``repro.oprofile.opreport``, ``repro.viprof.postprocess``, and
 ``repro.xen.xenoprof`` are thin wrappers over these compositions — there
@@ -53,6 +53,7 @@ from repro.pipeline.source import (
     as_pipeline_sample,
     file_source,
     iter_pipeline_samples,
+    sample_key,
 )
 from repro.pipeline.stages import (
     UNKNOWN_IMAGE,
@@ -79,6 +80,7 @@ __all__ = [
     "PipelineSample",
     "as_pipeline_sample",
     "iter_pipeline_samples",
+    "sample_key",
     "file_source",
     "DirectorySource",
     "ResolverStage",
@@ -110,7 +112,6 @@ __all__ = [
     "layered_node_for",
     "opreport_chain",
     "viprof_chain",
-    "xen_domain_chain",
     "xen_chain",
 ]
 
@@ -129,7 +130,9 @@ def viprof_chain(
     strict: bool = True,
 ) -> ResolverChain:
     """The paper's vertically integrated resolution: kernel symbols, JIT
-    epoch maps (backward walk), RVM boot image, then task VMAs.
+    epoch maps (backward walk), RVM boot image, then task VMAs.  A Xen
+    guest domain resolves through the same chain, scoped to that
+    domain's kernel and VM state.
 
     ``strict=False`` builds the degraded post-salvage flavour: epoch
     walks blocked at a quarantine barrier fall to ``(unresolved jit)``
@@ -147,26 +150,15 @@ def viprof_chain(
     )
 
 
-def xen_domain_chain(
-    kernel: "Kernel",
-    codemaps: "CodeMapIndex",
-    rvm_map: "RvmMap",
-    registrations: Iterable["VmRegistration"],
-    backward: bool = True,
-    strict: bool = True,
-) -> ResolverChain:
-    """One guest domain's resolution inside a multi-stack profile — the
-    VIProf chain, scoped to that domain's kernel and VM state."""
-    return viprof_chain(
-        kernel, codemaps, rvm_map, registrations, backward, strict=strict
-    )
-
-
 def xen_chain(
     hypervisor: "Hypervisor", domain_chains: Mapping[int, ResolverChain]
 ) -> ResolverChain:
     """XenoProf multi-stack resolution: hypervisor addresses first, then
-    dispatch on the sample's domain tag to that domain's own chain."""
+    each bucket goes to its domain's own chain.  The domain chains
+    memoize and count; the outer chain has no memo (``cache_size=0``),
+    because a memo hit above the dispatch would skip the domain chain's
+    counting."""
     return ResolverChain(
-        [HypervisorStage(hypervisor), DomainDispatchStage(domain_chains)]
+        [HypervisorStage(hypervisor), DomainDispatchStage(domain_chains)],
+        cache_size=0,
     )

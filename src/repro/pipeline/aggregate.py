@@ -25,8 +25,6 @@ def run_pipeline(
     chain: ResolverChain,
     events: tuple[str, ...] | None = None,
     workers: int | str = 1,
-    columnar: bool = True,
-    warm_top_k: int | bool | None = None,
 ) -> ProfileReport:
     """Resolve and aggregate a sample stream in one constant-memory pass.
 
@@ -37,11 +35,7 @@ def run_pipeline(
     (sharding needs record-addressable files); ``workers="auto"`` picks a
     count from the machine's core count (1 on a single-core box).  After
     the run the chain's ``stats_dict()`` covers the whole stream either
-    way.  ``columnar`` selects the deduplicated batch resolution path
-    (byte-identical output; see :mod:`repro.pipeline.columnar`).
-    ``warm_top_k`` seeds shard workers with the parent cache's hottest
-    entries (see :func:`~repro.pipeline.parallel.run_parallel_pipeline`);
-    the sequential path ignores it — the parent cache *is* the cache.
+    way.
     """
     from repro.pipeline.parallel import (
         consume_source,
@@ -51,15 +45,8 @@ def run_pipeline(
 
     workers = resolve_workers(workers)
     if workers > 1:
-        agg = run_parallel_pipeline(
-            source,
-            chain,
-            events,
-            workers,
-            columnar=columnar,
-            warm_top_k=warm_top_k,
-        )
+        agg = run_parallel_pipeline(source, chain, events, workers)
     else:
         agg = StreamingAggregator(events)
-        consume_source(source, chain, agg, columnar=columnar)
+        consume_source(source, chain, agg)
     return agg.report()

@@ -2,7 +2,7 @@
 
 Profiles have extreme PC locality — a hot loop delivers the same
 interrupted PC thousands of times — so the resolver chain keeps a bounded
-LRU cache in front of the stage walk, keyed on
+memo in front of the stage walk, keyed on
 ``(pc, epoch, kernel_mode, task_id, domain_id)``.
 
 **Why the key is sound.**  Every input a stage consults is immutable
@@ -12,22 +12,23 @@ immutable *per epoch* — the backward epoch-walk for ``(epoch, pc)`` can
 never change once the session's maps are on disk.  The one time-varying
 input the profiler tracks (which JIT method occupied an address) is
 exactly what the epoch stamp captures, so putting ``epoch`` in the key
-makes even a cached ``(unresolved jit)`` verdict permanent: map *e* and
+makes even a memoized ``(unresolved jit)`` verdict permanent: map *e* and
 everything below it will never gain the address.  ``domain_id`` keeps
 multi-stack (Xen) streams from aliasing across guests.
 
-A cache entry records *how* the chain resolved the sample — which stage
-claimed it and any stage-detail token (the JIT own/earlier-epoch split) —
-so a hit replays the exact per-stage counter updates the full walk would
-have made.  Cached reports are therefore byte-identical to uncached ones,
-statistics included (golden-parity tested).
+A memo entry records *how* the chain resolved the key — the claiming
+stage and its outcome — and the chain counts claims from the entry, hit
+or miss alike, so memoized and unmemoized runs report identical
+statistics (golden-parity tested).  The memo stops inserting once full
+rather than evicting: a profile's distinct-key working set fits the
+default bound, and a full memo only turns later hits into walks.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Mapping
 
 from repro.errors import ProfilerError
 
@@ -37,7 +38,7 @@ __all__ = [
     "ResolutionCache",
 ]
 
-#: Default entry bound for a chain's resolution cache.  Sized for the
+#: Default entry bound for a chain's resolution memo.  Sized for the
 #: distinct-PC working set of a long session (hot profiles concentrate on
 #: far fewer PCs); one entry is a small tuple-keyed dataclass, so the
 #: worst-case footprint is a few MB.
@@ -46,24 +47,28 @@ DEFAULT_RESOLVE_CACHE_SIZE = 1 << 16
 
 @dataclass(frozen=True, slots=True)
 class CachedResolution:
-    """The outcome of one full stage walk, replayable on later hits.
+    """The outcome of one stage walk for one key.
 
-    ``claim_index`` is the position of the claiming stage in the chain
-    (``len(stages)`` for the terminal fallback); ``token`` is the claiming
-    stage's opaque detail token (see
-    :meth:`~repro.pipeline.stages.ResolverStage.claim_token`), replayed so
-    stage-local counters stay exact.
+    ``claim`` is ``(claim_index, outcome)``: the position of the claiming
+    stage in the chain (``len(stages)`` for the terminal fallback) and the
+    stage's outcome label (the JIT stage's ``own``/``earlier``/``blocked``
+    /``unresolved``; None for stages without one).  It is the key the
+    chain counts claims under.
     """
 
     image: str
     symbol: str
     offset: int
-    claim_index: int
-    token: object | None = None
+    claim: tuple[int, str | None]
 
 
 class ResolutionCache:
-    """Bounded LRU map from sample key to :class:`CachedResolution`."""
+    """Bounded dict memo from sample key to :class:`CachedResolution`.
+
+    ``hits`` and ``misses`` count *samples*: a probed key that is missing
+    costs one miss (its walk), and every other sample of the key is a
+    hit, so ``hits + misses`` is the number of samples resolved.
+    """
 
     __slots__ = ("capacity", "hits", "misses", "_entries", "_absorbed_size")
 
@@ -73,70 +78,42 @@ class ResolutionCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
-        #: Largest entry count reported by any absorbed worker cache (see
-        #: :meth:`absorb_counters`); 0 until a parallel run merges in.
+        #: Largest entry count reported by any absorbed worker memo (see
+        #: :meth:`absorb`); 0 until a parallel run merges in.
         self._absorbed_size = 0
-        self._entries: OrderedDict[tuple, CachedResolution] = OrderedDict()
+        self._entries: dict[tuple, CachedResolution] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple) -> CachedResolution | None:
-        """Look a key up, counting the hit/miss and refreshing recency."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return entry
+    def lookup(
+        self, groups: Mapping[tuple, int]
+    ) -> tuple[dict[tuple, CachedResolution], list[tuple]]:
+        """Probe each distinct key of ``groups`` (key → sample count)
+        once; returns the entries found and the keys missing, in
+        ``groups`` order, and counts the samples as hits and misses."""
+        found: dict[tuple, CachedResolution] = {}
+        missing: list[tuple] = []
+        get = self._entries.get
+        for key in groups:
+            entry = get(key)
+            if entry is None:
+                missing.append(key)
+            else:
+                found[key] = entry
+        self.misses += len(missing)
+        self.hits += sum(groups.values()) - len(missing)
+        return found, missing
 
-    def put(self, key: tuple, entry: CachedResolution) -> None:
-        entries = self._entries
-        entries[key] = entry
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-
-    def count_bulk_hits(self, n: int) -> None:
-        """Count ``n`` additional hits against an entry the caller already
-        looked up — the columnar path probes once per distinct key and
-        bulk-counts the duplicates so totals match the per-sample loop."""
-        self.hits += n
-
-    def export_warm(self, top_k: int) -> list[tuple[tuple, CachedResolution]]:
-        """The ``top_k`` most-recently-used entries, **coldest first**.
-
-        That order lets a receiver :meth:`seed` them one by one and end up
-        with the same relative recency this cache had — the hottest key is
-        the last seeded, so it is also the last evicted.  Used by the
-        parallel scheduler to warm shard workers with the parent's hot
-        set before the workers fork.
-        """
-        if top_k <= 0:
-            return []
-        entries = self._entries
-        start = max(0, len(entries) - top_k)
-        items = list(entries.items())[start:]
-        return items
-
-    def seed(self, entries: Iterable[tuple[tuple, CachedResolution]]) -> None:
-        """Pre-warm with already-resolved entries, touching **no**
-        counters: a seeded entry was resolved (and counted) by whoever
-        exported it.  Later :meth:`get` probes count normally — which is
-        exactly why warm-started workers report *more* hits and *fewer*
-        misses, never different totals.
-        """
-        for key, entry in entries:
-            self.put(key, entry)
+    def store(self, entries: Mapping[tuple, CachedResolution]) -> None:
+        """Insert freshly walked entries while the memo has room."""
+        room = self.capacity - len(self._entries)
+        self._entries.update(islice(entries.items(), max(room, 0)))
 
     def __getstate__(self) -> dict:
-        """Pickle counters and geometry, **not** the entry table.
-
-        A pickled cache travels to a shard worker, which immediately
-        zeroes its state (``ResolverChain.reset_stats``) — shipping the
-        parent's whole LRU dict would be pure serialization cost.  Warm
-        state travels separately (and bounded) via :meth:`export_warm`.
-        """
+        """Pickle counters and geometry, **not** the entry table: a
+        pickled memo travels to a shard worker, which zeroes it at once
+        (``ResolverChain.reset_stats``)."""
         return {
             "capacity": self.capacity,
             "hits": self.hits,
@@ -149,7 +126,7 @@ class ResolutionCache:
         self.hits = state["hits"]
         self.misses = state["misses"]
         self._absorbed_size = state["_absorbed_size"]
-        self._entries = OrderedDict()
+        self._entries = {}
 
     def clear(self) -> None:
         """Drop all entries and zero the counters."""
@@ -158,19 +135,12 @@ class ResolutionCache:
         self.misses = 0
         self._absorbed_size = 0
 
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters, keeping the entries warm."""
-        self.hits = 0
-        self.misses = 0
-        self._absorbed_size = 0
+    def absorb(self, hits: int, misses: int, size: int) -> None:
+        """Fold a worker memo's counters into this one (stat merging).
 
-    def absorb_counters(self, hits: int, misses: int, size: int = 0) -> None:
-        """Fold a worker cache's counters into this one (stat merging).
-
-        ``size`` is the worker cache's entry count at export time.  Worker
-        caches are private copies warmed over overlapping key sets, so
-        sizes are **not** additive — summing would double-count every hot
-        key shared between shards.  The merged ``size`` therefore reports
+        Worker memos are private copies filled over overlapping key
+        sets, so sizes are **not** additive — summing would double-count
+        every hot key shared between shards.  The merged ``size`` reports
         the *maximum* single-worker working set, a lower bound on the
         distinct-key population that is exact when one worker saw every
         key.
@@ -184,17 +154,10 @@ class ResolutionCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    @property
-    def merged_size(self) -> int:
-        """Entry count including absorbed workers: the parent's own
-        entries, or — after a parallel run leaves the parent cache cold —
-        the largest absorbed worker working set."""
-        return max(len(self._entries), self._absorbed_size)
-
     def stats_dict(self) -> dict[str, int | float]:
         return {
             "capacity": self.capacity,
-            "size": self.merged_size,
+            "size": max(len(self._entries), self._absorbed_size),
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hit_rate,

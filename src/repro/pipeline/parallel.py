@@ -19,11 +19,10 @@ Exactness is the design constraint, not best-effort parallelism:
 * therefore ``workers=N`` output is byte-identical to ``workers=1``
   (golden-parity tested for N in {2, 4}).
 
-The per-shard resolve loop is also the pipeline's sequential fast path
+The per-shard resolve loop is also the pipeline's sequential path
 (:func:`consume_source`): records are decoded in batched field chunks
-(one ``iter_unpack`` C call per chunk) and resolution-cache hits skip
-sample-object construction entirely — the chain replays the claim's
-counters and the aggregate is bumped straight from the decoded fields.
+(one ``iter_unpack`` C call per chunk), grouped by resolution key, and
+resolved a key at a time — no sample objects are built for the stream.
 """
 
 from __future__ import annotations
@@ -40,10 +39,8 @@ from typing import Iterable, Sequence
 import multiprocessing
 
 from repro.errors import ProfilerError
-from repro.pipeline.columnar import resolve_column_chunk
 from repro.pipeline.resolver import ResolverChain
-from repro.pipeline.source import DirectorySource, PipelineSample
-from repro.profiling.model import RawSample
+from repro.pipeline.source import DirectorySource
 from repro.profiling.record_codec import RecordFileReader
 from repro.profiling.report import StreamingAggregator
 
@@ -156,7 +153,7 @@ def plan_shards(
 
 
 # ----------------------------------------------------------------------
-# the resolve loop (sequential fast path == per-shard worker loop)
+# the resolve loop (sequential path == per-shard worker loop)
 # ----------------------------------------------------------------------
 
 
@@ -164,89 +161,57 @@ def consume_chunks(
     chunks: Iterable[ShardChunk],
     chain: ResolverChain,
     agg: StreamingAggregator,
-    columnar: bool = True,
 ) -> None:
     """Resolve every record in the given chunk ranges into ``agg``.
 
-    This is the pipeline's hot loop.  With ``columnar=True`` (the
-    default) each decode chunk is resolved by the deduplicated batch path
-    (:mod:`repro.pipeline.columnar`): group by cache key, one cache probe
-    per distinct key, bucketed batch stage walks for the misses, bulk
-    replay for the duplicates — byte- and stats-identical to the scalar
-    loop and far cheaper per sample.  Chains that cannot replay counters
-    in bulk (``supports_columnar`` False, i.e. the Xen outer chain)
-    silently use the scalar loop regardless of the flag.
-
-    The scalar loop (``columnar=False``, or per-chain fallback): records
-    arrive as raw struct-field tuples in batched chunks; a
-    resolution-cache hit bypasses ``RawSample``/``PipelineSample``
-    construction entirely — the chain replays the cached claim's counters
-    and the aggregate is bumped from the decoded fields.  Only cache
-    misses build sample objects and walk the stages.  The cache key
-    layout must match :meth:`ResolverChain.cache_key`; ``kernel_mode``
-    may be an int here (``1 == True`` hashes identically, so the keys
-    unify).
+    This is the pipeline's hot loop.  Each decode chunk's raw field
+    tuples ``(pc, task_id, kernel_mode, cycle, epoch[, domain_id])`` are
+    folded into a first-seen-order ``{key: count}`` dict — one dict op
+    per sample, nothing else on the per-sample path — and resolved by
+    :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups`; the
+    aggregate then takes one ``add_counts(..., n)`` per key, in
+    first-seen order, so row insertion order (the report's sort
+    tie-break) is the stream's.  The key layout matches
+    :func:`~repro.pipeline.source.sample_key`; ``kernel_mode`` may be an
+    int here (``1 == True`` hashes identically, so the keys unify).
     """
-    columnar = columnar and chain.supports_columnar
     for chunk in chunks:
         with RecordFileReader(chunk.path) as reader:
             event_name = reader.event_name
             has_domain = reader.codec.has_domain
-            if columnar:
-                for fields_chunk in reader.iter_field_chunks(
-                    chunk.start_record, chunk.n_records
-                ):
-                    resolve_column_chunk(
-                        fields_chunk, has_domain, event_name, chain, agg
-                    )
-                continue
-            cache = chain.cache
             add_counts = agg.add_counts
-            add = agg.add
-            replay = chain.replay
             for fields_chunk in reader.iter_field_chunks(
                 chunk.start_record, chunk.n_records
             ):
-                for fields in fields_chunk:
-                    pc, task, kmode, cycle, epoch = fields[:5]
-                    domain = fields[5] if has_domain else None
-                    if cache is not None:
-                        key = (pc, epoch, kmode, task, domain)
-                        entry = cache.get(key)
-                        if entry is not None:
-                            replay(entry)
-                            add_counts(event_name, entry.image, entry.symbol)
-                            continue
-                    sample = PipelineSample(
-                        raw=RawSample(
-                            pc=pc,
-                            event_name=event_name,
-                            task_id=task,
-                            kernel_mode=bool(kmode),
-                            cycle=cycle,
-                            epoch=epoch,
-                        ),
-                        domain_id=domain,
-                    )
-                    if cache is not None:
-                        add(chain.resolve_miss(sample, key))
-                    else:
-                        add(chain.resolve(sample))
+                groups: dict[tuple, int] = {}
+                get = groups.get
+                if has_domain:
+                    for f in fields_chunk:
+                        key = (f[0], f[4], f[2], f[1], f[5])
+                        groups[key] = get(key, 0) + 1
+                else:
+                    for f in fields_chunk:
+                        key = (f[0], f[4], f[2], f[1], None)
+                        groups[key] = get(key, 0) + 1
+                entries = chain.resolve_groups(groups)
+                for key, count in groups.items():
+                    entry = entries[key]
+                    add_counts(event_name, entry.image, entry.symbol, count)
 
 
 def consume_source(
     source: Iterable[object],
     chain: ResolverChain,
     agg: StreamingAggregator,
-    columnar: bool = True,
 ) -> None:
-    """Resolve a whole source into ``agg``, using the fused fast path for
-    directory-backed sources and the generic stream loop otherwise."""
+    """Resolve a whole source into ``agg``: directory-backed sources
+    through the decode-chunk loop, anything else through
+    :meth:`~repro.pipeline.resolver.ResolverChain.resolve_stream`."""
     if isinstance(source, DirectorySource):
         whole_files = [
             ShardChunk(str(p), 0, _record_count(p)) for p in source.paths()
         ]
-        consume_chunks(whole_files, chain, agg, columnar=columnar)
+        consume_chunks(whole_files, chain, agg)
         return
     for resolved in chain.resolve_stream(source):
         agg.add(resolved)
@@ -265,40 +230,21 @@ def _record_count(path: Path | str) -> int:
 def _pack_shard_payload(
     agg: StreamingAggregator, chain: ResolverChain
 ) -> bytes:
-    """Flatten a worker's whole shard result — chain counter deltas plus
-    the packed aggregate — into one binary blob for the shared-memory
-    segment (pickle-free except the tiny stage-detail dict).
+    """Flatten a worker's whole shard result — the chain's counter
+    snapshot plus the packed aggregate — into one binary blob for the
+    shared-memory segment.
 
-    Layout: ``n_counters:u32, counters:i64[]`` (per-stage hit/miss pairs
-    in chain order, then ``cache_present, cache hits, misses, size``),
-    ``details_len:u32 + pickled detail dict``, ``rows_len:u32 +``
-    :meth:`StreamingAggregator.pack_rows` blob.
+    Layout: ``stats_len:u32 +`` pickled
+    :meth:`~repro.pipeline.resolver.ResolverChain.export_stats` snapshot
+    (a few small counters), ``rows_len:u32 +``
+    :meth:`StreamingAggregator.pack_rows` blob (the bulk of the result).
     """
-    counters: list[int] = []
-    for st in chain.stats():
-        counters.append(st.hits)
-        counters.append(st.misses)
-    cache = chain.cache
-    if cache is not None:
-        counters.extend((1, cache.hits, cache.misses, len(cache)))
-    else:
-        counters.extend((0, 0, 0, 0))
-    details = {
-        s.name: state
-        for s in [*chain.stages, chain.fallback]
-        if (state := s.export_state()) is not None
-    }
-    # The detail dict is tiny but shape-rich (the Xen dispatcher nests
-    # whole per-domain snapshots with int keys), so it rides pickled
-    # inside the segment; the bulk of the result — counters and rows —
-    # is flat binary.
-    details_blob = pickle.dumps(details)
+    stats_blob = pickle.dumps(chain.export_stats())
     rows_blob = agg.pack_rows()
-    out = bytearray()
-    out += struct.pack(f"<I{len(counters)}q", len(counters), *counters)
-    out += struct.pack("<I", len(details_blob)) + details_blob
-    out += struct.pack("<I", len(rows_blob)) + rows_blob
-    return bytes(out)
+    return b"".join((
+        struct.pack("<I", len(stats_blob)), stats_blob,
+        struct.pack("<I", len(rows_blob)), rows_blob,
+    ))
 
 
 def _absorb_shard_payload(
@@ -307,51 +253,17 @@ def _absorb_shard_payload(
     chain: ResolverChain,
 ) -> None:
     """Fold one worker's packed shard result into the parent aggregate
-    and chain, replicating the merge semantics of
-    ``agg.merge`` + ``chain.absorb_stats`` exactly."""
-    (n_counters,) = struct.unpack_from("<I", data, 0)
-    counters = struct.unpack_from(f"<{n_counters}q", data, 4)
-    off = 4 + 8 * n_counters
-    (details_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    details = pickle.loads(bytes(data[off:off + details_len]))
-    off += details_len
+    and chain (``agg.merge`` + ``chain.absorb_stats`` semantics)."""
+    (stats_len,) = struct.unpack_from("<I", data, 0)
+    chain.absorb_stats(pickle.loads(bytes(data[4:4 + stats_len])))
+    off = 4 + stats_len
     (rows_len,) = struct.unpack_from("<I", data, off)
     off += 4
-
-    # Rebuild the export_stats() snapshot shape against the parent
-    # chain's own stage order — the worker chain is an unpickled copy of
-    # this chain, so positional counters line up by construction.
-    stage_meta = [(st.name, st.terminal) for st in chain.stats()]
-    expected = 2 * len(stage_meta) + 4
-    if n_counters != expected:
-        raise ProfilerError(
-            f"shard counter block has {n_counters} entries, parent chain "
-            f"expects {expected}: worker/parent chain shapes diverged"
-        )
-    snapshot: dict[str, object] = {
-        "stages": [
-            (name, counters[2 * i], counters[2 * i + 1], terminal)
-            for i, (name, terminal) in enumerate(stage_meta)
-        ],
-        "details": details,
-        "cache": (
-            tuple(counters[-3:]) if counters[-4] else None
-        ),
-    }
-    chain.absorb_stats(snapshot)
     agg.absorb_packed_rows(data[off:off + rows_len])
 
 
 def _resolve_shard_worker(
-    payload: tuple[
-        bytes,
-        list[ShardChunk],
-        tuple[str, ...] | None,
-        bool,
-        str | None,
-        bytes | None,
-    ],
+    payload: tuple[bytes, list[ShardChunk], tuple[str, ...] | None, str | None],
 ) -> tuple[str, int] | tuple[str, bytes]:
     """Worker entry: resolve one shard on a private chain copy and
     publish the packed result through the shard's shared-memory segment.
@@ -360,16 +272,11 @@ def _resolve_shard_worker(
     ``("pickled", blob)`` when it did not (the pool's pickle channel is
     the overflow path — slower, never wrong).
     """
-    chain_bytes, chunks, events, columnar, segment_name, warm_blob = payload
+    chain_bytes, chunks, events, segment_name = payload
     chain: ResolverChain = pickle.loads(chain_bytes)
     chain.reset_stats()
-    if warm_blob is not None and chain.cache is not None:
-        # Seed after the reset (reset clears the cache): warm entries
-        # carry no counters, so the shard's exported deltas still sum
-        # exactly — warm workers just report more hits, fewer misses.
-        chain.cache.seed(pickle.loads(warm_blob))
     agg = StreamingAggregator(events)
-    consume_chunks(chunks, chain, agg, columnar=columnar)
+    consume_chunks(chunks, chain, agg)
     blob = _pack_shard_payload(agg, chain)
     if segment_name is not None:
         segment = shared_memory.SharedMemory(name=segment_name)
@@ -382,36 +289,19 @@ def _resolve_shard_worker(
     return ("pickled", blob)
 
 
-#: Default number of hot cache entries shipped to each shard worker when
-#: warm-up seeding is requested (``warm_top_k=True``).  Sized to cover a
-#: realistic hot working set while keeping the pickled warm blob far
-#: below fork/segment costs.
-DEFAULT_WARM_TOP_K = 4096
-
-
 def run_parallel_pipeline(
     source: Iterable[object],
     chain: ResolverChain,
     events: tuple[str, ...] | None,
     workers: int,
-    columnar: bool = True,
-    warm_top_k: int | bool | None = None,
 ) -> StreamingAggregator:
     """Resolve a directory-backed source across ``workers`` processes.
 
     Returns the merged aggregator; the parent ``chain`` has absorbed every
     worker's counter deltas, so ``chain.stats_dict()`` reports the whole
-    run.  Falls back to the sequential fast path when the plan yields a
-    single shard (tiny inputs) — same results either way.
-
-    ``warm_top_k`` seeds every worker's resolution cache with the
-    parent's hottest entries before its shard starts (``True`` for
-    :data:`DEFAULT_WARM_TOP_K`, an int for an explicit bound).  This
-    only matters when the parent chain is itself warm — a re-run over a
-    live chain, the fleet-service scenario — and is output-neutral by
-    construction: resolution is a pure function of the key, so a seeded
-    hit returns exactly what the walk would have (parity-tested in
-    ``tests/pipeline/test_warmup.py``).  Only the hit/miss split moves.
+    run.  Falls back to the sequential loop when the plan yields a
+    single shard (tiny inputs) — same results either way.  Workers start
+    with empty memos (a pickled memo ships no entries).
 
     Shard results travel through per-shard ``multiprocessing.shared_memory``
     segments as flat packed blobs (:func:`_pack_shard_payload`) rather
@@ -426,14 +316,6 @@ def run_parallel_pipeline(
             f"(got {type(source).__name__}); filtered or in-memory streams "
             "resolve sequentially"
         )
-    warm_blob: bytes | None = None
-    if warm_top_k and chain.cache is not None:
-        top_k = (
-            DEFAULT_WARM_TOP_K if warm_top_k is True else int(warm_top_k)
-        )
-        warm = chain.cache.export_warm(top_k)
-        if warm:
-            warm_blob = pickle.dumps(warm)
     try:
         chain_bytes = pickle.dumps(chain)
     except Exception as e:
@@ -445,7 +327,7 @@ def run_parallel_pipeline(
     if not shards:
         return agg
     if len(shards) == 1:
-        consume_chunks(shards[0], chain, agg, columnar=columnar)
+        consume_chunks(shards[0], chain, agg)
         return agg
     # fork shares the parent's loaded modules and page cache; spawn works
     # too (workers re-import repro) but pays interpreter start-up.
@@ -463,7 +345,7 @@ def run_parallel_pipeline(
     ]
     try:
         payloads = [
-            (chain_bytes, shard, events, columnar, segment.name, warm_blob)
+            (chain_bytes, shard, events, segment.name)
             for shard, segment in zip(shards, segments)
         ]
         with ProcessPoolExecutor(

@@ -1,34 +1,40 @@
-"""The resolver chain: ordered stages with per-stage hit/miss counters.
+"""The resolver chain: ordered stages, one resolution path, one counter.
 
 A :class:`ResolverChain` is the pipeline's "PC → symbol" engine.  Samples
 are offered to each stage in order; the first stage to return a resolved
-sample claims it and the chain's counters record which stage that was.
-Samples no stage claims fall through to the terminal fallback stage
-(``(unknown)`` attribution by default).
+sample claims it.  Samples no stage claims fall through to the terminal
+fallback stage (``(unknown)`` attribution by default).
 
-The counters subsume the old ad-hoc ``JitResolutionStats``: every report
-now exposes the same per-stage accounting (:meth:`ResolverChain.stats` /
-:meth:`ResolverChain.stats_dict`), and stages with richer detail (the JIT
-epoch stage's own/earlier-epoch split) contribute it through their
-``detail_dict`` hook.
+Every caller — the decode-chunk loop, :meth:`ResolverChain.resolve_stream`
+and :meth:`ResolverChain.resolve`, and the Xen domain dispatcher handing
+a bucket to a domain's chain — goes through :meth:`ResolverChain.resolve_groups`:
 
-Two performance features live here:
+1. samples arrive grouped by resolution key
+   (:func:`~repro.pipeline.source.sample_key`) with a count per key;
+2. the chain's bounded memo (:mod:`repro.pipeline.cache`) is probed once
+   per distinct key;
+3. the misses are sorted into buckets sharing ``(epoch, kernel_mode,
+   task_id, domain_id)`` — one ascending PC run each — and each bucket is
+   walked down the stages once (:meth:`ResolverChain.resolve_key_run`),
+   the JIT stage answering the whole run with one batched backward epoch
+   walk;
+4. every key's claim is counted ``count`` times in one
+   ``Counter[(claim_index, outcome)]``.
 
-* a bounded LRU **resolution cache** in front of the stage walk
-  (:mod:`repro.pipeline.cache`), keyed on
-  ``(pc, epoch, kernel_mode, task_id, domain_id)``.  Hits replay the
-  exact counter updates the full walk would have made, so cached and
-  uncached runs produce byte-identical reports *and* statistics;
-* **mergeable statistics** (:meth:`StageStats.merge`,
-  :meth:`ResolverChain.export_stats` / :meth:`ResolverChain.absorb_stats`)
-  so shard workers (:mod:`repro.pipeline.parallel`) can resolve disjoint
-  sample ranges on chain copies and fold their counters back exactly.
+Statistics are *derived* from that counter: a stage's hits are the claims
+at its index, its misses the claims further down, and stage detail (the
+JIT own/earlier-epoch split) comes from the outcomes counted at its index
+(:meth:`ResolverChain.stats_dict`).  Memo hits count exactly like walks,
+so memoized and unmemoized runs report the same statistics, and shard
+workers merge by adding counters (:meth:`ResolverChain.absorb_stats`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ProfilerError
 from repro.pipeline.cache import (
@@ -36,11 +42,18 @@ from repro.pipeline.cache import (
     CachedResolution,
     ResolutionCache,
 )
-from repro.pipeline.source import PipelineSample, iter_pipeline_samples
+from repro.pipeline.source import (
+    PipelineSample,
+    iter_pipeline_samples,
+    sample_key,
+)
 from repro.pipeline.stages import FallbackStage, ResolverStage
 from repro.profiling.model import RawSample, ResolvedSample
 
 __all__ = ["StageStats", "ResolverChain"]
+
+#: Samples :meth:`ResolverChain.resolve_stream` groups per walk.
+STREAM_CHUNK = 4096
 
 
 @dataclass
@@ -74,7 +87,7 @@ class StageStats:
         return self
 
     def merge(self, other: "StageStats") -> "StageStats":
-        """Fold another shard's counters for the *same* stage into this
+        """Fold another run's counters for the *same* stage into this
         one, in place.  Merging is exact: counters are pure sums."""
         if other.name != self.name or other.terminal != self.terminal:
             raise ProfilerError(
@@ -93,6 +106,14 @@ class StageStats:
         ).merge(other)
 
 
+def _bucket_sort_key(key: tuple) -> tuple:
+    # Bucket id first (epoch, kernel_mode, task, domain), ascending pc
+    # within the bucket.  domain_id is None for single-stack streams; map
+    # it below any real domain so the sort never compares None with int.
+    pc, epoch, kmode, task, domain = key
+    return (epoch, kmode, task, -1 if domain is None else domain, pc)
+
+
 class ResolverChain:
     """Ordered resolver stages plus a terminal fallback.
 
@@ -100,11 +121,7 @@ class ResolverChain:
     VIProf, and XenoProf reports differ solely in the stage list they are
     built from (see the composition helpers in :mod:`repro.pipeline`).
 
-    ``cache_size`` bounds the chain's resolution cache; 0 disables it.
-    Chains containing a stage that routes to *inner* chains with their own
-    counters (``owns_inner_chains``, e.g. the Xen domain dispatcher) never
-    cache at this level — a hit here could not replay the inner chains'
-    counters — but the inner chains cache normally.
+    ``cache_size`` bounds the chain's resolution memo; 0 disables it.
     """
 
     def __init__(
@@ -125,22 +142,12 @@ class ResolverChain:
                 f"fallback stage name {self.fallback.name!r} collides "
                 f"with a chain stage"
             )
-        # Ordered stats: one per stage, fallback (terminal) last.
-        self._stats_list = [StageStats(s.name) for s in self.stages]
-        self._stats_list.append(StageStats(self.fallback.name, terminal=True))
-        self._stats = {st.name: st for st in self._stats_list}
-        cacheable = not any(
-            getattr(s, "owns_inner_chains", False) for s in self.stages
-        )
         self.cache: ResolutionCache | None = (
-            ResolutionCache(cache_size) if cache_size > 0 and cacheable else None
+            ResolutionCache(cache_size) if cache_size > 0 else None
         )
-        #: Columnar (deduplicated) resolution relies on the same soundness
-        #: property as caching: replaying one walk's counters stands in for
-        #: repeating it.  A stage owning inner chains breaks that (the
-        #: replay cannot reach the inner counters), so such chains resolve
-        #: per sample even when the caller asks for the columnar path.
-        self.supports_columnar: bool = cacheable
+        #: Samples claimed, keyed ``(claim_index, outcome)``; the fallback's
+        #: index is ``len(stages)``.  Every statistic is derived from it.
+        self.outcomes: Counter = Counter()
 
     def stage(self, name: str) -> ResolverStage:
         """Look a stage up by name (e.g. ``chain.stage("jit-epoch")``)."""
@@ -149,230 +156,173 @@ class ResolverChain:
         except KeyError:
             raise ProfilerError(f"no stage named {name!r} in chain") from None
 
+    @property
+    def _all_stages(self) -> list[ResolverStage]:
+        return [*self.stages, self.fallback]
+
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def cache_key(sample: PipelineSample) -> tuple:
-        """The sample's resolution-cache key.  Everything any stage reads
-        from a sample is in here (see :mod:`repro.pipeline.cache` for the
-        correctness argument); ``cycle`` and ``event_name`` are not,
-        because no stage consults them."""
-        raw = sample.raw
-        return (
-            raw.pc, raw.epoch, raw.kernel_mode, raw.task_id, sample.domain_id
-        )
+    def resolve_groups(
+        self, groups: Mapping[tuple, int]
+    ) -> dict[tuple, CachedResolution]:
+        """Resolve samples grouped by key (key → sample count) and count
+        every sample's claim; returns each key's resolution.
 
-    def _resolve_uncached(
-        self, sample: PipelineSample
-    ) -> tuple[ResolvedSample, int, object | None]:
-        """The full stage walk.  Returns the resolved sample, the claiming
-        stage's index (``len(stages)`` for the fallback), and the claiming
-        stage's detail token for cache replay."""
-        stats = self._stats_list
-        for i, s in enumerate(self.stages):
-            resolved = s.resolve(sample)
-            st = stats[i]
-            if resolved is not None:
-                st.hits += 1
-                return resolved, i, s.claim_token()
-            st.misses += 1
-        resolved = self.fallback.resolve(sample)
-        if resolved is None:  # a fallback must be terminal
-            raise ProfilerError(
-                f"fallback stage {self.fallback.name!r} declined a sample"
-            )
-        stats[-1].hits += 1
-        return resolved, len(self.stages), self.fallback.claim_token()
-
-    def replay(self, entry: CachedResolution) -> None:
-        """Re-apply the counter updates a cached walk would have made:
-        a miss for every stage above the claimant, a hit for the claimant,
-        and the claimant's own detail counters via its token."""
-        stats = self._stats_list
-        idx = entry.claim_index
-        for i in range(idx):
-            stats[i].misses += 1
-        stats[idx].hits += 1
-        if entry.token is not None:
-            claimant = (
-                self.fallback if idx == len(self.stages) else self.stages[idx]
-            )
-            claimant.replay_token(entry.token)
-
-    def replay_bulk(self, entry: CachedResolution, n: int) -> None:
-        """:meth:`replay` for ``n`` identical samples in one shot: the
-        columnar path resolves each distinct key once and replays the
-        duplicates in bulk.  Counter deltas equal ``n`` scalar replays."""
-        if n <= 0:
-            return
-        stats = self._stats_list
-        idx = entry.claim_index
-        for i in range(idx):
-            stats[i].misses += n
-        stats[idx].hits += n
-        if entry.token is not None:
-            claimant = (
-                self.fallback if idx == len(self.stages) else self.stages[idx]
-            )
-            claimant.replay_token_bulk(entry.token, n)
+        The one resolution path: a memo probe per distinct key, then one
+        :meth:`resolve_key_run` per bucket of missing keys.
+        """
+        cache = self.cache
+        if cache is not None:
+            entries, missing = cache.lookup(groups)
+        else:
+            entries, missing = {}, list(groups)
+        if missing:
+            missing.sort(key=_bucket_sort_key)
+            walked: dict[tuple, CachedResolution] = {}
+            start, n = 0, len(missing)
+            while start < n:
+                bucket_id = missing[start][1:]
+                end = start + 1
+                while end < n and missing[end][1:] == bucket_id:
+                    end += 1
+                walked.update(
+                    self.resolve_key_run(missing[start:end], groups)
+                )
+                start = end
+            if cache is not None:
+                cache.store(walked)
+            entries.update(walked)
+        outcomes = self.outcomes
+        for key, count in groups.items():
+            outcomes[entries[key].claim] += count
+        return entries
 
     def resolve_key_run(
-        self, keys: Sequence[tuple], event_name: str
+        self, keys: Sequence[tuple], counts: Mapping[tuple, int]
     ) -> dict[tuple, CachedResolution]:
-        """Walk the stages once for a bucket of **distinct** cache keys
-        sharing ``(epoch, kernel_mode, task_id, domain_id)``, with PCs
-        ascending (the columnar resolver's bucket shape).
-
-        Each key is offered down the chain exactly as one scalar walk
-        would be — stages that implement :meth:`ResolverStage.resolve_group`
-        (the JIT epoch stage) answer the whole remaining bucket with one
-        batched probe; others are offered samples one by one.  Counter
-        deltas equal one scalar walk per key.  Results are cached (when
-        the chain caches) and returned keyed by input key.
-        """
+        """Walk the stages once for one bucket of **distinct** keys
+        sharing ``(epoch, kernel_mode, task_id, domain_id)``, PCs
+        ascending.  Each stage answers the keys still pending with one
+        :meth:`~repro.pipeline.stages.ResolverStage.resolve_group` call;
+        the fallback claims the rest.  Counts nothing: the caller
+        (:meth:`resolve_groups`) counts the claims."""
         samples = [
             PipelineSample(
+                # No stage reads the event or the cycle, so a key stands
+                # for every sample that shares it.
                 raw=RawSample(
-                    pc=key[0],
-                    event_name=event_name,
-                    task_id=key[3],
-                    kernel_mode=bool(key[2]),
-                    cycle=0,
-                    epoch=key[1],
+                    pc=key[0], event_name="", task_id=key[3],
+                    kernel_mode=bool(key[2]), cycle=0, epoch=key[1],
                 ),
                 domain_id=key[4],
             )
             for key in keys
         ]
         entries: dict[tuple, CachedResolution] = {}
-        stats = self._stats_list
         pending = list(range(len(keys)))
-        for idx, stage in enumerate(self.stages):
+        last = len(self.stages)
+        for idx, stage in enumerate(self._all_stages):
             if not pending:
                 break
-            group = stage.resolve_group([samples[i] for i in pending])
-            still: list[int] = []
-            if group is not None:
-                for i, res in zip(pending, group):
-                    if res is None:
-                        still.append(i)
-                        continue
-                    resolved, token = res
-                    entries[keys[i]] = CachedResolution(
-                        image=resolved.image,
-                        symbol=resolved.symbol,
-                        offset=resolved.offset,
-                        claim_index=idx,
-                        token=token,
-                    )
-            else:
-                for i in pending:
-                    resolved = stage.resolve(samples[i])
-                    if resolved is None:
-                        still.append(i)
-                        continue
-                    entries[keys[i]] = CachedResolution(
-                        image=resolved.image,
-                        symbol=resolved.symbol,
-                        offset=resolved.offset,
-                        claim_index=idx,
-                        token=stage.claim_token(),
-                    )
-            st = stats[idx]
-            st.hits += len(pending) - len(still)
-            st.misses += len(still)
-            pending = still
-        fallback_index = len(self.stages)
-        for i in pending:
-            resolved = self.fallback.resolve(samples[i])
-            if resolved is None:  # a fallback must be terminal
-                raise ProfilerError(
-                    f"fallback stage {self.fallback.name!r} declined a sample"
-                )
-            entries[keys[i]] = CachedResolution(
-                image=resolved.image,
-                symbol=resolved.symbol,
-                offset=resolved.offset,
-                claim_index=fallback_index,
-                token=self.fallback.claim_token(),
+            group = stage.resolve_group(
+                [samples[i] for i in pending],
+                [counts[keys[i]] for i in pending],
             )
-        stats[-1].hits += len(pending)
-        if self.cache is not None:
-            put = self.cache.put
-            for key in keys:
-                put(key, entries[key])
-        return entries
-
-    def resolve_miss(
-        self, sample: PipelineSample, key: tuple
-    ) -> ResolvedSample:
-        """Resolve a sample the cache did not hold and insert the result.
-        The caller has already consulted (and counted) the cache."""
-        resolved, idx, token = self._resolve_uncached(sample)
-        if self.cache is not None:
-            self.cache.put(
-                key,
-                CachedResolution(
+            still: list[int] = []
+            for i, res in zip(pending, group):
+                if res is None:
+                    still.append(i)
+                    continue
+                resolved, outcome = res
+                entries[keys[i]] = CachedResolution(
                     image=resolved.image,
                     symbol=resolved.symbol,
                     offset=resolved.offset,
-                    claim_index=idx,
-                    token=token,
-                ),
-            )
-        return resolved
+                    claim=(idx, outcome),
+                )
+            if still and idx == last:  # a fallback must be terminal
+                raise ProfilerError(
+                    f"fallback stage {self.fallback.name!r} declined a sample"
+                )
+            pending = still
+        return entries
 
     def resolve(self, sample: PipelineSample) -> ResolvedSample:
         """Resolve one sample, counting which stage claimed it."""
-        cache = self.cache
-        if cache is None:
-            return self._resolve_uncached(sample)[0]
-        key = self.cache_key(sample)
-        entry = cache.get(key)
-        if entry is not None:
-            self.replay(entry)
-            return ResolvedSample(
-                raw=sample.raw,
-                image=entry.image,
-                symbol=entry.symbol,
-                offset=entry.offset,
-            )
-        return self.resolve_miss(sample, key)
+        key = sample_key(sample)
+        entry = self.resolve_groups({key: 1})[key]
+        return ResolvedSample(
+            raw=sample.raw, image=entry.image, symbol=entry.symbol,
+            offset=entry.offset,
+        )
 
     def resolve_stream(
         self, samples: Iterable[object]
     ) -> Iterator[ResolvedSample]:
         """Stream resolution: raw, domain-tagged, or pipeline samples in;
-        resolved samples out, one at a time."""
-        for sample in iter_pipeline_samples(samples):
-            yield self.resolve(sample)
+        resolved samples out, in order, resolved :data:`STREAM_CHUNK` at
+        a time."""
+        it = iter_pipeline_samples(samples)
+        while batch := list(islice(it, STREAM_CHUNK)):
+            keys = [sample_key(s) for s in batch]
+            entries = self.resolve_groups(Counter(keys))
+            for sample, key in zip(batch, keys):
+                e = entries[key]
+                yield ResolvedSample(
+                    raw=sample.raw, image=e.image, symbol=e.symbol,
+                    offset=e.offset,
+                )
 
     # ------------------------------------------------------------------
-    # statistics
+    # statistics (all derived from ``outcomes``)
     # ------------------------------------------------------------------
 
     @property
     def total_samples(self) -> int:
         """Samples this chain has resolved: every sample is claimed by
-        exactly one stage (the fallback is terminal), so the hit sum is
-        the stream length — the denominator for cache hit-rate math."""
-        return sum(st.hits for st in self._stats_list)
+        exactly one stage (the fallback is terminal)."""
+        return sum(self.outcomes.values())
+
+    def _claims(self) -> list[Counter]:
+        """Per stage, in chain order (fallback last): samples claimed,
+        by outcome."""
+        claims = [Counter() for _ in self._all_stages]
+        for (idx, outcome), n in self.outcomes.items():
+            claims[idx][outcome] += n
+        return claims
+
+    def stage_outcomes(self, name: str) -> Counter:
+        """Samples the named stage claimed, by outcome."""
+        return self._claims()[self._all_stages.index(self.stage(name))]
 
     def stats(self) -> list[StageStats]:
-        """Per-stage counters in chain order (fallback last)."""
-        return [st.check() for st in self._stats_list]
+        """Per-stage counters in chain order (fallback last): a stage's
+        misses are the samples claimed further down the chain."""
+        claimed = [c.total() for c in self._claims()]
+        below = sum(claimed)
+        out = []
+        for stage, hits in zip(self._all_stages, claimed):
+            below -= hits
+            out.append(
+                StageStats(
+                    stage.name, hits, below, terminal=stage is self.fallback
+                )
+            )
+        return out
 
     def stats_dict(self) -> dict[str, object]:
         """JSON-able snapshot of the chain's counters, including any
         stage-specific detail (e.g. the JIT epoch split), degradation
         counters for stages running in degraded (post-salvage) mode, the
-        resolution cache's hit rate, and ``total_samples`` as the
+        resolution memo's hit rate, and ``total_samples`` as the
         denominator."""
         stages: list[dict[str, object]] = []
         degraded_any = False
-        for st in self.stats():
+        for st, stage, outcomes in zip(
+            self.stats(), self._all_stages, self._claims()
+        ):
             entry: dict[str, object] = {
                 "stage": st.name,
                 "hits": st.hits,
@@ -380,16 +330,13 @@ class ResolverChain:
             }
             if st.terminal:
                 entry["terminal"] = True
-            stage = self.stage(st.name)
-            detail = getattr(stage, "detail_dict", None)
-            if callable(detail):
-                entry["detail"] = detail()
-            degraded = getattr(stage, "degraded_dict", None)
-            if callable(degraded):
-                counters = degraded()
-                if counters is not None:
-                    entry["degraded"] = counters
-                    degraded_any = True
+            detail = stage.detail_dict(outcomes)
+            if detail is not None:
+                entry["detail"] = detail
+            degraded = stage.degraded_dict(outcomes)
+            if degraded is not None:
+                entry["degraded"] = degraded
+                degraded_any = True
             stages.append(entry)
         return {
             "stages": stages,
@@ -405,51 +352,54 @@ class ResolverChain:
     # ------------------------------------------------------------------
 
     def reset_stats(self) -> None:
-        """Zero every counter (stage, stage detail, cache) — a shard
-        worker resets its chain copy so the exported counters are pure
-        deltas."""
-        for st in self._stats_list:
-            st.hits = 0
-            st.misses = 0
-        for s in [*self.stages, self.fallback]:
-            s.reset_state()
+        """Zero every counter and empty the memo, inner chains included —
+        a shard worker resets its chain copy so the exported counters
+        are pure deltas."""
+        self.outcomes.clear()
         if self.cache is not None:
             self.cache.clear()
+        for stage in self.stages:
+            for inner in stage.chains.values():
+                inner.reset_stats()
 
     def export_stats(self) -> dict[str, object]:
         """Picklable counter snapshot for cross-process merging."""
+        cache = self.cache
         return {
-            "stages": [
-                (st.name, st.hits, st.misses, st.terminal)
-                for st in self.stats()
-            ],
-            "details": {
-                s.name: state
-                for s in [*self.stages, self.fallback]
-                if (state := s.export_state()) is not None
-            },
+            "stages": [s.name for s in self._all_stages],
+            "outcomes": dict(self.outcomes),
             "cache": (
-                (self.cache.hits, self.cache.misses, len(self.cache))
-                if self.cache is not None
+                (cache.hits, cache.misses, len(cache))
+                if cache is not None
                 else None
             ),
+            "inner": {
+                s.name: {d: c.export_stats() for d, c in s.chains.items()}
+                for s in self.stages
+                if s.chains
+            },
         }
 
     def absorb_stats(self, snapshot: dict[str, object]) -> None:
-        """Fold a worker chain's exported counters into this chain.
-
-        Merging is exact — counters are sums — so sequential resolution
-        and sharded resolution plus absorption produce identical
-        statistics (property-tested)."""
-        for name, hits, misses, terminal in snapshot["stages"]:
-            st = self._stats.get(name)
-            if st is None:
-                raise ProfilerError(
-                    f"cannot absorb stats for unknown stage {name!r}"
-                )
-            st.merge(StageStats(name, hits, misses, terminal))
-        for name, state in snapshot["details"].items():
-            self.stage(name).merge_state(state)
-        cache_counts = snapshot.get("cache")
+        """Fold a worker chain's exported counters into this chain by
+        counter addition, so sequential resolution and sharded
+        resolution plus absorption report identical statistics
+        (property-tested)."""
+        names = [s.name for s in self._all_stages]
+        if snapshot.get("stages") != names:
+            raise ProfilerError(
+                f"cannot absorb stats for stages {snapshot.get('stages')} "
+                f"into chain {names}: worker/parent chain shapes diverged"
+            )
+        self.outcomes.update(snapshot["outcomes"])
+        cache_counts = snapshot["cache"]
         if cache_counts is not None and self.cache is not None:
-            self.cache.absorb_counters(*cache_counts)
+            self.cache.absorb(*cache_counts)
+        for name, chains in snapshot["inner"].items():
+            stage = self.stage(name)
+            for domain, inner in chains.items():
+                if domain not in stage.chains:
+                    raise ProfilerError(
+                        f"cannot absorb stats for unknown domain {domain}"
+                    )
+                stage.chains[domain].absorb_stats(inner)

@@ -30,6 +30,7 @@ __all__ = [
     "PipelineSample",
     "as_pipeline_sample",
     "iter_pipeline_samples",
+    "sample_key",
     "file_source",
     "DirectorySource",
 ]
@@ -60,6 +61,16 @@ def as_pipeline_sample(obj: object) -> PipelineSample:
     if isinstance(raw, RawSample):
         return PipelineSample(raw=raw, domain_id=getattr(obj, "domain_id", None))
     raise ProfilerError(f"cannot adapt {obj!r} into a pipeline sample")
+
+
+def sample_key(sample: PipelineSample) -> tuple:
+    """The sample's resolution key, ``(pc, epoch, kernel_mode, task_id,
+    domain_id)``: everything any stage reads from a sample (see
+    :mod:`repro.pipeline.cache` for why it is sound to memoize on it).
+    ``cycle`` and ``event_name`` are not in it, because no stage reads
+    them."""
+    raw = sample.raw
+    return (raw.pc, raw.epoch, raw.kernel_mode, raw.task_id, sample.domain_id)
 
 
 def iter_pipeline_samples(samples: Iterable[object]) -> Iterator[PipelineSample]:

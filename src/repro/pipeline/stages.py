@@ -19,20 +19,28 @@ stages (see :mod:`repro.pipeline` for the canonical compositions):
   label;
 * :class:`HypervisorStage` — Xen-layer PCs against the hypervisor symbol
   table;
-* :class:`DomainDispatchStage` — routes each sample to its domain's own
+* :class:`DomainDispatchStage` — hands each bucket to its domain's own
   sub-chain (XenoProf multi-stack resolution);
 * :class:`FallbackStage` — the terminal ``(unknown)`` attribution.
+
+Stages keep no counters.  The chain counts every claim under ``(claim
+index, outcome)`` and derives per-stage hits, misses and detail from that
+one counter (:meth:`~repro.pipeline.resolver.ResolverChain.stats_dict`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from repro.errors import ProfilerError
 from repro.jvm.bootimage import BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL
 from repro.jvm.machine import JIT_APP_IMAGE_LABEL
 from repro.os.address_space import VmaKind
 from repro.os.binary import NO_SYMBOLS
 from repro.os.kernel import Kernel
+from repro.pipeline.source import sample_key
 from repro.profiling.model import ResolvedSample
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,71 +71,54 @@ UNKNOWN_IMAGE = "(unknown)"
 #: Symbol label for VM-heap samples no epoch map ever held.
 UNRESOLVED_JIT = "(unresolved jit)"
 
+#: One bucket's answer from :meth:`ResolverStage.resolve_group`: per
+#: sample, ``(resolved, outcome)`` for a claim or None for a pass-down.
+GroupResult = list[tuple[ResolvedSample, str | None] | None]
+
 
 class ResolverStage:
     """One step of a resolver chain.
 
     ``resolve`` returns a resolved sample to claim the sample, or None to
     pass it to the next stage.  ``name`` keys the chain's per-stage
-    hit/miss counters.
+    counters.  The chain offers samples a bucket at a time through
+    :meth:`resolve_group`, which by default asks :meth:`resolve` per
+    sample; stages with a batched answer override it.
 
-    Stages with per-resolution detail counters (beyond the chain's
-    hit/miss) implement the *claim token* hooks so the chain's resolution
-    cache can replay them exactly: after a claim, :meth:`claim_token`
-    describes what the stage just counted, and :meth:`replay_token`
-    re-applies that counting on a later cache hit.  The *state* hooks
-    (:meth:`export_state` / :meth:`merge_state` / :meth:`reset_state`)
-    carry the same detail counters across shard-worker process boundaries
-    (:mod:`repro.pipeline.parallel`).
+    ``chains`` lists the inner chains a stage routes to (the Xen domain
+    dispatcher); the outer chain resets, exports and absorbs their
+    counters along with its own.
     """
 
     name: str = "stage"
-
-    #: True for stages that dispatch to inner chains with their own
-    #: counters; a chain containing one never caches above it.
-    owns_inner_chains: bool = False
+    chains: "Mapping[int, ResolverChain]" = MappingProxyType({})
 
     def resolve(self, sample: "PipelineSample") -> ResolvedSample | None:
         raise NotImplementedError
 
-    def claim_token(self) -> object | None:
-        """Opaque description of the detail counters the stage updated for
-        the claim it just made; None when the stage keeps no detail."""
-        return None
-
-    def replay_token(self, token: object) -> None:
-        """Re-apply the detail counting described by a claim token."""
-
-    def replay_token_bulk(self, token: object, n: int) -> None:
-        """Re-apply a claim token's detail counting ``n`` times — the
-        columnar path's duplicate replay.  The default repeats the scalar
-        replay (exact for any stage); stages with pure-sum detail counters
-        override with O(1) bulk bumps."""
-        for _ in range(n):
-            self.replay_token(token)
-
     def resolve_group(
-        self, samples: "list[PipelineSample]"
-    ) -> list[tuple[ResolvedSample, object | None] | None] | None:
-        """Batched resolve for a columnar bucket: samples share
-        ``(epoch, kernel_mode, task_id, domain_id)`` and arrive with PCs
-        ascending.  Returns a positionally-aligned list — ``(resolved,
-        claim token)`` for claims, None for pass-downs — or None when the
-        stage has no batched path (the chain then offers samples one by
-        one).  Implementations must update the same detail counters one
-        scalar resolve per claimed sample would have."""
+        self, samples: "list[PipelineSample]", counts: list[int]
+    ) -> GroupResult:
+        """Resolve one bucket: samples share ``(epoch, kernel_mode,
+        task_id, domain_id)``, arrive with PCs ascending and distinct,
+        and ``counts[i]`` is how many stream samples ``samples[i]``
+        stands for.  Returns a positionally aligned list — ``(resolved,
+        outcome)`` for claims, None for pass-downs."""
+        out: list[tuple[ResolvedSample, str | None] | None] = []
+        for sample in samples:
+            resolved = self.resolve(sample)
+            out.append(None if resolved is None else (resolved, None))
+        return out
+
+    def detail_dict(self, outcomes: Counter) -> dict[str, object] | None:
+        """Stage-specific detail for the chain's stats entry, derived
+        from the stage's claim counts by outcome (None: no detail)."""
         return None
 
-    def export_state(self) -> object | None:
-        """Picklable snapshot of the stage's detail counters (None when
-        the stage keeps none)."""
+    def degraded_dict(self, outcomes: Counter) -> dict[str, int] | None:
+        """Degradation counters for a stage running in degraded
+        (post-salvage) mode; None when the stage cannot degrade."""
         return None
-
-    def merge_state(self, state: object) -> None:
-        """Fold a worker stage's exported detail counters into this one."""
-
-    def reset_state(self) -> None:
-        """Zero the stage's detail counters."""
 
 
 class KernelSymbolStage(ResolverStage):
@@ -152,12 +143,9 @@ class KernelSymbolStage(ResolverStage):
 
 
 class JitStageStats:
-    """Per-stage resolution detail for JIT samples (accuracy reporting).
-
-    Replaces the old ad-hoc ``JitResolutionStats``: the counters now live
-    on the stage that produces them and are exposed uniformly through the
-    chain's stats (:meth:`~repro.pipeline.resolver.ResolverChain.stats_dict`).
-    """
+    """Per-stage resolution detail for JIT samples (accuracy reporting),
+    derived from the JIT stage's claim counts by outcome
+    (:meth:`from_outcomes`)."""
 
     def __init__(self) -> None:
         self.jit_samples = 0
@@ -167,6 +155,18 @@ class JitStageStats:
         #: degraded mode only: samples whose backward walk hit a
         #: quarantined epoch and were remapped to ``(unresolved jit)``
         self.blocked_at_quarantine = 0
+
+    @classmethod
+    def from_outcomes(cls, outcomes: Counter) -> "JitStageStats":
+        """The detail for a JIT stage whose claims counted ``outcomes``
+        (``own``/``earlier``/``unresolved``/``blocked`` → samples)."""
+        s = cls()
+        s.resolved_in_own_epoch = outcomes["own"]
+        s.resolved_in_earlier_epoch = outcomes["earlier"]
+        s.unresolved = outcomes["unresolved"]
+        s.blocked_at_quarantine = outcomes["blocked"]
+        s.jit_samples = sum(outcomes.values())
+        return s
 
     @property
     def resolved(self) -> int:
@@ -187,7 +187,7 @@ class JitStageStats:
         }
 
     def merge(self, other: "JitStageStats") -> "JitStageStats":
-        """Fold another shard's JIT counters into this one, in place.
+        """Fold another run's JIT counters into this one, in place.
         Counters are pure sums, so merging shard results equals counting
         the concatenated stream (property-tested)."""
         self.jit_samples += other.jit_samples
@@ -201,13 +201,6 @@ class JitStageStats:
         out = JitStageStats()
         return out.merge(self).merge(other)
 
-    def reset(self) -> None:
-        self.jit_samples = 0
-        self.resolved_in_own_epoch = 0
-        self.resolved_in_earlier_epoch = 0
-        self.unresolved = 0
-        self.blocked_at_quarantine = 0
-
 
 class JitEpochStage(ResolverStage):
     """VM-heap samples through the epoch code maps (backward walk).
@@ -215,16 +208,19 @@ class JitEpochStage(ResolverStage):
     Terminal for samples inside a registered heap: resolution failures are
     attributed to ``JIT.App (unresolved jit)`` rather than passed on,
     because no later stage can know more about anonymous heap memory.
+    Every claim carries an outcome — ``own`` or ``earlier`` (the epoch
+    map that held the PC), ``unresolved``, or ``blocked`` — that the
+    chain counts and :class:`JitStageStats` summarizes.
 
     ``backward=False`` is the paper's ablation: only the sample's own
     epoch map is consulted.
 
     ``strict=False`` is degraded (post-salvage) mode: a walk blocked by a
     quarantined epoch (:data:`~repro.viprof.codemap.RESOLVE_BLOCKED`) is
-    remapped to ``(unresolved jit)`` and counted in
-    ``stats.blocked_at_quarantine`` — never attributed to a possibly-stale
-    record.  In strict mode (the default) a blocked walk is an error: a
-    strict pipeline must not silently consume a salvaged session.
+    remapped to ``(unresolved jit)`` and counted as ``blocked`` — never
+    attributed to a possibly-stale record.  In strict mode (the default) a
+    blocked walk is an error: a strict pipeline must not silently consume
+    a salvaged session.
     """
 
     name = "jit-epoch"
@@ -240,69 +236,23 @@ class JitEpochStage(ResolverStage):
         self.backward = backward
         self.strict = strict
         self._registrations = {r.task_id: r for r in registrations}
-        self.stats = JitStageStats()
-        self._last_outcome: str | None = None
-
-    def resolve(self, sample: "PipelineSample") -> ResolvedSample | None:
-        from repro.viprof.codemap import RESOLVE_BLOCKED
-
-        raw = sample.raw
-        reg = self._registrations.get(raw.task_id)
-        if reg is None or not reg.covers(raw.pc):
-            return None
-        self.stats.jit_samples += 1
-        hit = self.codemaps.resolve(raw.epoch, raw.pc, backward=self.backward)
-        if hit is RESOLVE_BLOCKED:
-            if self.strict:
-                from repro.errors import ProfilerError
-
-                raise ProfilerError(
-                    f"epoch walk for pc {raw.pc:#x} (epoch {raw.epoch}) "
-                    "blocked by a quarantined code map; rerun the pipeline "
-                    "in degraded mode (strict=False) to account for "
-                    "salvaged sessions"
-                )
-            self.stats.blocked_at_quarantine += 1
-            self._last_outcome = "blocked"
-            return ResolvedSample(
-                raw=raw, image=JIT_APP_IMAGE_LABEL, symbol=UNRESOLVED_JIT
-            )
-        if hit is None:
-            self.stats.unresolved += 1
-            self._last_outcome = "unresolved"
-            return ResolvedSample(
-                raw=raw, image=JIT_APP_IMAGE_LABEL, symbol=UNRESOLVED_JIT
-            )
-        record, found_epoch = hit
-        if found_epoch == raw.epoch:
-            self.stats.resolved_in_own_epoch += 1
-            self._last_outcome = "own"
-        else:
-            self.stats.resolved_in_earlier_epoch += 1
-            self._last_outcome = "earlier"
-        return ResolvedSample(
-            raw=raw, image=JIT_APP_IMAGE_LABEL, symbol=record.name,
-            offset=raw.pc - record.address,
-        )
 
     def resolve_group(
-        self, samples: "list[PipelineSample]"
-    ) -> list[tuple[ResolvedSample, object | None] | None] | None:
-        """Batched bucket resolve: one epoch walk for the whole ascending
-        PC run (:meth:`~repro.viprof.codemap.CodeMapIndex.resolve_run`)
-        instead of one backward walk per sample.  Counter deltas — stage
-        detail and the codemap index's own — match per-sample resolution
-        exactly."""
+        self, samples: "list[PipelineSample]", counts: list[int]
+    ) -> GroupResult:
+        """One epoch walk for the whole ascending PC run
+        (:meth:`~repro.viprof.codemap.CodeMapIndex.resolve_run`) instead
+        of one backward walk per sample."""
         from repro.viprof.codemap import RESOLVE_BLOCKED
 
-        if not samples:
-            return []
-        # The columnar bucket shares task_id (it is part of the bucket
-        # key), so registration and heap bounds are checked once per run.
-        reg = self._registrations.get(samples[0].raw.task_id)
-        out: list[tuple[ResolvedSample, object | None] | None] = (
+        out: list[tuple[ResolvedSample, str | None] | None] = (
             [None] * len(samples)
         )
+        if not samples:
+            return out
+        # The bucket shares task_id (it is part of the bucket key), so
+        # registration and heap bounds are checked once per run.
+        reg = self._registrations.get(samples[0].raw.task_id)
         if reg is None:
             return out
         covered = [
@@ -315,119 +265,51 @@ class JitEpochStage(ResolverStage):
             [samples[i].raw.pc for i in covered],
             backward=self.backward,
         )
-        own = earlier = unresolved = blocked = 0
         for i, hit in zip(covered, hits):
             raw = samples[i].raw
             if hit is RESOLVE_BLOCKED:
                 if self.strict:
-                    from repro.errors import ProfilerError
-
                     raise ProfilerError(
                         f"epoch walk for pc {raw.pc:#x} (epoch {raw.epoch}) "
                         "blocked by a quarantined code map; rerun the "
                         "pipeline in degraded mode (strict=False) to "
                         "account for salvaged sessions"
                     )
-                blocked += 1
                 out[i] = (
                     ResolvedSample(
-                        raw=raw,
-                        image=JIT_APP_IMAGE_LABEL,
+                        raw=raw, image=JIT_APP_IMAGE_LABEL,
                         symbol=UNRESOLVED_JIT,
                     ),
                     "blocked",
                 )
             elif hit is None:
-                unresolved += 1
                 out[i] = (
                     ResolvedSample(
-                        raw=raw,
-                        image=JIT_APP_IMAGE_LABEL,
+                        raw=raw, image=JIT_APP_IMAGE_LABEL,
                         symbol=UNRESOLVED_JIT,
                     ),
                     "unresolved",
                 )
             else:
                 record, found_epoch = hit
-                if found_epoch == raw.epoch:
-                    own += 1
-                    token = "own"
-                else:
-                    earlier += 1
-                    token = "earlier"
                 out[i] = (
                     ResolvedSample(
-                        raw=raw,
-                        image=JIT_APP_IMAGE_LABEL,
+                        raw=raw, image=JIT_APP_IMAGE_LABEL,
                         symbol=record.name,
                         offset=raw.pc - record.address,
                     ),
-                    token,
+                    "own" if found_epoch == raw.epoch else "earlier",
                 )
-        st = self.stats
-        st.jit_samples += own + earlier + unresolved + blocked
-        st.resolved_in_own_epoch += own
-        st.resolved_in_earlier_epoch += earlier
-        st.unresolved += unresolved
-        st.blocked_at_quarantine += blocked
         return out
 
-    def detail_dict(self) -> dict[str, int | float]:
-        return self.stats.as_dict()
+    def detail_dict(self, outcomes: Counter) -> dict[str, int | float]:
+        return JitStageStats.from_outcomes(outcomes).as_dict()
 
-    def degraded_dict(self) -> dict[str, int] | None:
-        """Degradation counters for the chain's ``degraded`` stats entry
-        (None in strict mode — a strict stage cannot degrade)."""
+    def degraded_dict(self, outcomes: Counter) -> dict[str, int] | None:
+        """None in strict mode — a strict stage cannot degrade."""
         if self.strict:
             return None
-        return {
-            "blocked_at_quarantine": self.stats.blocked_at_quarantine,
-        }
-
-    # -- cache replay / shard merging ----------------------------------
-
-    def claim_token(self) -> object | None:
-        return self._last_outcome
-
-    def replay_token(self, token: object) -> None:
-        self.stats.jit_samples += 1
-        if token == "own":
-            self.stats.resolved_in_own_epoch += 1
-        elif token == "earlier":
-            self.stats.resolved_in_earlier_epoch += 1
-        elif token == "blocked":
-            self.stats.blocked_at_quarantine += 1
-        else:
-            self.stats.unresolved += 1
-
-    def replay_token_bulk(self, token: object, n: int) -> None:
-        st = self.stats
-        st.jit_samples += n
-        if token == "own":
-            st.resolved_in_own_epoch += n
-        elif token == "earlier":
-            st.resolved_in_earlier_epoch += n
-        elif token == "blocked":
-            st.blocked_at_quarantine += n
-        else:
-            st.unresolved += n
-
-    def export_state(self) -> object | None:
-        d = self.stats.as_dict()
-        d.pop("resolution_rate", None)
-        return d
-
-    def merge_state(self, state: object) -> None:
-        other = JitStageStats()
-        other.jit_samples = state["jit_samples"]
-        other.resolved_in_own_epoch = state["resolved_in_own_epoch"]
-        other.resolved_in_earlier_epoch = state["resolved_in_earlier_epoch"]
-        other.unresolved = state["unresolved"]
-        other.blocked_at_quarantine = state.get("blocked_at_quarantine", 0)
-        self.stats.merge(other)
-
-    def reset_state(self) -> None:
-        self.stats.reset()
+        return {"blocked_at_quarantine": outcomes["blocked"]}
 
 
 class BootImageStage(ResolverStage):
@@ -508,48 +390,57 @@ class HypervisorStage(ResolverStage):
 
 
 class DomainDispatchStage(ResolverStage):
-    """Routes each sample to its domain's own resolver chain.
+    """Hands each bucket to its domain's own resolver chain.
+
+    A bucket shares its domain id (it is part of the bucket key), so the
+    whole bucket — with its sample counts — goes to that domain's chain
+    in one :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups`
+    call, which probes the domain chain's memo and counts the claims
+    there.  An outer chain must therefore not memoize above this stage
+    (a memo hit would skip the domain chain's counting): :func:`~repro.
+    pipeline.xen_chain` builds it with ``cache_size=0``.
 
     Terminal: a sample tagged with an unknown domain is a corrupt stream,
     reported as a :class:`~repro.errors.ProfilerError` rather than
     silently falling through to ``(unknown)``.
-
-    ``owns_inner_chains`` is True: the per-domain chains keep their own
-    stage counters (and their own resolution caches), so the *outer* chain
-    never caches above this stage — an outer cache hit could not replay
-    the inner chains' counters.  The domain chains still memoize their own
-    stage walks, so multi-stack resolution keeps the cache win.
     """
 
     name = "domain-dispatch"
-    owns_inner_chains = True
 
     def __init__(self, chains: Mapping[int, "ResolverChain"]) -> None:
         self.chains = dict(chains)
 
-    def resolve(self, sample: "PipelineSample") -> ResolvedSample | None:
-        from repro.errors import ProfilerError
-
-        chain = self.chains.get(sample.domain_id)  # type: ignore[arg-type]
+    def resolve_group(
+        self, samples: "list[PipelineSample]", counts: list[int]
+    ) -> GroupResult:
+        domain = samples[0].domain_id if samples else None
+        chain = self.chains.get(domain)  # type: ignore[arg-type]
         if chain is None:
-            raise ProfilerError(f"no resolver for domain {sample.domain_id}")
-        return chain.resolve(sample)
+            raise ProfilerError(f"no resolver for domain {domain}")
+        keys = [sample_key(s) for s in samples]
+        entries = chain.resolve_groups(dict(zip(keys, counts)))
+        out: list[tuple[ResolvedSample, str | None] | None] = []
+        for sample, key in zip(samples, keys):
+            e = entries[key]
+            out.append((
+                ResolvedSample(
+                    raw=sample.raw, image=e.image, symbol=e.symbol,
+                    offset=e.offset,
+                ),
+                None,
+            ))
+        return out
 
-    def detail_dict(self) -> dict[str, object]:
-        """The inner chains' full counters, keyed ``dom{id}``.
-
-        Without this hook the per-domain cache/stage statistics are
-        invisible at the outer-chain level: ``stats_dict()`` on the
-        multi-stack chain showed one opaque ``domain-dispatch`` hit
-        count while every JIT-epoch split, cache hit-rate and degraded
-        counter lived only on the inner chains nobody serialized.
-        """
+    def detail_dict(self, outcomes: Counter) -> dict[str, object]:
+        """The inner chains' full counters, keyed ``dom{id}``, so the
+        per-domain JIT split, memo hit rates and degraded counters are
+        visible in the outer chain's ``stats_dict()``."""
         return {
             f"dom{dom}": chain.stats_dict()
             for dom, chain in sorted(self.chains.items())
         }
 
-    def degraded_dict(self) -> dict[str, int] | None:
+    def degraded_dict(self, outcomes: Counter) -> dict[str, int] | None:
         """Summed degradation counters across the inner chains, so a
         multi-stack chain's top-level ``degraded`` flag reflects any
         domain resolving in degraded (post-salvage) mode.  None when
@@ -557,39 +448,14 @@ class DomainDispatchStage(ResolverStage):
         totals: dict[str, int] = {}
         any_degraded = False
         for chain in self.chains.values():
-            for stage in chain.stages:
-                hook = getattr(stage, "degraded_dict", None)
-                if not callable(hook):
-                    continue
-                counters = hook()
+            for entry in chain.stats_dict()["stages"]:
+                counters = entry.get("degraded")
                 if counters is None:
                     continue
                 any_degraded = True
                 for k, v in counters.items():
                     totals[k] = totals.get(k, 0) + v
         return totals if any_degraded else None
-
-    # -- shard merging: recurse into the per-domain chains -------------
-
-    def export_state(self) -> object | None:
-        return {
-            dom: chain.export_stats() for dom, chain in self.chains.items()
-        }
-
-    def merge_state(self, state: object) -> None:
-        for dom, snapshot in state.items():
-            chain = self.chains.get(dom)
-            if chain is None:
-                from repro.errors import ProfilerError
-
-                raise ProfilerError(
-                    f"cannot absorb stats for unknown domain {dom}"
-                )
-            chain.absorb_stats(snapshot)
-
-    def reset_state(self) -> None:
-        for chain in self.chains.values():
-            chain.reset_stats()
 
 
 class FallbackStage(ResolverStage):

@@ -222,45 +222,31 @@ class RunResult:
 
     # -- report builders -------------------------------------------------
 
-    def oprofile_report(
-        self,
-        workers: int | str = 1,
-        resolve_cache: bool = True,
-        columnar: bool = True,
-    ):
+    def oprofile_report(self, workers: int | str = 1):
         """Stock opreport over this run's sample files."""
         from repro.oprofile.opreport import OpReport
 
         if self.sample_dir is None:
             raise ConfigError("run was not profiled; no sample files")
-        return OpReport(
-            self.kernel, self.sample_dir, resolve_cache=resolve_cache
-        ).generate(workers=workers, columnar=columnar)
+        return OpReport(self.kernel, self.sample_dir).generate(workers=workers)
 
     def viprof_report(
         self,
         backward_traversal: bool = True,
         workers: int | str = 1,
-        resolve_cache: bool = True,
-        columnar: bool = True,
     ) -> "ViprofReportResult":
         """VIProf post-processing (report + resolution statistics).
 
         ``backward_traversal=False`` runs the resolution ablation (own-epoch
         map only).  ``workers`` shards resolution across processes
-        (``"auto"`` sizes the pool from the core count);
-        ``resolve_cache=False`` disables PC memoization;
-        ``columnar=False`` falls back to the per-sample resolve loop.
-        None of them changes a byte of output — they are performance
-        knobs."""
+        (``"auto"`` sizes the pool from the core count) without changing
+        a byte of output."""
         if self.viprof_session is None:
             raise ConfigError("run was not profiled with VIProf")
         post = self.viprof_session.report(
-            self.boot.rvm_map,
-            backward_traversal=backward_traversal,
-            resolve_cache=resolve_cache,
+            self.boot.rvm_map, backward_traversal=backward_traversal
         )
-        report = post.generate(workers=workers, columnar=columnar)
+        report = post.generate(workers=workers)
         return ViprofReportResult(report=report, post=post)
 
 

@@ -9,7 +9,9 @@
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.system.api import base_run, oprofile_profile, viprof_profile
@@ -141,28 +143,21 @@ def run_overhead_matrix(
         base = base_run(wl, seed=seed, time_scale=time_scale)
         base_s = base.seconds
         matrix.base_seconds[wl.name] = base_s
-        runs: list[tuple[str, int, RunResult]] = []
+        configs: list[tuple[str, int]] = []
         if include_oprofile:
-            runs.append(
-                (
-                    "oprofile",
-                    MEDIAN_PERIOD,
-                    oprofile_profile(
-                        wl, period=MEDIAN_PERIOD, seed=seed, time_scale=time_scale
-                    ),
+            configs.append(("oprofile", MEDIAN_PERIOD))
+        configs.extend(("viprof", period) for period in periods)
+        for profiler, period in configs:
+            profile = oprofile_profile if profiler == "oprofile" else viprof_profile
+            # Only the cycle counts are kept, so each run's session
+            # artifacts live in a directory removed as soon as it ends.
+            with tempfile.TemporaryDirectory(
+                prefix=f"viprof-{wl.name}-"
+            ) as tmp:
+                result = profile(
+                    wl, period=period, seed=seed, time_scale=time_scale,
+                    session_dir=Path(tmp),
                 )
-            )
-        for period in periods:
-            runs.append(
-                (
-                    "viprof",
-                    period,
-                    viprof_profile(
-                        wl, period=period, seed=seed, time_scale=time_scale
-                    ),
-                )
-            )
-        for profiler, period, result in runs:
             matrix.cells.append(
                 OverheadCell(
                     benchmark=wl.name,

@@ -416,9 +416,6 @@ class CodeMapArena:
         start = table_off + col * count * _CELL
         return self._view[start : start + count * _CELL].cast("q")
 
-    def _name(self, off: int, length: int) -> str:
-        return str(self._names[off : off + length], "utf-8")
-
 
 #: Per-process cache of opened arenas, keyed by absolute path.  Unpickled
 #: :class:`ArenaCodeMap` handles in a shard worker re-attach here, so one
@@ -448,12 +445,17 @@ class ArenaCodeMap:
     million-row map whose hot set is fifty methods materializes fifty
     objects.  Pickles as ``(arena path, epoch)`` — a forked or spawned
     worker re-maps the same file and shares its page cache.
+
+    A map holds only views into the arena's mapping (columns, names) and
+    the tier list, never the :class:`CodeMapArena` itself, so dropping an
+    index frees its arena by reference counting alone.
     """
 
     __slots__ = (
         "epoch",
         "source",
-        "_arena",
+        "_names",
+        "_tiers",
         "_count",
         "_table",
         "_flags",
@@ -467,7 +469,8 @@ class ArenaCodeMap:
     ) -> None:
         self.epoch = epoch
         self.source = arena.path
-        self._arena = arena
+        self._names = arena._names
+        self._tiers = arena._tiers
         self._count = count
         self._table = PackedIntervalTable(
             arena._column(table_off, count, 0),
@@ -494,13 +497,12 @@ class ArenaCodeMap:
             starts = self._table._starts
             ends = self._table._ends
             flags = self._flags[i]
+            off = self._name_off[i]
             rec = CodeMapRecord(
                 address=starts[i],
                 size=ends[i] - starts[i],
-                tier=self._arena._tiers[flags >> 1],
-                name=self._arena._name(
-                    self._name_off[i], self._name_len[i]
-                ),
+                tier=self._tiers[flags >> 1],
+                name=str(self._names[off : off + self._name_len[i]], "utf-8"),
                 moved=bool(flags & _FLAG_MOVED),
             )
             self._rows[i] = rec

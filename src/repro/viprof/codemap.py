@@ -27,7 +27,6 @@ without replaying the run.  Readers without the marker see a plain tier.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -273,7 +272,8 @@ class CodeMapIndex:
     The backward walk is memoized: once a session's maps are loaded they
     are immutable, so the walk is a pure function of ``(top epoch, addr,
     backward)`` and its result — including a miss — can never change.  A
-    bounded LRU memo short-circuits repeat walks for hot PCs, which is
+    bounded memo (it stops inserting once full) short-circuits repeat
+    walks for hot PCs, which is
     most of a profile (``memo_hits`` counts the short-circuits;
     ``fallback_steps`` counts only real walk steps).
 
@@ -308,9 +308,9 @@ class CodeMapIndex:
         self.lookups = 0
         self.fallback_steps = 0  # how far backward searches walked, total
         self.memo_hits = 0
-        self._memo: "OrderedDict[tuple[int, int, bool], tuple[CodeMapRecord, int] | _Blocked | None]" = (
-            OrderedDict()
-        )
+        self._memo: dict[
+            tuple[int, int, bool], tuple[CodeMapRecord, int] | _Blocked | None
+        ] = {}
 
     @classmethod
     def load_dir(
@@ -404,7 +404,6 @@ class CodeMapIndex:
         memo = self._memo
         if key in memo:
             self.memo_hits += 1
-            memo.move_to_end(key)
             return memo[key]
         result: tuple[CodeMapRecord, int] | None = None
         bottom = top if not backward else min(self._maps)
@@ -417,9 +416,7 @@ class CodeMapIndex:
                 result = (rec, e)
                 break
             self.fallback_steps += 1
-        memo[key] = result
-        if len(memo) > self.MEMO_CAPACITY:
-            memo.popitem(last=False)
+        self._memo_put(key, result)
         return result
 
     def resolve_run(
@@ -453,7 +450,6 @@ class CodeMapIndex:
             key = (top, addr, backward)
             if key in memo:
                 self.memo_hits += 1
-                memo.move_to_end(key)
                 results[pos] = memo[key]
             else:
                 pending.append((pos, addr))
@@ -483,10 +479,8 @@ class CodeMapIndex:
         key: tuple[int, int, bool],
         result: tuple[CodeMapRecord, int] | _Blocked | None,
     ) -> None:
-        memo = self._memo
-        memo[key] = result
-        if len(memo) > self.MEMO_CAPACITY:
-            memo.popitem(last=False)
+        if len(self._memo) < self.MEMO_CAPACITY:
+            self._memo[key] = result
 
     def _resolve_guarded(
         self, epoch: int, addr: int, backward: bool
@@ -506,7 +500,6 @@ class CodeMapIndex:
         memo = self._memo
         if key in memo:
             self.memo_hits += 1
-            memo.move_to_end(key)
             return memo[key]
         result: tuple[CodeMapRecord, int] | _Blocked | None = None
         bottom = top if not backward else min(known)
@@ -522,7 +515,5 @@ class CodeMapIndex:
                 result = (rec, e)
                 break
             self.fallback_steps += 1
-        memo[key] = result
-        if len(memo) > self.MEMO_CAPACITY:
-            memo.popitem(last=False)
+        self._memo_put(key, result)
         return result

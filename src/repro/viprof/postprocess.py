@@ -30,15 +30,9 @@ from repro.jvm.bootimage import RvmMap
 from repro.jvm.machine import JIT_APP_IMAGE_LABEL
 from repro.oprofile.opreport import OpReport
 from repro.os.kernel import Kernel
+from repro.pipeline import viprof_chain
 from repro.pipeline.resolver import ResolverChain
-from repro.pipeline.stages import (
-    UNRESOLVED_JIT,
-    BootImageStage,
-    JitEpochStage,
-    JitStageStats,
-    KernelSymbolStage,
-    TaskVmaStage,
-)
+from repro.pipeline.stages import UNRESOLVED_JIT, JitStageStats
 from repro.viprof.codemap import CodeMapIndex
 from repro.viprof.runtime_profiler import VmRegistration
 
@@ -59,12 +53,10 @@ class ViprofReport(OpReport):
         rvm_map: RvmMap,
         registrations: tuple[VmRegistration, ...],
         backward_traversal: bool = True,
-        resolve_cache: bool = True,
         strict: bool = True,
     ) -> None:
         """``backward_traversal=False`` is the ablation: JIT samples only
         consult their own epoch's map (no walk through earlier maps);
-        ``resolve_cache=False`` disables the chain's PC memoization;
         ``strict=False`` is degraded mode for salvaged sessions — epoch
         walks blocked by quarantined maps are remapped to
         ``(unresolved jit)`` and counted instead of raising."""
@@ -73,33 +65,27 @@ class ViprofReport(OpReport):
         self.backward_traversal = backward_traversal
         self.strict = strict
         self.registrations = tuple(registrations)
-        super().__init__(kernel, sample_dir, resolve_cache=resolve_cache)
+        super().__init__(kernel, sample_dir)
 
     def _build_chain(self) -> ResolverChain:
         """The vertically integrated chain: kernel, JIT epoch maps, RVM
         boot image, then stock task-VMA resolution."""
-        return ResolverChain(
-            [
-                KernelSymbolStage(self.kernel),
-                JitEpochStage(
-                    self.codemaps,
-                    self.registrations,
-                    backward=self.backward_traversal,
-                    strict=self.strict,
-                ),
-                BootImageStage(self.kernel, self.rvm_map),
-                TaskVmaStage(self.kernel),
-            ],
-            cache_size=self._cache_size,
+        return viprof_chain(
+            self.kernel,
+            self.codemaps,
+            self.rvm_map,
+            self.registrations,
+            backward=self.backward_traversal,
+            strict=self.strict,
         )
 
     @property
     def jit_stats(self) -> JitStageStats:
-        """How JIT samples resolved (accuracy reporting) — the JIT stage's
-        own counters, exposed under the historical name."""
-        stage = self.chain.stage("jit-epoch")
-        assert isinstance(stage, JitEpochStage)
-        return stage.stats
+        """How JIT samples resolved (accuracy reporting), derived from the
+        chain's claim counts for the JIT stage."""
+        return JitStageStats.from_outcomes(
+            self.chain.stage_outcomes("jit-epoch")
+        )
 
     # ------------------------------------------------------------------
 

@@ -163,7 +163,6 @@ class ViprofSession:
         self,
         rvm_map: RvmMap,
         backward_traversal: bool = True,
-        resolve_cache: bool = True,
     ) -> ViprofReport:
         """Build the extended post-processor over this session's artifacts."""
         codemaps = CodeMapIndex.load_dir(self.map_dir)
@@ -174,7 +173,6 @@ class ViprofSession:
             rvm_map=rvm_map,
             registrations=self.daemon.registrations,
             backward_traversal=backward_traversal,
-            resolve_cache=resolve_cache,
         )
 
     # ------------------------------------------------------------------
@@ -205,7 +203,6 @@ class ViprofSession:
         rvm_map: RvmMap,
         manifest: SalvageManifest | None = None,
         backward_traversal: bool = True,
-        resolve_cache: bool = True,
     ) -> ViprofReport:
         """Build the degraded (``strict=False``) post-processor over a
         salvaged session: quarantined epochs act as barriers in the
@@ -228,6 +225,5 @@ class ViprofSession:
             rvm_map=rvm_map,
             registrations=self.daemon.registrations,
             backward_traversal=backward_traversal,
-            resolve_cache=resolve_cache,
             strict=False,
         )

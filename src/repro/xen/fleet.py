@@ -24,7 +24,7 @@ quarantined epochs never touches a sibling's artifacts.
 
 Resolution goes through the streaming pipeline (:mod:`repro.pipeline`)
 rather than the eager :class:`~repro.xen.xenoprof.XenoProfReport` path,
-so fleet reports compose with workers/columnar/cache machinery and their
+so fleet reports shard across workers like any session and their
 ``stats_dict()`` carries the per-domain inner-chain counters.
 """
 
@@ -39,8 +39,8 @@ from repro.pipeline import (
     DirectorySource,
     ResolverChain,
     run_pipeline,
+    viprof_chain,
     xen_chain,
-    xen_domain_chain,
 )
 from repro.profiling.report import ProfileReport
 from repro.viprof.codemap import CodeMapIndex
@@ -115,7 +115,7 @@ class FleetSession:
         else:
             codemaps = CodeMapIndex({})
         lo, hi = g.heap.bounds
-        return xen_domain_chain(
+        return viprof_chain(
             g.kernel,
             codemaps,
             g.boot.rvm_map,
@@ -169,11 +169,9 @@ class FleetSession:
     def resolve(
         self,
         workers: int | str = 1,
-        columnar: bool = True,
         sharded: bool = False,
         quarantined: Mapping[int, Iterable[int]] | None = None,
         strict: bool = True,
-        warm_top_k: int | bool | None = None,
     ) -> tuple[ProfileReport, ResolverChain]:
         """Resolve the whole fleet stream; returns (report, chain).
 
@@ -187,8 +185,6 @@ class FleetSession:
             chain,
             events=self.events(),
             workers=workers,
-            columnar=columnar,
-            warm_top_k=warm_top_k,
         )
         return report, chain
 
@@ -196,7 +192,6 @@ class FleetSession:
         self,
         domain_id: int,
         workers: int | str = 1,
-        columnar: bool = True,
         quarantined: Iterable[int] = (),
         strict: bool = True,
     ) -> tuple[ProfileReport, ResolverChain]:
@@ -222,7 +217,6 @@ class FleetSession:
             chain,
             events=self.events(),
             workers=workers,
-            columnar=columnar,
         )
         return report, chain
 

@@ -27,16 +27,8 @@ from dataclasses import dataclass, field
 
 from repro.jvm.bootimage import RvmMap
 from repro.os.kernel import Kernel
-from repro.pipeline.resolver import ResolverChain
-from repro.pipeline.source import PipelineSample, iter_pipeline_samples
-from repro.pipeline.stages import (
-    BootImageStage,
-    DomainDispatchStage,
-    HypervisorStage,
-    JitEpochStage,
-    KernelSymbolStage,
-    TaskVmaStage,
-)
+from repro.pipeline import viprof_chain, xen_chain
+from repro.pipeline.source import PipelineSample
 from repro.profiling.model import RawSample, ResolvedSample
 from repro.profiling.report import ProfileReport, StreamingAggregator
 from repro.viprof.codemap import CodeMapIndex
@@ -108,16 +100,11 @@ class DomainResolver:
 
     def __post_init__(self) -> None:
         lo, hi = self.heap_bounds
-        self.chain = ResolverChain(
-            [
-                KernelSymbolStage(self.kernel),
-                JitEpochStage(
-                    self.codemaps,
-                    (VmRegistration(self.vm_task_id, lo, hi),),
-                ),
-                BootImageStage(self.kernel, self.rvm_map),
-                TaskVmaStage(self.kernel),
-            ]
+        self.chain = viprof_chain(
+            self.kernel,
+            self.codemaps,
+            self.rvm_map,
+            (VmRegistration(self.vm_task_id, lo, hi),),
         )
 
     def resolve(self, sample: RawSample) -> ResolvedSample:
@@ -134,18 +121,8 @@ class XenoProfReport:
     ) -> None:
         self.hypervisor = hypervisor
         self.resolvers = resolvers
-        self.chain = ResolverChain(
-            [
-                HypervisorStage(hypervisor),
-                DomainDispatchStage(
-                    {d: r.chain for d, r in resolvers.items()}
-                ),
-            ]
-        )
-
-    def _resolve(self, s: XenoSample) -> ResolvedSample:
-        return self.chain.resolve(
-            PipelineSample(raw=s.raw, domain_id=s.domain_id)
+        self.chain = xen_chain(
+            hypervisor, {d: r.chain for d, r in resolvers.items()}
         )
 
     def domain_report(
@@ -155,7 +132,7 @@ class XenoProfReport:
         performed while it ran (XenoProf's per-domain view)."""
         stream = (s for s in buffer.samples if s.domain_id == domain_id)
         agg = StreamingAggregator()
-        for resolved in self.chain.resolve_stream(iter_pipeline_samples(stream)):
+        for resolved in self.chain.resolve_stream(stream):
             agg.add(resolved)
         return agg.report()
 
@@ -165,8 +142,8 @@ class XenoProfReport:
         prefixed with their domain so identical guest symbols stay
         distinguishable."""
         agg = StreamingAggregator()
-        for s in buffer.samples:
-            r = self._resolve(s)
+        samples = buffer.samples
+        for s, r in zip(samples, self.chain.resolve_stream(samples)):
             if self.hypervisor.is_xen_address(s.raw.pc):
                 prefix = "xen"
             else:

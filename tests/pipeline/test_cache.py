@@ -1,13 +1,18 @@
-"""The epoch-aware resolution cache and the codemap walk memo.
+"""The epoch-aware resolution memo and the codemap walk memo.
 
-Caching is transparency-tested: a cached run must match an uncached run
-byte for byte — report *and* per-stage statistics — because cache hits
-replay the claiming stage's counter updates exactly.
+Memoization is transparency-tested: a memoized run must match an
+unmemoized run byte for byte — report *and* per-stage statistics —
+because the chain counts a memo hit's claim exactly like a walk's.
 """
 
 import pytest
 
 from repro.errors import ProfilerError, SampleFormatError
+from repro.pipeline import (
+    ResolverChain,
+    run_pipeline,
+    sample_key,
+)
 from repro.pipeline.cache import CachedResolution, ResolutionCache
 from repro.pipeline.resolver import StageStats
 from repro.system.api import viprof_profile
@@ -17,29 +22,32 @@ from repro.workloads import by_name
 
 def entry(i: int) -> CachedResolution:
     return CachedResolution(
-        image="img", symbol=f"sym{i}", offset=i, claim_index=0
+        image="img", symbol=f"sym{i}", offset=i, claim=(0, None)
     )
 
 
 class TestResolutionCache:
     def test_counts_hits_and_misses(self):
         c = ResolutionCache(capacity=4)
-        assert c.get(("k",)) is None
-        c.put(("k",), entry(1))
-        assert c.get(("k",)).symbol == "sym1"
-        assert (c.hits, c.misses) == (1, 1)
-        assert c.hit_rate == 0.5
+        found, missing = c.lookup({("k",): 3})
+        assert (found, missing) == ({}, [("k",)])
+        # One walk for the key, its two repeats ride along as hits.
+        assert (c.hits, c.misses) == (2, 1)
+        c.store({("k",): entry(1)})
+        found, missing = c.lookup({("k",): 2, ("j",): 1})
+        assert found[("k",)].symbol == "sym1"
+        assert missing == [("j",)]
+        assert (c.hits, c.misses) == (4, 2)
+        assert c.hit_rate == 4 / 6
 
-    def test_lru_eviction_order(self):
+    def test_full_memo_keeps_its_entries(self):
         c = ResolutionCache(capacity=2)
-        c.put(("a",), entry(1))
-        c.put(("b",), entry(2))
-        assert c.get(("a",)) is not None  # refresh a; b is now LRU
-        c.put(("c",), entry(3))
+        c.store({("a",): entry(1), ("b",): entry(2)})
+        c.store({("c",): entry(3)})  # no room: not inserted, none evicted
         assert len(c) == 2
-        assert c.get(("b",)) is None
-        assert c.get(("a",)) is not None
-        assert c.get(("c",)) is not None
+        found, missing = c.lookup({("a",): 1, ("b",): 1, ("c",): 1})
+        assert sorted(found) == [("a",), ("b",)]
+        assert missing == [("c",)]
 
     def test_rejects_non_positive_capacity(self):
         with pytest.raises(ProfilerError):
@@ -47,18 +55,18 @@ class TestResolutionCache:
 
     def test_clear_and_reset_counters(self):
         c = ResolutionCache(capacity=2)
-        c.put(("a",), entry(1))
-        c.get(("a",))
-        c.reset_counters()
-        assert (c.hits, c.misses) == (0, 0)
-        assert len(c) == 1  # entries stay warm
+        c.store({("a",): entry(1)})
+        c.lookup({("a",): 1})
+        c.absorb(5, 6, 7)
         c.clear()
         assert len(c) == 0
+        assert c.stats_dict()["size"] == 0
+        assert (c.hits, c.misses) == (0, 0)
 
     def test_stats_dict_shape(self):
         c = ResolutionCache(capacity=8)
-        c.put(("a",), entry(1))
-        c.get(("a",))
+        c.store({("a",): entry(1)})
+        c.lookup({("a",): 1})
         d = c.stats_dict()
         assert d == {
             "capacity": 8, "size": 1, "hits": 1, "misses": 0,
@@ -68,11 +76,20 @@ class TestResolutionCache:
     def test_empty_cache_is_still_reported(self):
         # ResolutionCache defines __len__, so an *empty* cache is falsy;
         # stats_dict() must test `is not None`, not truthiness.
-        from repro.pipeline import ResolverChain
-
         chain = ResolverChain([])
         assert len(chain.cache) == 0
         assert chain.stats_dict()["cache"] is not None
+
+    def test_pickle_ships_counters_not_entries(self):
+        import pickle
+
+        c = ResolutionCache(capacity=8)
+        c.store({(i,): entry(i) for i in range(5)})
+        c.lookup({(0,): 1, (99,): 1})
+        clone = pickle.loads(pickle.dumps(c))
+        assert (clone.hits, clone.misses) == (c.hits, c.misses)
+        assert clone.capacity == c.capacity
+        assert len(clone) == 0
 
 
 class TestStageStatsInvariants:
@@ -100,10 +117,12 @@ class TestChainCacheTransparency:
         )
 
     def test_cached_equals_uncached_bytes_and_stats(self, run):
-        hot = run.viprof_report(resolve_cache=True)
-        cold = run.viprof_report(resolve_cache=False)
-        assert hot.report.format_table() == cold.report.format_table()
-        hs, cs = hot.stage_stats, cold.stage_stats
+        hot = run.viprof_report()
+        post = hot.post
+        chain = ResolverChain(post.chain.stages, cache_size=0)
+        cold = run_pipeline(post.source, chain, events=post.event_names())
+        assert hot.report.format_table() == cold.format_table()
+        hs, cs = hot.stage_stats, chain.stats_dict()
         assert hs["stages"] == cs["stages"]
         assert hs["total_samples"] == cs["total_samples"]
         assert cs["cache"] is None
@@ -111,21 +130,31 @@ class TestChainCacheTransparency:
             hs["total_samples"]
         )
 
+    def test_memo_misses_once_per_distinct_key(self, run):
+        post = run.viprof_report().post
+        keys = [sample_key(s) for s in post.source]
+        cache = post.chain.stats_dict()["cache"]
+        assert cache["hits"] + cache["misses"] == post.chain.total_samples
+        assert len(set(keys)) < cache["capacity"]  # the memo never filled
+        assert cache["misses"] == len(set(keys)) == cache["size"]
+        assert cache["hits"] == len(keys) - len(set(keys))
+
     def test_warm_chain_replays_counters_exactly(self, run):
         vr = run.viprof_report()
         post = vr.post
-        first = [
-            (st.name, st.hits, st.misses) for st in post.chain.stats()
-        ]
-        jit_first = dict(post.chain.stage("jit-epoch").detail_dict())
-        # Second pass over the same stream: every sample is a cache hit,
-        # and replay must double every counter — detail included.
+        first = post.chain.stats_dict()
+        # Second pass over the same stream: every sample is a memo hit,
+        # and every counter doubles — detail included.
         for resolved in post.resolved_samples():
             pass
-        assert post.chain.cache.hits > 0
-        for (name, h, m), st in zip(first, post.chain.stats()):
-            assert (st.name, st.hits, st.misses) == (name, 2 * h, 2 * m)
-        jit_second = post.chain.stage("jit-epoch").detail_dict()
+        second = post.chain.stats_dict()
+        assert second["cache"]["hits"] > first["cache"]["hits"]
+        for a, b in zip(first["stages"], second["stages"]):
+            assert (b["hits"], b["misses"]) == (2 * a["hits"], 2 * a["misses"])
+        jit_first, jit_second = (
+            next(e for e in d["stages"] if e["stage"] == "jit-epoch")["detail"]
+            for d in (first, second)
+        )
         for key in (
             "jit_samples", "resolved_in_own_epoch",
             "resolved_in_earlier_epoch", "unresolved",
@@ -138,15 +167,14 @@ class TestChainCacheTransparency:
 
     def test_xen_outer_chain_never_caches(self):
         from repro.os.kernel import Kernel
-        from repro.pipeline import (
-            DomainDispatchStage,
-            ResolverChain,
-            opreport_chain,
-        )
+        from repro.pipeline import opreport_chain, xen_chain
+        from repro.xen.hypervisor import Hypervisor
 
         inner = opreport_chain(Kernel())
-        outer = ResolverChain([DomainDispatchStage({0: inner})])
-        assert outer.cache is None  # hits could not replay inner counters
+        outer = xen_chain(Hypervisor(), {0: inner})
+        # A memo hit above the dispatch would skip the domain chain's
+        # counting, so only the domain chains memoize.
+        assert outer.cache is None
         assert inner.cache is not None
 
 

@@ -1,12 +1,14 @@
-"""Columnar (deduplicated batch) resolution parity.
+"""Columnar (grouped, bucketed) resolution parity.
 
-The columnar path (:mod:`repro.pipeline.columnar`) must be a pure
-performance feature: byte-identical reports *and* identical resolution
-statistics to the scalar per-sample loop, for every worker count, with
-the cache on or off, in strict and degraded (quarantined-epoch) mode.
-These tests pin that contract against the golden fixtures, against
-randomized shuffled/duplicated sample streams, and against a salvaged
-world with a quarantine barrier.
+Production resolution groups each decode chunk by key, probes the memo
+once per key and walks the misses bucket by bucket
+(:meth:`repro.pipeline.ResolverChain.resolve_groups`).  It must produce
+byte-identical reports *and* identical resolution statistics to the
+per-sample oracle (``tests/pipeline/oracle.py``), for every worker
+count, with the memo on or off, in strict and degraded
+(quarantined-epoch) mode.  These tests pin that contract against the
+golden fixtures, against randomized shuffled/duplicated sample streams,
+and against a salvaged world with a quarantine barrier.
 """
 
 import random
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ProfilerError
 from repro.pipeline.parallel import ShardChunk, consume_chunks
 from repro.pipeline.resolver import ResolverChain
+from repro.pipeline.source import DirectorySource
 from repro.pipeline.stages import JitEpochStage
 from repro.profiling.model import RawSample
 from repro.profiling.record_codec import CORE_CODEC, RecordFileWriter
@@ -28,12 +31,13 @@ from repro.system.api import viprof_profile
 from repro.viprof.codemap import CodeMapIndex, CodeMapRecord, CodeMapWriter
 from repro.viprof.runtime_profiler import VmRegistration
 from repro.workloads import by_name
+from tests.pipeline.oracle import oracle_report, without_cache
 
 GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" / "golden"
 
 
 class TestGoldenColumnarParity:
-    """Columnar output vs the golden fixtures and the scalar loop."""
+    """Production output vs the golden fixtures and the oracle."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -41,10 +45,12 @@ class TestGoldenColumnarParity:
             by_name("fop"), period=90_000, time_scale=0.1, seed=7
         )
 
-    def render(self, run, workers, columnar, resolve_cache=True):
-        vr = run.viprof_report(
-            workers=workers, columnar=columnar, resolve_cache=resolve_cache
-        )
+    def render(self, run, workers, memo=True):
+        vr = run.viprof_report(workers=workers)
+        if not memo:
+            post = vr.post
+            post.chain = ResolverChain(post.chain.stages, cache_size=0)
+            vr.report = post.generate(workers=workers)
         s = vr.jit_stats
         text = vr.report.format_table(limit=15) + "\n"
         text += (
@@ -53,32 +59,46 @@ class TestGoldenColumnarParity:
         )
         return text, vr.stage_stats
 
+    def oracle(self, run):
+        post = run.viprof_report().post
+        return oracle_report(
+            post._build_chain(), post.source, events=post.event_names()
+        )
+
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_matches_golden_bytes(self, run, workers):
-        text, _ = self.render(run, workers, columnar=True)
+        text, _ = self.render(run, workers)
         assert text == (GOLDEN / "report_fop.txt").read_text()
 
     def test_stats_match_scalar_cache_on(self, run):
-        # workers=1, no eviction pressure: every counter — per-stage
-        # hit/miss, JIT detail, cache hit/miss/size — must agree.
-        _, scalar = self.render(run, 1, columnar=False)
-        _, columnar = self.render(run, 1, columnar=True)
-        assert columnar == scalar
+        # Every counter but the memo's matches the per-sample oracle; the
+        # memo saw one miss per distinct key and a hit for every repeat.
+        _, stats = self.render(run, 1)
+        _, reference = self.oracle(run)
+        assert without_cache(stats) == reference
+        cache = stats["cache"]
+        assert cache["hits"] + cache["misses"] == stats["total_samples"]
 
     def test_stats_match_scalar_cache_off(self, run):
-        _, scalar = self.render(run, 1, columnar=False, resolve_cache=False)
-        _, columnar = self.render(run, 1, columnar=True, resolve_cache=False)
-        assert columnar == scalar
+        _, stats = self.render(run, 1, memo=False)
+        _, reference = self.oracle(run)
+        assert stats["cache"] is None
+        assert without_cache(stats) == reference
 
     def test_cache_off_matches_golden_bytes(self, run):
-        text, _ = self.render(run, 1, columnar=True, resolve_cache=False)
+        text, _ = self.render(run, 1, memo=False)
         assert text == (GOLDEN / "report_fop.txt").read_text()
 
     def test_opreport_columnar_matches_scalar(self, run):
-        scalar = run.oprofile_report(columnar=False)
-        columnar = run.oprofile_report(columnar=True)
-        assert columnar.format_table() == scalar.format_table()
-        assert columnar.totals == scalar.totals
+        from repro.oprofile.opreport import OpReport
+
+        report = run.oprofile_report()
+        post = OpReport(run.kernel, run.sample_dir)
+        reference, _ = oracle_report(
+            post.chain, post.source, events=post.event_names()
+        )
+        assert report.format_table() == reference.format_table()
+        assert report.totals == reference.totals
 
 
 # ----------------------------------------------------------------------
@@ -136,37 +156,33 @@ def _make_chain(
     return ResolverChain([stage], cache_size=cache_size)
 
 
-def _run_samples(samples, chain, columnar):
+def _run_samples(samples, chain, oracle=False):
     """Write the samples to a record file and resolve them through the
-    real chunked loop (the path both production modes take)."""
-    agg = StreamingAggregator()
+    real chunked loop, or through the oracle; returns (report, stats)."""
     with tempfile.TemporaryDirectory(prefix="columnar-test-") as tmp:
         path = Path(tmp) / "ev.samples"
         with RecordFileWriter(path, CORE_CODEC, "EV", period=1000) as w:
             for s in samples:
                 w.write(s)
-        consume_chunks(
-            [ShardChunk(str(path), 0, len(samples))],
-            chain,
-            agg,
-            columnar=columnar,
-        )
-    return agg
+        if oracle:
+            return oracle_report(chain, DirectorySource(tmp))
+        agg = StreamingAggregator()
+        consume_chunks([ShardChunk(str(path), 0, len(samples))], chain, agg)
+    return agg.report(), chain.stats_dict()
 
 
-def _assert_parity(samples, make_scalar, make_columnar):
-    scalar_chain = make_scalar()
-    columnar_chain = make_columnar()
-    scalar = _run_samples(samples, scalar_chain, columnar=False)
-    columnar = _run_samples(samples, columnar_chain, columnar=True)
-    assert columnar.report().format_table() == scalar.report().format_table()
-    assert columnar.report().totals == scalar.report().totals
-    assert columnar_chain.stats_dict() == scalar_chain.stats_dict()
+def _assert_parity(samples, chain):
+    report, stats = _run_samples(samples, chain)
+    reference, ref_stats = _run_samples(samples, chain, oracle=True)
+    assert report.format_table() == reference.format_table()
+    assert report.totals == reference.totals
+    assert without_cache(stats) == ref_stats
+    return stats
 
 
 class TestRandomizedParity:
     """Shuffled, duplicated PCs across epoch boundaries resolve to the
-    same multiset (and the same bytes, and the same counters) either way."""
+    same bytes and the same counters as the oracle."""
 
     @given(
         specs=st.lists(
@@ -199,11 +215,7 @@ class TestRandomizedParity:
                 )
         random.Random(shuffle_seed).shuffle(samples)
         cache_size = (1 << 16) if cache_on else 0
-        _assert_parity(
-            samples,
-            lambda: _make_chain(world_dir, cache_size=cache_size),
-            lambda: _make_chain(world_dir, cache_size=cache_size),
-        )
+        _assert_parity(samples, _make_chain(world_dir, cache_size=cache_size))
 
     def test_recycled_address_attributed_per_epoch(self, world_dir):
         # Deterministic pin of the cross-epoch case: HEAP_LO is m0 before
@@ -215,19 +227,17 @@ class TestRandomizedParity:
             )
             for i, epoch in enumerate([0, 4, 2, 5, 0, 4])
         ]
-        chain = _make_chain(world_dir)
-        agg = _run_samples(samples, chain, columnar=True)
+        report, _ = _run_samples(samples, _make_chain(world_dir))
         rows = {
-            (r.image, r.symbol): r.counts["EV"]
-            for r in agg.report().sorted_rows()
+            (r.image, r.symbol): r.counts["EV"] for r in report.sorted_rows()
         }
         assert rows[("JIT.App", "m0")] == 3
         assert rows[("JIT.App", "r4")] == 3
 
 
 class TestQuarantinedParity:
-    """Degraded (strict=False) columnar runs must account blocked
-    samples exactly like the scalar loop; strict runs must refuse."""
+    """Degraded (strict=False) runs must account blocked samples exactly
+    like the oracle; strict runs must refuse."""
 
     @pytest.fixture(scope="class")
     def guarded_dir(self, tmp_path_factory):
@@ -256,23 +266,13 @@ class TestQuarantinedParity:
     def test_degraded_accounting_matches_scalar(
         self, guarded_dir, cache_size
     ):
-        quarantine = frozenset({3})
-        make = lambda: _make_chain(  # noqa: E731
+        chain = _make_chain(
             guarded_dir,
             cache_size=cache_size,
             strict=False,
-            quarantined=quarantine,
+            quarantined=frozenset({3}),
         )
-        samples = self.blocked_samples()
-        scalar_chain, columnar_chain = make(), make()
-        scalar = _run_samples(samples, scalar_chain, columnar=False)
-        columnar = _run_samples(samples, columnar_chain, columnar=True)
-        assert (
-            columnar.report().format_table()
-            == scalar.report().format_table()
-        )
-        col_stats = columnar_chain.stats_dict()
-        assert col_stats == scalar_chain.stats_dict()
+        col_stats = _assert_parity(self.blocked_samples(), chain)
         jit = next(
             s for s in col_stats["stages"] if s["stage"] == "jit-epoch"
         )
@@ -280,10 +280,10 @@ class TestQuarantinedParity:
         assert jit["degraded"] == {"blocked_at_quarantine": 4}
         assert col_stats["degraded"] is True
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_strict_mode_refuses_blocked_walks(self, guarded_dir, columnar):
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_strict_mode_refuses_blocked_walks(self, guarded_dir, oracle):
         chain = _make_chain(
             guarded_dir, strict=True, quarantined=frozenset({3})
         )
         with pytest.raises(ProfilerError, match="quarantined"):
-            _run_samples(self.blocked_samples(), chain, columnar=columnar)
+            _run_samples(self.blocked_samples(), chain, oracle=oracle)

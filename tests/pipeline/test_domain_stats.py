@@ -21,6 +21,7 @@ import pytest
 from repro.metrics.fleet import per_domain_stats
 from repro.workloads.fleet import fleet_workloads
 from repro.xen.fleet import run_fleet
+from tests.pipeline.oracle import oracle_report, without_cache
 
 _FLEET_N = 3
 
@@ -121,6 +122,12 @@ def test_inner_degradation_propagates_to_outer_chain(tmp_path):
     assert entry["degraded"] == {
         "blocked_at_quarantine": sum(blocked.values())
     }
+    # The per-sample oracle counts the same inner and outer statistics.
+    _, reference = oracle_report(
+        session.fleet_chain(quarantined={victim: epochs}, strict=False),
+        session.source(),
+    )
+    assert without_cache(stats) == reference
 
 
 def test_plain_viprof_chain_detail_is_unchanged(session):

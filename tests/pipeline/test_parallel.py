@@ -236,9 +236,7 @@ class TestShardTransport:
                     chain_bytes,
                     [ShardChunk(str(path), 0, 100)],
                     ("EV",),
-                    True,
                     segment.name,
-                    None,
                 )
             )
         finally:

@@ -1,84 +1,23 @@
-"""Worker cache warm-up: seeded shard caches must be output-neutral.
+"""Shard workers of a warm parent chain.
 
-The contract under test (see ``run_parallel_pipeline``'s ``warm_top_k``):
-seeding a shard worker's resolution cache with the parent's hottest
-entries changes only the hit/miss split — report bytes, stage counters
-and hit+miss totals stay exactly what a cold parallel (or sequential)
-run produces, because a cached entry replays the same per-stage counting
-the full walk would have done.
+A chain that has already resolved a pass holds a full memo.  Its shard
+workers receive a pickled copy without the memo's entries (and reset
+every counter), so a sharded re-run over a warm chain must still produce
+the sequential pass's bytes and add exactly one stream's worth of
+counts to the parent.
 """
-
-import pickle
 
 import pytest
 
 from repro.oprofile.opreport import OpReport
-from repro.pipeline.cache import CachedResolution, ResolutionCache
 from repro.system.api import viprof_profile
 from repro.workloads import by_name
-
-
-def entry(tag: int) -> CachedResolution:
-    return CachedResolution(
-        image="img", symbol=f"sym{tag}", offset=0, claim_index=0
-    )
-
-
-class TestExportAndSeed:
-    def fill(self, cache, n):
-        for i in range(n):
-            cache.put((i,), entry(i))
-
-    def test_export_is_coldest_first_mru_slice(self):
-        cache = ResolutionCache(capacity=16)
-        self.fill(cache, 6)
-        cache.get((1,))  # now hottest
-        warm = cache.export_warm(3)
-        assert [k for k, _ in warm] == [(4,), (5,), (1,)]
-
-    def test_export_bounds(self):
-        cache = ResolutionCache(capacity=16)
-        self.fill(cache, 4)
-        assert len(cache.export_warm(100)) == 4
-        assert cache.export_warm(0) == []
-
-    def test_seed_preserves_recency_order(self):
-        src = ResolutionCache(capacity=16)
-        self.fill(src, 4)
-        dst = ResolutionCache(capacity=3)
-        dst.seed(src.export_warm(4))
-        # Capacity 3: the coldest exported key fell off, hottest stayed.
-        assert len(dst) == 3
-        assert dst.get((0,)) is None
-        assert dst.get((3,)) is not None
-
-    def test_seed_touches_no_counters(self):
-        src = ResolutionCache()
-        self.fill(src, 5)
-        dst = ResolutionCache()
-        dst.seed(src.export_warm(5))
-        assert dst.hits == 0
-        # The seed-check probe above is the only miss source; fresh seed
-        # leaves misses at whatever get() traffic caused, here zero.
-        assert dst.misses == 0
-        assert dst.get((2,)) is not None
-        assert (dst.hits, dst.misses) == (1, 0)
-
-    def test_pickle_ships_counters_not_entries(self):
-        cache = ResolutionCache(capacity=8)
-        self.fill(cache, 5)
-        cache.get((0,))
-        cache.get((99,))
-        clone = pickle.loads(pickle.dumps(cache))
-        assert (clone.hits, clone.misses) == (cache.hits, cache.misses)
-        assert clone.capacity == cache.capacity
-        assert len(clone) == 0
 
 
 class TestWarmParallelParity:
     """End-to-end over a genuinely multi-shard source: enough records
     that ``plan_shards`` splits (single-shard plans take the sequential
-    fallback, which never forks and so never exercises seeding)."""
+    path, which never forks)."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -89,7 +28,7 @@ class TestWarmParallelParity:
     @pytest.fixture(scope="class")
     def sample_dir(self, run, tmp_path_factory):
         # Two files, 12k records each, 512 distinct PCs: far past the
-        # split alignment, with the heavy key reuse warm-up targets.
+        # split alignment, with heavy key reuse.
         from tests.pipeline.test_parallel import write_sample_file
 
         d = tmp_path_factory.mktemp("warm-samples")
@@ -97,74 +36,24 @@ class TestWarmParallelParity:
         write_sample_file(d / "b.samples", 12_000, event="EV")
         return d
 
-    def report(self, run, sample_dir):
-        return OpReport(run.kernel, sample_dir)
-
-    def cache_delta(self, rep, **kwargs):
-        before = rep.chain.stats_dict()["cache"]
-        report = rep.generate(**kwargs)
-        after = rep.chain.stats_dict()["cache"]
-        return report, {
-            k: after[k] - before[k] for k in ("hits", "misses")
-        }
-
     def test_plan_actually_shards(self, run, sample_dir):
         from repro.pipeline.parallel import plan_shards
 
-        rep = self.report(run, sample_dir)
+        rep = OpReport(run.kernel, sample_dir)
         assert len(plan_shards(rep.source.paths(), 2)) == 2
 
     def test_warm_workers_match_sequential_bytes_and_stats(
         self, run, sample_dir
     ):
-        rep = self.report(run, sample_dir)
+        rep = OpReport(run.kernel, sample_dir)
         seq = rep.generate(workers=1)
-        warm = rep.generate(workers=2, warm_top_k=True)
+        first = rep.chain.stats_dict()
+        warm = rep.generate(workers=2)
+        second = rep.chain.stats_dict()
         assert warm.format_table() == seq.format_table()
         assert warm.totals == seq.totals
-
-    def test_seeding_moves_only_the_hit_miss_split(self, run, sample_dir):
-        cold_rep = self.report(run, sample_dir)
-        cold_rep.generate(workers=1)
-        _, cold = self.cache_delta(cold_rep, workers=2)
-
-        warm_rep = self.report(run, sample_dir)
-        warm_rep.generate(workers=1)
-        _, warm = self.cache_delta(warm_rep, workers=2, warm_top_k=True)
-
-        assert (
-            warm["hits"] + warm["misses"]
-            == cold["hits"] + cold["misses"]
-        )
-        assert warm["hits"] > cold["hits"]
-        assert warm["misses"] < cold["misses"]
-
-    def test_full_seed_eliminates_repeat_misses(self, run, sample_dir):
-        # Seeding every entry the sequential pass resolved means a worker
-        # can only miss keys outside the parent's working set: for an
-        # identical re-run over the same files, zero misses.
-        rep = self.report(run, sample_dir)
-        rep.generate(workers=1)
-        distinct = len(rep.chain.cache)
-        _, delta = self.cache_delta(
-            rep, workers=2, warm_top_k=distinct
-        )
-        assert delta["misses"] == 0
-
-    def test_warm_top_k_false_and_none_stay_cold(self, run, sample_dir):
-        for flag in (None, False, 0):
-            rep = self.report(run, sample_dir)
-            rep.generate(workers=1)
-            _, delta = self.cache_delta(rep, workers=2, warm_top_k=flag)
-            assert delta["misses"] > 0
-
-    def test_viprof_chain_accepts_warm_top_k(self, run):
-        # The extended chain (JIT stages + codemap memo) threads the same
-        # kwarg; output parity holds there too.
-        from repro.viprof.postprocess import ViprofReport
-
-        rep = run.viprof_session.report(run.boot.rvm_map)
-        seq = rep.generate(workers=1)
-        assert isinstance(rep, ViprofReport)
-        warm = rep.generate(workers=2, warm_top_k=True)
-        assert warm.format_table() == seq.format_table()
+        for a, b in zip(first["stages"], second["stages"]):
+            assert (b["hits"], b["misses"]) == (2 * a["hits"], 2 * a["misses"])
+        # Workers start with empty memos: each misses every key once.
+        distinct = first["cache"]["misses"]
+        assert second["cache"]["misses"] == distinct + 2 * distinct

@@ -4,7 +4,12 @@ the full runs are exercised by tests/integration and benchmarks)."""
 import pytest
 
 from repro.errors import ConfigError
-from repro.system.experiment import OverheadCell, OverheadMatrix
+from repro.system.experiment import (
+    OverheadCell,
+    OverheadMatrix,
+    run_overhead_matrix,
+)
+from tests.conftest import make_tiny_workload
 
 
 def cell(benchmark, profiler, period, slowdown):
@@ -73,3 +78,12 @@ class TestOverheadMatrix:
         txt = matrix.format_figure3()
         # Unknown benchmarks sort after the paper's nine.
         assert txt.splitlines()[-2].startswith("custom")
+
+
+def test_overhead_sweep_leaves_no_session_directories(tmp_path, monkeypatch):
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    matrix = run_overhead_matrix([make_tiny_workload()], time_scale=0.05)
+    assert len(matrix.cells) == 4
+    assert list(tmp_path.iterdir()) == []

@@ -197,6 +197,30 @@ class TestLoadDirIntegration:
             isinstance(idx.map_for(e), ArenaCodeMap) for e in idx.epochs
         )
 
+    def test_dropping_the_index_frees_the_arena(self, map_dir, monkeypatch):
+        import gc
+        import weakref
+
+        build_arena(map_dir)
+        opened = []
+        open_fresh = CodeMapArena.open_fresh.__func__
+
+        def spy(cls, path):
+            arena = open_fresh(cls, path)
+            opened.append(weakref.ref(arena))
+            return arena
+
+        monkeypatch.setattr(CodeMapArena, "open_fresh", classmethod(spy))
+        gc.disable()
+        try:
+            idx = CodeMapIndex.load_dir(map_dir)
+            assert idx.map_for(0).lookup(0x6080_0000 + 8).name == "a.B.m"
+            del idx
+            # No reference cycle: reference counting alone frees it.
+            assert [ref() for ref in opened] == [None]
+        finally:
+            gc.enable()
+
     def test_arena_false_ignores_arena(self, map_dir):
         build_arena(map_dir)
         idx = CodeMapIndex.load_dir(map_dir, arena=False)
@@ -220,7 +244,7 @@ class TestPickling:
         with CodeMapArena.open(build_arena(map_dir)) as arena:
             a = pickle.loads(pickle.dumps(arena.epoch_map(0)))
             b = pickle.loads(pickle.dumps(arena.epoch_map(1)))
-            assert a._arena is b._arena
+            assert a._names is b._names
 
 
 class TestFaultHarness:

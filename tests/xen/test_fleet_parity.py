@@ -1,21 +1,22 @@
-"""Golden parity for multi-domain ``XPRS`` sessions: the sequential
-scalar resolve is the reference, and every other execution strategy —
-columnar batching, sharded workers (1/2/4), the per-domain sharded file
-layout — must reproduce its report bytes *and* its statistics exactly.
+"""Golden parity for multi-domain ``XPRS`` sessions: the per-sample
+oracle (``tests/pipeline/oracle.py``) is the reference, and every
+execution strategy — sharded workers (1/2/4), domain chains with and
+without a memo, the per-domain sharded file layout — must reproduce its
+report bytes *and* its statistics exactly.
 
-The multi-stack chain's dispatch stage owns inner chains, so the outer
-chain must refuse columnar batching (``supports_columnar`` False) and
-fall back to the scalar inner-chain walk; this file pins that fallback:
-if batch resolution ever reaches the inner chains without replaying
-their counters, the stats parity below breaks first.
+Fleet resolution takes the one production path: each bucket goes from
+the outer chain's dispatch stage to its domain chain whole, and no
+sample is ever resolved on its own (``ResolverChain.resolve``).
 """
 
 import json
 
 import pytest
 
+from repro.pipeline import ResolverChain, run_pipeline, xen_chain
 from repro.workloads.fleet import FLEET_PROFILES, fleet_workloads
 from repro.xen.fleet import run_fleet
+from tests.pipeline.oracle import oracle_report, without_cache
 
 _FLEET_N = 4
 _PERIOD = 20_000
@@ -31,48 +32,75 @@ def session(tmp_path_factory):
     )
 
 
-@pytest.fixture(scope="module")
-def reference(session):
-    """The sequential scalar run: report bytes + canonical stats."""
-    report, chain = session.resolve(workers=1, columnar=False)
+def _oracle(session, sharded):
+    report, stats = oracle_report(
+        session.fleet_chain(), session.source(sharded=sharded),
+        events=session.events(),
+    )
     return {
         "table": report.format_table(limit=10_000),
-        "stats": json.dumps(chain.stats_dict(), sort_keys=True),
+        "stats": json.dumps(stats, sort_keys=True),
+        "rows": _canonical_rows(report),
+        "totals": dict(report.totals),
     }
 
 
-def test_outer_chain_pins_scalar_fallback(session):
-    chain = session.fleet_chain()
-    dispatch = chain.stage("domain-dispatch")
-    assert dispatch.owns_inner_chains is True
-    assert chain.supports_columnar is False
-    # The inner chains stay independently cacheable and columnar-capable.
+def _stats(chain):
+    return json.dumps(without_cache(chain.stats_dict()), sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def reference(session):
+    """The oracle over the root stream: report bytes + stats."""
+    return _oracle(session, sharded=False)
+
+
+def test_fleet_resolution_never_resolves_per_sample(session, monkeypatch):
+    calls = []
+    per_sample = ResolverChain.resolve
+
+    def counted(self, sample):
+        calls.append(sample)
+        return per_sample(self, sample)
+
+    monkeypatch.setattr(ResolverChain, "resolve", counted)
+    _, chain = session.resolve()
+    assert chain.total_samples > 0
     for did in session.domain_ids:
-        inner = session.domain_chain(did)
-        assert inner.supports_columnar is True
+        session.domain_resolve(did)
+    assert calls == []
+    # The outer chain has no memo; the domain chains keep theirs.
+    assert chain.cache is None
+    for inner in chain.stage("domain-dispatch").chains.values():
         assert inner.cache is not None
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("columnar", [False, True])
-def test_fleet_parity_root_stream(session, reference, workers, columnar):
-    report, chain = session.resolve(workers=workers, columnar=columnar)
+@pytest.mark.parametrize("memo", [False, True])
+def test_fleet_parity_root_stream(session, reference, workers, memo):
+    if memo:
+        report, chain = session.resolve(workers=workers)
+    else:
+        domains = session.fleet_chain().stage("domain-dispatch").chains
+        chain = xen_chain(
+            session.result.hypervisor,
+            {
+                d: ResolverChain(c.stages, cache_size=0)
+                for d, c in domains.items()
+            },
+        )
+        report = run_pipeline(
+            session.source(), chain, events=session.events(),
+            workers=workers,
+        )
     assert report.format_table(limit=10_000) == reference["table"]
-    assert (
-        json.dumps(chain.stats_dict(), sort_keys=True) == reference["stats"]
-    )
+    assert _stats(chain) == reference["stats"]
 
 
 @pytest.fixture(scope="module")
 def sharded_reference(session):
-    """Sequential scalar run over the per-domain file layout."""
-    report, chain = session.resolve(workers=1, columnar=False, sharded=True)
-    return {
-        "table": report.format_table(limit=10_000),
-        "stats": json.dumps(chain.stats_dict(), sort_keys=True),
-        "rows": _canonical_rows(report),
-        "totals": dict(report.totals),
-    }
+    """The oracle over the per-domain file layout."""
+    return _oracle(session, sharded=True)
 
 
 def _canonical_rows(report):
@@ -93,24 +121,23 @@ def _canonical_rows(report):
 def test_fleet_parity_sharded_layout(session, sharded_reference, workers):
     """The per-domain layout holds the same records in the same
     per-domain order, so resolving it shards across whole domains and
-    still reproduces the layout's sequential bytes and statistics."""
+    still reproduces the oracle's bytes and statistics."""
     report, chain = session.resolve(workers=workers, sharded=True)
     assert report.format_table(limit=10_000) == sharded_reference["table"]
-    assert (
-        json.dumps(chain.stats_dict(), sort_keys=True)
-        == sharded_reference["stats"]
-    )
+    assert _stats(chain) == sharded_reference["stats"]
 
 
 def test_fleet_layouts_agree(session, reference, sharded_reference):
     """Root stream and per-domain layout resolve to the same profile:
-    identical row multisets, totals, and chain statistics (per-domain
-    record order is preserved by both, so even the inner caches see the
-    same per-domain stream)."""
-    report, chain = session.resolve(workers=1, columnar=False)
-    assert _canonical_rows(report) == sharded_reference["rows"]
-    assert dict(report.totals) == sharded_reference["totals"]
+    identical row multisets, totals, and chain statistics — memo blocks
+    included, since per-domain record order is preserved by both and the
+    domain chains' memos see the same per-domain stream."""
+    assert reference["rows"] == sharded_reference["rows"]
+    assert reference["totals"] == sharded_reference["totals"]
     assert reference["stats"] == sharded_reference["stats"]
+    _, root = session.resolve(workers=1)
+    _, sharded = session.resolve(workers=1, sharded=True)
+    assert root.stats_dict() == sharded.stats_dict()
 
 
 def test_fleet_members_cycle_profiles():
