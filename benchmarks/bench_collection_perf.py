@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Throughput benchmark for the batched collection path.
 
-Measures the three layers the batching rework touched, each against the
-historical per-sample path it replaced, and checks **byte/state parity**
-before recording any number (a perf run that changes output is a failed
-run, not a fast one):
+Measures the three layers the batching rework touched — the writer and
+the synthesizer against the historical per-record path they replaced,
+checking **byte parity** before recording any number (a perf run that
+changes output is a failed run, not a fast one) — and the daemon drain:
 
 * **writer** — encoding+appending N distinct records per codec (core
   ``VPRS`` and domain-tagged ``XPRS``): per-record ``write`` with
@@ -17,11 +17,11 @@ run, not a fast one):
   headline number: encode cost is paid per distinct record run, not per
   written record.
 * **daemon** — a full drain cycle over a synthetic machine (kernel /
-  file-backed / anonymous / JIT-heap mix): ``batch=False`` sample-at-a-
-  time drain vs the chunked ``classify_chunk`` + ``write_batch`` drain.
-  Parity covers ``DaemonWork`` totals and per-symbol breakdown (including
-  dict insertion order), every ``DaemonStats`` counter, and the sample
-  files' bytes.
+  file-backed / anonymous / JIT-heap mix) through the chunked
+  ``classify_chunk`` + ``write_batch`` drain.  Its parity with a
+  sample-at-a-time drain (``DaemonWork`` totals and per-symbol order,
+  ``DaemonStats``, sample-file bytes) is pinned by
+  ``tests/oprofile/test_daemon.py``.
 
 Results land in ``BENCH_collection.json`` at the repo root;
 ``docs/performance.md`` explains how to read them.
@@ -186,10 +186,10 @@ def bench_synthesis(tmp: Path, total: int, rng: Random) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# daemon: sample-at-a-time drain vs chunked classify+write
+# daemon: chunked classify+write drain
 # ---------------------------------------------------------------------------
 
-def build_daemon(out_dir: Path, capacity: int, batch: bool):
+def build_daemon(out_dir: Path, capacity: int):
     cfg = OprofileConfig(
         events=(EventSpec(EVENT, PERIOD),), buffer_capacity=capacity
     )
@@ -199,7 +199,7 @@ def build_daemon(out_dir: Path, capacity: int, batch: bool):
     libc_vma = loader.load_library(standard_libraries()[0])
     heap_vma = loader.map_anonymous(0x200000)
     km = OprofileKernelModule(cfg)
-    daemon = ViprofRuntimeProfiler(kernel, km, cfg, out_dir, batch=batch)
+    daemon = ViprofRuntimeProfiler(kernel, km, cfg, out_dir)
     jit_lo = heap_vma.start + 0x80000
     daemon.register_vm(proc.pid, (jit_lo, heap_vma.start + 0x180000))
     return kernel, proc, libc_vma, heap_vma, jit_lo, km, daemon
@@ -230,62 +230,31 @@ def daemon_samples(
     return out
 
 
-def run_daemon(tmp: Path, samples: list[RawSample], batch: bool):
-    out_dir = tmp / f"daemon-{'batched' if batch else 'per_record'}"
-    _, _, _, _, _, km, daemon = build_daemon(
-        out_dir, capacity=len(samples) + 1, batch=batch
-    )
-    km.buffer._samples = list(samples)
-    km.buffer.total_captured = len(samples)
-    daemon.start()
-    t0 = time.perf_counter()
-    work = daemon.wakeup()
-    elapsed = time.perf_counter() - t0
-    daemon.stop()
-    return elapsed, work, daemon.stats, sha256(daemon.sample_file(EVENT))
-
-
 def bench_daemon(tmp: Path, n: int, rng: Random) -> dict:
-    scaffold = build_daemon(tmp / "daemon-scaffold", capacity=64, batch=True)
-    kernel, proc, libc_vma, heap_vma, jit_lo, _, _ = scaffold
+    kernel, proc, libc_vma, heap_vma, jit_lo, km, daemon = build_daemon(
+        tmp / "daemon", capacity=n + 1
+    )
     samples = daemon_samples(
         n, rng, kernel, proc, libc_vma, heap_vma, jit_lo
     )
-    base_secs, base_work, base_stats, base_hash = run_daemon(
-        tmp, samples, batch=False
-    )
-    batch_secs, batch_work, batch_stats, batch_hash = run_daemon(
-        tmp, samples, batch=True
-    )
-    work_parity = (
-        base_work.total == batch_work.total
-        and list(base_work.by_symbol.items())
-        == list(batch_work.by_symbol.items())
-    )
-    stats_parity = base_stats == batch_stats
-    bytes_parity = base_hash == batch_hash
-    if not (work_parity and stats_parity and bytes_parity):
-        raise SystemExit(
-            f"daemon: batched drain diverged (work={work_parity} "
-            f"stats={stats_parity} bytes={bytes_parity}) "
-            "— parity broken, not measuring"
-        )
+    km.buffer._samples = samples
+    km.buffer.total_captured = n
+    daemon.start()
+    t0 = time.perf_counter()
+    daemon.wakeup()
+    secs = time.perf_counter() - t0
+    daemon.stop()
+    stats = daemon.stats
     return {
         "samples": n,
         "category_mix": {
-            "kernel": base_stats.kernel_samples,
-            "file": base_stats.file_samples,
-            "anon": base_stats.anon_samples,
-            "jit": base_stats.jit_samples,
+            "kernel": stats.kernel_samples,
+            "file": stats.file_samples,
+            "anon": stats.anon_samples,
+            "jit": stats.jit_samples,
         },
-        "per_record_seconds": round(base_secs, 4),
-        "per_record_samples_per_sec": round(n / base_secs),
-        "batched_seconds": round(batch_secs, 4),
-        "batched_samples_per_sec": round(n / batch_secs),
-        "speedup": round(base_secs / batch_secs, 2),
-        "work_identical": work_parity,
-        "stats_identical": stats_parity,
-        "bytes_identical": bytes_parity,
+        "batched_seconds": round(secs, 4),
+        "batched_samples_per_sec": round(n / secs),
     }
 
 
@@ -324,9 +293,8 @@ def main(argv: list[str] | None = None) -> int:
               f"({synthesis['speedup']}x)", flush=True)
 
         daemon = bench_daemon(tmp, n, rng)
-        print(f"daemon drain: {daemon['per_record_samples_per_sec']}"
-              f" -> {daemon['batched_samples_per_sec']} samples/s "
-              f"({daemon['speedup']}x)", flush=True)
+        print(f"daemon drain: {daemon['batched_samples_per_sec']} "
+              "samples/s", flush=True)
 
     payload = {
         "benchmark": "collection_path_throughput",

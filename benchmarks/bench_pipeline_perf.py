@@ -54,12 +54,13 @@ from repro.profiling.record_codec import (  # noqa: E402
     RecordFileWriter,
 )
 from repro.system.api import viprof_profile  # noqa: E402
-from repro.viprof.arena import build_arena  # noqa: E402
+from repro.viprof.arena import CodeMapArena, build_arena  # noqa: E402
 from repro.viprof.codemap import (  # noqa: E402
     CodeMap,
     CodeMapIndex,
     CodeMapRecord,
     CodeMapWriter,
+    read_map_files,
 )
 from repro.viprof.postprocess import ViprofReport  # noqa: E402
 from repro.workloads import by_name  # noqa: E402
@@ -328,20 +329,28 @@ def current_rss_kb() -> int | None:
     return None
 
 
+def load_index(map_dir: Path, mode: str) -> CodeMapIndex:
+    """The index over the fresh arena (``"arena"``; raises without one)
+    or over the parsed text maps (``"text"``)."""
+    if mode == "arena":
+        return CodeMapIndex(CodeMapArena.open_fresh(map_dir).maps())
+    return CodeMapIndex({cm.epoch: cm for cm, _ in read_map_files(map_dir)})
+
+
 def bench_index_load(map_dir: Path, repeats: int = 3) -> dict:
     """Time ``CodeMapIndex.load_dir`` text vs arena (best of
     ``repeats``), with each mode's resident-memory delta on first load."""
     import gc
 
     timings: dict[str, dict] = {}
-    for mode, arena in (("text", False), ("arena", "require")):
+    for mode in ("text", "arena"):
         gc.collect()
         rss_before = current_rss_kb()
         best = None
         loaded_records = 0
         for i in range(repeats):
             t0 = time.perf_counter()
-            idx = CodeMapIndex.load_dir(map_dir, arena=arena)
+            idx = load_index(map_dir, mode)
             elapsed = time.perf_counter() - t0
             if i == 0:
                 # Record count on the text path; the arena path keeps
@@ -481,11 +490,11 @@ def main(argv: list[str] | None = None) -> int:
         import gc
 
         cold_start: dict[str, dict] = {}
-        for mode, arena_flag in (("arena", "require"), ("text", False)):
+        for mode in ("arena", "text"):
             gc.collect()
             rss0 = current_rss_kb()
             t0 = time.perf_counter()
-            codemaps = CodeMapIndex.load_dir(big_map_dir, arena=arena_flag)
+            codemaps = load_index(big_map_dir, mode)
             load_secs = time.perf_counter() - t0
             post = ViprofReport(
                 kernel=seed_post.kernel,

@@ -362,7 +362,7 @@ def _registration_bounds(
             candidates.append(
                 json.loads(meta_path.read_text(encoding="utf-8"))
             )
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # JSON or UTF-8 decode errors
             pass
     summary_path = session_dir / SUMMARY_NAME
     if summary_path.is_file():
@@ -421,7 +421,7 @@ def derive_summary(session_dir: Path | str) -> SessionSummary:
     if salvage_path.is_file():
         try:
             loaded = json.loads(salvage_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # JSON or UTF-8 decode errors
             raise AnalysisError(
                 f"{salvage_path}: unreadable salvage manifest: {e}"
             ) from None
@@ -456,13 +456,8 @@ def derive_summary(session_dir: Path | str) -> SessionSummary:
         "blocked_at_quarantine": 0,
     }
     symbols: dict[tuple[str, str], SymbolEntry] = {}
-
-    def _count(image: str, symbol: str, ev: str, n: int = 1) -> None:
-        entry = symbols.get((image, symbol))
-        if entry is None:
-            entry = SymbolEntry(image=image, symbol=symbol)
-            symbols[(image, symbol)] = entry
-        entry.counts[ev] = entry.counts.get(ev, 0) + n
+    #: heap samples per (epoch, pc, event), in first-seen order
+    jit: dict[tuple[int, int, str], int] = {}
 
     if sample_dir.is_dir():
         for path in sorted(sample_dir.glob("*.samples")):
@@ -488,26 +483,42 @@ def derive_summary(session_dir: Path | str) -> SessionSummary:
                             layers["user"] += 1
                             continue
                         layers["jit"] += 1
-                        if codemaps is None:
-                            jit_detail["unresolved"] += 1
-                            _count(JIT_APP_IMAGE_LABEL, UNRESOLVED_JIT, ev)
-                            continue
-                        hit = codemaps.resolve(s.epoch, s.pc)
-                        if hit is None:
-                            jit_detail["unresolved"] += 1
-                            _count(JIT_APP_IMAGE_LABEL, UNRESOLVED_JIT, ev)
-                        elif hit is RESOLVE_BLOCKED:
-                            jit_detail["blocked_at_quarantine"] += 1
-                            _count(JIT_APP_IMAGE_LABEL, UNRESOLVED_JIT, ev)
-                        else:
-                            record, _epoch = hit
-                            jit_detail["resolved"] += 1
-                            _count(JIT_APP_IMAGE_LABEL, record.name, ev)
+                        key = (s.epoch, s.pc, ev)
+                        jit[key] = jit.get(key, 0) + 1
             except SampleFormatError as e:
                 raise AnalysisError(
                     f"{path}: unreadable sample file: {e} — salvage the "
                     "session first (viprof recover)"
                 ) from None
+
+    # One backward walk per epoch over its distinct heap PCs.
+    hits: dict[tuple[int, int], object] = {}
+    if codemaps is not None:
+        pcs: dict[int, set[int]] = {}
+        for epoch, pc, _ in jit:
+            pcs.setdefault(epoch, set()).add(pc)
+        for epoch, run in pcs.items():
+            run = sorted(run)
+            hits.update(zip(
+                [(epoch, pc) for pc in run], codemaps.resolve_run(epoch, run)
+            ))
+    # Counting keys in first-seen order creates symbols in the order
+    # their first samples appear, which orders the ties below.
+    for (epoch, pc, ev), n in jit.items():
+        hit = hits.get((epoch, pc))
+        if hit is None:
+            outcome, symbol = "unresolved", UNRESOLVED_JIT
+        elif hit is RESOLVE_BLOCKED:
+            outcome, symbol = "blocked_at_quarantine", UNRESOLVED_JIT
+        else:
+            outcome, symbol = "resolved", hit[0].name
+        jit_detail[outcome] += n
+        entry = symbols.get((JIT_APP_IMAGE_LABEL, symbol))
+        if entry is None:
+            entry = symbols[(JIT_APP_IMAGE_LABEL, symbol)] = SymbolEntry(
+                image=JIT_APP_IMAGE_LABEL, symbol=symbol
+            )
+        entry.counts[ev] = entry.counts.get(ev, 0) + n
 
     panels: dict[str, dict[str, int | float]] = {"layers": layers}
     if layers["jit"]:

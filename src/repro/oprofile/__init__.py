@@ -16,15 +16,15 @@ A faithful model of the OProfile 0.9-era pipeline the paper extends:
   kernel and task-VMA stages (:mod:`repro.pipeline`).  Stock opreport
   leaves anonymous-region samples (i.e. all JIT code) unsymbolized — the
   limitation VIProf removes;
-* :mod:`repro.oprofile.callgraph` — arc-recording call-graph profiles
-  (implementation shared with VIProf in :mod:`repro.pipeline.callgraph`).
+* arc-recording call-graph profiles live in :mod:`repro.pipeline.callgraph`
+  (one recorder shared with VIProf).
 """
 
 from repro.oprofile.opcontrol import OprofileConfig, EventSpec
 from repro.oprofile.kmodule import OprofileKernelModule, SampleBuffer
 from repro.oprofile.daemon import DaemonCosts, OprofileDaemon, build_daemon_image
 from repro.oprofile.opreport import OpReport
-from repro.oprofile.callgraph import CallArc, CallGraphRecorder
+from repro.pipeline.callgraph import CallArc, CallGraphRecorder
 
 __all__ = [
     "OprofileConfig",

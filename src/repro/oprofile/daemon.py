@@ -29,9 +29,9 @@ machine: :class:`DaemonCosts` cycles are still charged per logical sample,
 grouped by consecutive category runs so every ``DaemonWork`` total,
 per-symbol breakdown (including dict insertion order, which fixes the
 replay order of daemon quanta), and :class:`DaemonStats` counter is
-identical to the per-sample path — and so are the session files, byte for
-byte.  ``batch=False`` keeps the historical per-sample loop for A/B
-measurement (``benchmarks/bench_collection_perf.py``).
+identical to a sample-at-a-time drain — and so are the session files,
+byte for byte (``tests/oprofile/test_daemon.py`` keeps that drain as the
+reference).
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class DaemonStats:
 class OprofileDaemon:
     """Stock oprofiled: drains the buffer and logs samples to disk."""
 
-    #: categories returned by :meth:`classify`
+    #: categories returned by :meth:`classify_chunk`
     KERNEL = "kernel"
     FILE = "file"
     ANON = "anon"
@@ -131,18 +131,15 @@ class OprofileDaemon:
         config: OprofileConfig,
         output_dir: Path | str,
         costs: DaemonCosts | None = None,
-        batch: bool = True,
         write_buffer_bytes: int | None = None,
     ) -> None:
-        """``batch=False`` selects the historical sample-at-a-time drain
-        loop (same bytes, same cycles — kept for A/B measurement);
-        ``write_buffer_bytes`` is the per-image writer high-water mark."""
+        """``write_buffer_bytes`` is the per-image writer high-water
+        mark."""
         self.kernel = kernel
         self.kmodule = kmodule
         self.config = config
         self.output_dir = Path(output_dir)
         self.costs = costs if costs is not None else DaemonCosts()
-        self.batch = batch
         self.write_buffer_bytes = write_buffer_bytes
         self.stats = DaemonStats()
         #: cumulative cycles of daemon work across every wakeup — the
@@ -195,28 +192,14 @@ class OprofileDaemon:
 
     # ------------------------------------------------------------------
 
-    def classify(self, sample: RawSample) -> str:
-        """Attribute a sample to kernel / file-backed / anonymous.
-
-        VIProf's runtime profiler overrides this to short-circuit registered
-        VM heap ranges into the JIT category *before* the anonymous path.
-        """
-        if sample.kernel_mode or self.kernel.is_kernel_address(sample.pc):
-            return self.KERNEL
-        proc = self.kernel.process(sample.task_id)
-        if proc is None:
-            return self.ANON
-        vma = proc.address_space.resolve(sample.pc)
-        if vma is None or vma.kind is not VmaKind.FILE:
-            return self.ANON
-        return self.FILE
-
     def classify_chunk(self, samples: list[RawSample]) -> list[str]:
-        """Classify a whole drained chunk in one partitioning pass.
+        """Attribute each sample of a drained chunk to kernel /
+        file-backed / anonymous, in one partitioning pass.
 
-        Returns one category per sample, in order — agreeing with
-        per-sample :meth:`classify` — but looks each distinct task's
-        process up once per chunk instead of once per sample.
+        Returns one category per sample, in order, looking each distinct
+        task's process up once per chunk.  VIProf's runtime profiler
+        overrides this to short-circuit registered VM heap ranges into
+        the JIT category *before* the anonymous path.
         """
         kernel = self.kernel
         is_kaddr = kernel.is_kernel_address
@@ -242,14 +225,11 @@ class OprofileDaemon:
                 append(self.FILE)
         return cats
 
-    def _log_cost(self, category: str, work: DaemonWork) -> None:
-        self._log_cost_run(category, 1, work)
-
     def _log_cost_run(self, category: str, count: int, work: DaemonWork) -> None:
         """Charge ``count`` consecutive samples of one category.
 
         Cycles stay per logical sample (``cost x count``); grouping by
-        run preserves the per-sample path's charge sequence, so
+        run preserves a sample-at-a-time drain's charge sequence, so
         ``DaemonWork.by_symbol`` insertion order — which fixes the order
         the engine replays daemon quanta in — cannot drift.
         """
@@ -278,31 +258,19 @@ class OprofileDaemon:
         work.charge("opd_main_loop", self.costs.wakeup)
         self.stats.wakeups += 1
         drained = False
-        if self.batch:
-            while True:
-                chunk = self.kmodule.buffer.drain(DRAIN_CHUNK_RECORDS)
-                if not chunk:
-                    break
-                drained = True
-                self._process_chunk(chunk, work)
-                if faults.armed():
-                    # Crash point between drain chunks: records handed to
-                    # the writers but still buffered die with the process.
-                    faults.fire(
-                        faults.DAEMON_DRAIN,
-                        effect=lambda rng: self._abandon_writers(),
-                    )
-        else:
-            samples = self.kmodule.buffer.drain()
-            if samples:
-                drained = True
-                for s in samples:
-                    self._process_one(s, work)
-                if faults.armed():
-                    faults.fire(
-                        faults.DAEMON_DRAIN,
-                        effect=lambda rng: self._abandon_writers(),
-                    )
+        while True:
+            chunk = self.kmodule.buffer.drain(DRAIN_CHUNK_RECORDS)
+            if not chunk:
+                break
+            drained = True
+            self._process_chunk(chunk, work)
+            if faults.armed():
+                # Crash point between drain chunks: records handed to
+                # the writers but still buffered die with the process.
+                faults.fire(
+                    faults.DAEMON_DRAIN,
+                    effect=lambda rng: self._abandon_writers(),
+                )
         if drained:
             work.charge("opd_sfile_write", self.costs.flush)
         self.work_cycles += work.total
@@ -317,19 +285,6 @@ class OprofileDaemon:
             "wakeups": self.stats.wakeups,
             "samples_logged": self.stats.samples_logged,
         }
-
-    def _process_one(self, sample: RawSample, work: DaemonWork) -> None:
-        """The historical per-sample path: classify, charge, append."""
-        category = self.classify(sample)
-        self._log_cost(category, work)
-        writer = self._writers.get(sample.event_name)
-        if writer is None:
-            raise ProfilerError(
-                f"sample for unconfigured event {sample.event_name!r}"
-            )
-        writer.write(sample)
-        work.charge("opd_sfile_write", self.costs.write_per_sample)
-        self.stats.samples_logged += 1
 
     def _process_chunk(self, chunk: list[RawSample], work: DaemonWork) -> None:
         """Batched drain: one classification pass, per-sample cycle charges

@@ -1,24 +1,24 @@
-"""Shared half-open integer interval index.
+"""Half-open integer interval lookups: "which record covers this address?"
 
-Several subsystems need the same primitive — "which record covers this
-address?" — over sets of ``[start, end)`` ranges: per-epoch JIT code maps
-(:mod:`repro.viprof.codemap`), the boot-image map, VMA lookups, and the
-static artifact analyzer (:mod:`repro.statcheck`), which additionally must
-*detect* overlaps inside artifacts it cannot trust to be well-formed.
+Two structures answer it over sets of ``[start, end)`` ranges:
 
-:class:`IntervalIndex` therefore makes no well-formedness assumption: it
-accepts overlapping input, answers stabbing queries in ``O(log n + k)``
-via a sorted-start array plus a prefix-maximum of ends (a flattened static
-interval tree), and reports every overlapping pair on demand so callers
-can either reject bad data up front (``CodeMap``) or turn each pair into a
-lint finding (``statcheck``).
+* :class:`PackedIntervalTable` — two sorted integer columns of ranges
+  proven **disjoint** before they are packed; every epoch code map
+  (:mod:`repro.viprof.codemap`, text-parsed or arena-backed) looks
+  addresses up through it with one bisect.
+* :class:`IntervalIndex` — tolerant of overlapping input, for the static
+  artifact analyzer (:mod:`repro.statcheck`), which must *detect*
+  overlaps inside artifacts it cannot trust to be well-formed: it
+  answers covering queries via a sorted-start array plus a prefix-maximum
+  of ends (a flattened static interval tree) and reports every
+  overlapping pair so each can become a lint finding.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Generic, Iterable, Iterator, TypeVar
+from typing import Generic, Iterable, TypeVar
 
 from repro.errors import ConfigError
 
@@ -44,9 +44,6 @@ class Interval(Generic[P]):
     def contains(self, point: int) -> bool:
         return self.start <= point < self.end
 
-    def overlaps(self, other: "Interval[P]") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 class IntervalIndex(Generic[P]):
     """Static index over intervals; tolerant of overlapping input.
@@ -69,31 +66,6 @@ class IntervalIndex(Generic[P]):
             running = max(running, iv.end)
             self._prefix_max_end.append(running)
 
-    def __len__(self) -> int:
-        return len(self._intervals)
-
-    def __iter__(self) -> Iterator[Interval[P]]:
-        return iter(self._intervals)
-
-    @property
-    def intervals(self) -> tuple[Interval[P], ...]:
-        return tuple(self._intervals)
-
-    # ------------------------------------------------------------------
-    # Stabbing queries
-    # ------------------------------------------------------------------
-
-    def stab(self, point: int) -> tuple[Interval[P], ...]:
-        """Every interval covering ``point``, in ascending start order."""
-        hits: list[Interval[P]] = []
-        i = bisect.bisect_right(self._starts, point) - 1
-        while i >= 0 and self._prefix_max_end[i] > point:
-            if self._intervals[i].contains(point):
-                hits.append(self._intervals[i])
-            i -= 1
-        hits.reverse()
-        return tuple(hits)
-
     def first_covering(self, point: int) -> Interval[P] | None:
         """The covering interval with the greatest start, or None.
 
@@ -106,51 +78,6 @@ class IntervalIndex(Generic[P]):
                 return self._intervals[i]
             i -= 1
         return None
-
-    def first_covering_many(
-        self, points: Iterable[int]
-    ) -> list[Interval[P] | None]:
-        """:meth:`first_covering` over an **ascending** run of points.
-
-        Consecutive points from a sorted run tend to land in the same
-        interval (a hot method body covers many sampled PCs), so the last
-        hit is re-tested before paying another bisect — the columnar
-        resolver's bulk lookup.  Results are positionally aligned with the
-        input and identical to calling :meth:`first_covering` per point.
-        """
-        starts = self._starts
-        n = len(starts)
-        out: list[Interval[P] | None] = []
-        last: Interval[P] | None = None
-        last_i = -1
-        prev: int | None = None
-        for p in points:
-            if prev is not None and p < prev:
-                raise ConfigError(
-                    f"first_covering_many needs ascending points "
-                    f"({p:#x} after {prev:#x})"
-                )
-            prev = p
-            # The shortcut must preserve "greatest covering start": it is
-            # only safe while no later-starting interval has reached p.
-            if (
-                last is not None
-                and last.contains(p)
-                and (last_i + 1 >= n or starts[last_i + 1] > p)
-            ):
-                out.append(last)
-                continue
-            i = bisect.bisect_right(starts, p) - 1
-            last = None
-            last_i = -1
-            while i >= 0 and self._prefix_max_end[i] > p:
-                if self._intervals[i].contains(p):
-                    last = self._intervals[i]
-                    last_i = i
-                    break
-                i -= 1
-            out.append(last)
-        return out
 
     # ------------------------------------------------------------------
     # Overlap detection
@@ -167,33 +94,24 @@ class IntervalIndex(Generic[P]):
             active.append(iv)
         return pairs
 
-    def is_disjoint(self) -> bool:
-        prev_end: int | None = None
-        for iv in self._intervals:
-            if prev_end is not None and iv.start < prev_end:
-                return False
-            prev_end = iv.end if prev_end is None else max(prev_end, iv.end)
-        return True
-
 
 class PackedIntervalTable:
     """Stabbing queries over **disjoint** ``[start, end)`` ranges stored as
     two parallel sorted integer columns — no :class:`Interval` objects.
 
-    This is the zero-copy counterpart of :class:`IntervalIndex` for data
-    whose well-formedness was proven at *build* time (the code-map arena:
-    per-epoch records are validated non-overlapping before they are packed,
-    so the prefix-maximum walk degenerates to a single probe).  The columns
-    may be any sorted integer sequences — ``list``, ``array('q')``, or a
-    ``memoryview`` cast over an ``mmap`` — which is what lets every shard
-    worker bisect the same on-disk page cache without materializing
-    anything.
+    This is the counterpart of :class:`IntervalIndex` for data whose
+    well-formedness was proven before packing (a code map rejects
+    overlapping records at load, and the arena packs only maps that
+    loaded), so the prefix-maximum walk degenerates to a single probe.
+    The columns may be any sorted integer sequences — ``list``,
+    ``array('q')``, or a ``memoryview`` cast over an ``mmap`` — which is
+    what lets every shard worker bisect the same on-disk page cache
+    without materializing anything.
 
     Queries return **row indices** (``-1`` for no cover) instead of
     payloads; the caller owns row→record materialization, so rows that
     never reach a report are never built.  Result positions are identical
-    to :meth:`IntervalIndex.first_covering` /
-    :meth:`IntervalIndex.first_covering_many` over the same ranges
+    to :meth:`IntervalIndex.first_covering` over the same ranges
     (property-tested in ``tests/os/test_intervals.py``).
     """
 
@@ -226,10 +144,9 @@ class PackedIntervalTable:
     def first_covering_many(self, points: Iterable[int]) -> list[int]:
         """:meth:`first_covering` over an **ascending** run of points.
 
-        Same contract and same last-hit shortcut as
-        :meth:`IntervalIndex.first_covering_many`: consecutive sorted PCs
-        tend to land in one method body, so the previous row is re-tested
-        before paying another bisect.
+        Consecutive sorted PCs tend to land in one method body, so the
+        previous row is re-tested before paying another bisect.  Results
+        are positionally aligned with the input.
         """
         starts = self._starts
         ends = self._ends
@@ -244,9 +161,8 @@ class PackedIntervalTable:
                     f"({p:#x} after {prev:#x})"
                 )
             prev = p
-            # Safe for the same reason as the object index: disjoint rows
-            # mean re-using the last hit cannot skip a later-starting row
-            # unless that row has already reached p.
+            # Disjoint rows: re-using the last hit cannot skip a
+            # later-starting row unless that row has already reached p.
             if (
                 last >= 0
                 and starts[last] <= p < ends[last]

@@ -63,8 +63,10 @@ class StageStats:
     ``hits`` counts samples the stage claimed; ``misses`` counts samples it
     was offered and passed down the chain.  ``terminal`` marks a stage that
     *cannot* pass a sample on (the chain's fallback): its misses are zero
-    by construction — ``offered == hits`` — and :meth:`check` asserts that
-    invariant rather than leaving the uncounted misses implicit.
+    by construction — ``offered == hits`` — because the chain refuses a
+    fallback that declines a sample.  Counters are derived, never merged:
+    shards merge the chain's claim counter (:meth:`ResolverChain.
+    absorb_stats`).
     """
 
     name: str
@@ -75,35 +77,6 @@ class StageStats:
     @property
     def offered(self) -> int:
         return self.hits + self.misses
-
-    def check(self) -> "StageStats":
-        """Assert the terminality invariant (``offered == hits`` for a
-        terminal stage); returns self for chaining."""
-        if self.terminal and self.misses:
-            raise ProfilerError(
-                f"terminal stage {self.name!r} recorded {self.misses} "
-                "misses; a fallback claims every sample it is offered"
-            )
-        return self
-
-    def merge(self, other: "StageStats") -> "StageStats":
-        """Fold another run's counters for the *same* stage into this
-        one, in place.  Merging is exact: counters are pure sums."""
-        if other.name != self.name or other.terminal != self.terminal:
-            raise ProfilerError(
-                f"cannot merge stats for stage {other.name!r} "
-                f"(terminal={other.terminal}) into {self.name!r} "
-                f"(terminal={self.terminal})"
-            )
-        other.check()
-        self.hits += other.hits
-        self.misses += other.misses
-        return self
-
-    def __add__(self, other: "StageStats") -> "StageStats":
-        return StageStats(
-            self.name, self.hits, self.misses, self.terminal
-        ).merge(other)
 
 
 def _bucket_sort_key(key: tuple) -> tuple:

@@ -186,21 +186,6 @@ class JitStageStats:
             "resolution_rate": self.resolution_rate,
         }
 
-    def merge(self, other: "JitStageStats") -> "JitStageStats":
-        """Fold another run's JIT counters into this one, in place.
-        Counters are pure sums, so merging shard results equals counting
-        the concatenated stream (property-tested)."""
-        self.jit_samples += other.jit_samples
-        self.resolved_in_own_epoch += other.resolved_in_own_epoch
-        self.resolved_in_earlier_epoch += other.resolved_in_earlier_epoch
-        self.unresolved += other.unresolved
-        self.blocked_at_quarantine += other.blocked_at_quarantine
-        return self
-
-    def __add__(self, other: "JitStageStats") -> "JitStageStats":
-        out = JitStageStats()
-        return out.merge(self).merge(other)
-
 
 class JitEpochStage(ResolverStage):
     """VM-heap samples through the epoch code maps (backward walk).

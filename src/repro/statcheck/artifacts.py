@@ -131,7 +131,7 @@ def _load_map_file(
     """Parse one map file leniently; bad lines become VP100 findings."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         report.add(
             Severity.ERROR, RULE_MALFORMED, str(path), "-",
             f"unreadable map file: {e}",
@@ -236,7 +236,7 @@ def load_session(session_dir: Path | str) -> SessionArtifacts:
     if meta_path.is_file():
         try:
             arts.meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # JSON or UTF-8 decode errors
             report.add(
                 Severity.ERROR, RULE_MALFORMED, str(meta_path), "-",
                 f"unreadable metadata: {e}",
@@ -263,7 +263,7 @@ def load_session(session_dir: Path | str) -> SessionArtifacts:
             arts.salvage = json.loads(
                 salvage_path.read_text(encoding="utf-8")
             )
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # JSON or UTF-8 decode errors
             report.add(
                 Severity.ERROR, RULE_MALFORMED, str(salvage_path), "-",
                 f"unreadable salvage manifest: {e}",

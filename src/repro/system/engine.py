@@ -56,7 +56,7 @@ from repro.os.loader import ProgramLoader
 from repro.os.scheduler import Scheduler, Task
 from repro.profiling.model import Layer, TruthLabel
 from repro.system.ledger import TruthLedger
-from repro.viprof.callgraph import CrossLayerCallGraph, LayeredNode
+from repro.pipeline.callgraph import CrossLayerCallGraph, LayeredNode
 from repro.viprof.postprocess import ViprofReport
 from repro.viprof.session import ViprofSession
 from repro.workloads.base import SIM_HZ, Workload

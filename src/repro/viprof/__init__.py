@@ -25,7 +25,7 @@ from repro.viprof.codemap import CodeMapIndex, CodeMapRecord, CodeMapWriter
 from repro.viprof.vm_agent import AgentCosts, ViprofVmAgent
 from repro.viprof.runtime_profiler import ViprofRuntimeProfiler
 from repro.viprof.postprocess import ViprofReport
-from repro.viprof.callgraph import CrossLayerCallGraph
+from repro.pipeline.callgraph import CrossLayerCallGraph
 from repro.viprof.session import ViprofSession
 
 __all__ = [

@@ -40,15 +40,16 @@ import os
 import struct
 import sys
 from pathlib import Path
-from typing import Iterable
 
-from repro.errors import ArenaError, CodeMapError
+from repro.errors import ArenaError
 from repro.faults import injector as faults
 from repro.os.intervals import PackedIntervalTable
 from repro.viprof.codemap import (
     _FILE_RE,
     CodeMap,
     CodeMapRecord,
+    PackedCodeMap,
+    read_map_files,
 )
 
 __all__ = [
@@ -124,22 +125,10 @@ def build_arena(
     maps: list[CodeMap] = []
     sources: list[list] = []
     if map_dir.is_dir():
-        for path in sorted(map_dir.iterdir()):
-            if not path.is_file():
-                continue
-            m = _FILE_RE.match(path.name)
-            if m is None:
-                continue
-            blob = path.read_bytes()
-            cm = CodeMap.load(path)
-            if int(m.group(1)) != cm.epoch:
-                raise CodeMapError(
-                    f"{path}: filename epoch {m.group(1)} != "
-                    f"header epoch {cm.epoch}"
-                )
+        for cm, blob in read_map_files(map_dir):
             maps.append(cm)
             sources.append(
-                [path.name, len(blob), hashlib.sha256(blob).hexdigest()]
+                [cm.source.name, len(blob), hashlib.sha256(blob).hexdigest()]
             )
     if not maps:
         out_path.unlink(missing_ok=True)
@@ -437,8 +426,10 @@ def _reopen_epoch(path: str, epoch: int) -> "ArenaCodeMap":
     return _shared_arena(path).epoch_map(epoch)
 
 
-class ArenaCodeMap:
-    """One epoch's packed table, quacking like :class:`CodeMap`.
+class ArenaCodeMap(PackedCodeMap):
+    """One epoch's packed table, looked up exactly like a text-parsed
+    :class:`~repro.viprof.codemap.CodeMap` but with its rows left in the
+    mapping.
 
     Lookups bisect the raw ``i64`` columns; a :class:`CodeMapRecord` is
     only built (then memoized) for rows a lookup actually returns, so a
@@ -456,7 +447,6 @@ class ArenaCodeMap:
         "source",
         "_names",
         "_tiers",
-        "_count",
         "_table",
         "_flags",
         "_name_off",
@@ -471,7 +461,6 @@ class ArenaCodeMap:
         self.source = arena.path
         self._names = arena._names
         self._tiers = arena._tiers
-        self._count = count
         self._table = PackedIntervalTable(
             arena._column(table_off, count, 0),
             arena._column(table_off, count, 1),
@@ -481,15 +470,8 @@ class ArenaCodeMap:
         self._name_len = arena._column(table_off, count, 4)
         self._rows: dict[int, CodeMapRecord] = {}
 
-    def __len__(self) -> int:
-        return self._count
-
     def __reduce__(self):
         return (_reopen_epoch, (str(self.source), self.epoch))
-
-    @property
-    def records(self) -> tuple[CodeMapRecord, ...]:
-        return tuple(self._row(i) for i in range(self._count))
 
     def _row(self, i: int) -> CodeMapRecord:
         rec = self._rows.get(i)
@@ -507,23 +489,3 @@ class ArenaCodeMap:
             )
             self._rows[i] = rec
         return rec
-
-    def lookup(self, addr: int) -> CodeMapRecord | None:
-        i = self._table.first_covering(addr)
-        return self._row(i) if i >= 0 else None
-
-    def lookup_run(
-        self, addrs: Iterable[int]
-    ) -> list[CodeMapRecord | None]:
-        """:meth:`lookup` over an ascending run (the columnar bucket
-        shape) — one packed-table probe run, rows materialized once per
-        distinct hit."""
-        rows = self._rows
-        out: list[CodeMapRecord | None] = []
-        for i in self._table.first_covering_many(addrs):
-            if i < 0:
-                out.append(None)
-            else:
-                rec = rows.get(i)
-                out.append(rec if rec is not None else self._row(i))
-        return out

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.errors import CodeMapError
 from repro.faults import injector as faults
-from repro.os.intervals import Interval, IntervalIndex
+from repro.os.intervals import PackedIntervalTable
 
 __all__ = [
     "CodeMapRecord",
@@ -41,6 +42,7 @@ __all__ = [
     "CodeMap",
     "CodeMapIndex",
     "RESOLVE_BLOCKED",
+    "read_map_files",
 ]
 
 #: Tier-field suffix marking a record logged because the previous GC moved it.
@@ -174,69 +176,105 @@ class CodeMapWriter:
             fh.write(content[:cut])
 
 
-class CodeMap:
-    """One epoch's records, indexed for address lookup.
+class PackedCodeMap:
+    """Address lookup over one epoch's records, sorted and disjoint in a
+    :class:`~repro.os.intervals.PackedIntervalTable`.
+
+    Shared by the text-parsed :class:`CodeMap` and the arena's
+    :class:`~repro.viprof.arena.ArenaCodeMap`; the two differ only in how
+    table row ``i`` becomes a :class:`CodeMapRecord` (:meth:`_row`).
+    """
+
+    __slots__ = ()
+    _table: PackedIntervalTable
+
+    def _row(self, i: int) -> CodeMapRecord:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    @property
+    def records(self) -> tuple[CodeMapRecord, ...]:
+        return tuple(map(self._row, range(len(self))))
+
+    def lookup(self, addr: int) -> CodeMapRecord | None:
+        i = self._table.first_covering(addr)
+        return self._row(i) if i >= 0 else None
+
+    def lookup_run(
+        self, addrs: Iterable[int]
+    ) -> list[CodeMapRecord | None]:
+        """:meth:`lookup` over an ascending run of addresses (the
+        resolver's per-epoch bucket): one packed-table probe run."""
+        row = self._row
+        return [
+            row(i) if i >= 0 else None
+            for i in self._table.first_covering_many(addrs)
+        ]
+
+
+class CodeMap(PackedCodeMap):
+    """One epoch's records, parsed from its text map file.
 
     Records within a single epoch must be non-overlapping: the bump
     allocator never reuses space between collections (property-tested in
     ``tests/viprof/test_codemap_properties.py``).
     """
 
+    __slots__ = ("epoch", "source", "_records", "_table")
+
     def __init__(
         self,
         epoch: int,
-        records: list[CodeMapRecord],
+        records: Iterable[CodeMapRecord],
         source: Path | None = None,
     ):
         self.epoch = epoch
         self.source = source
-        self._records = sorted(records)
-        self._index: IntervalIndex[CodeMapRecord] = IntervalIndex(
-            Interval(r.address, r.end, r) for r in self._records
+        self._records = recs = sorted(records)
+        # Sorted by address, the records are disjoint iff each one starts
+        # at or after the end of the one before it.
+        for a, b in pairwise(recs):
+            if b.address < a.end:
+                where = f"{source}: " if source is not None else ""
+                raise CodeMapError(
+                    f"{where}epoch {epoch}: records {a.name!r} and "
+                    f"{b.name!r} overlap"
+                )
+        self._table = PackedIntervalTable(
+            [r.address for r in recs], [r.end for r in recs]
         )
-        bad = self._index.overlapping_pairs()
-        if bad:
-            a, b = bad[0]
-            raise CodeMapError(
-                f"{self._where()}records {a.payload.name!r} and "
-                f"{b.payload.name!r} overlap"
-            )
 
-    def _where(self) -> str:
-        prefix = f"{self.source}: " if self.source is not None else ""
-        return f"{prefix}epoch {self.epoch}: "
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> tuple[CodeMapRecord, ...]:
-        return tuple(self._records)
-
-    def lookup(self, addr: int) -> CodeMapRecord | None:
-        iv = self._index.first_covering(addr)
-        return iv.payload if iv is not None else None
-
-    def lookup_run(
-        self, addrs: Iterable[int]
-    ) -> list[CodeMapRecord | None]:
-        """:meth:`lookup` over an ascending run of addresses (the columnar
-        resolver's per-epoch bucket), one interval probe per *distinct
-        covering record* instead of one bisect per address."""
-        return [
-            iv.payload if iv is not None else None
-            for iv in self._index.first_covering_many(addrs)
-        ]
+    def _row(self, i: int) -> CodeMapRecord:
+        return self._records[i]
 
     @classmethod
-    def load(cls, path: Path) -> "CodeMap":
-        lines = path.read_text(encoding="utf-8").splitlines()
+    def load(cls, path: Path, blob: bytes | None = None) -> "CodeMap":
+        """Parse a map file (``blob``: its bytes, when already read).
+
+        A ``jit-map.NNNNN`` file must carry its filename's epoch in its
+        header.  Bytes that are not UTF-8 text, like any other damage,
+        raise :class:`~repro.errors.CodeMapError` naming the file.
+        """
+        if blob is None:
+            blob = path.read_bytes()
+        try:
+            lines = blob.decode("utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            raise CodeMapError(f"{path}: not UTF-8 text: {e}") from None
         if not lines:
             raise CodeMapError(f"{path}: empty map file")
         m = _HEADER_RE.match(lines[0])
         if m is None:
             raise CodeMapError(f"{path}: bad header {lines[0]!r}")
         epoch = int(m.group(1))
+        named = _FILE_RE.match(path.name)
+        if named is not None and int(named.group(1)) != epoch:
+            raise CodeMapError(
+                f"{path}: filename epoch {int(named.group(1))} != header "
+                f"epoch {epoch}"
+            )
         records = []
         for lineno, ln in enumerate(lines[1:], start=2):
             if not ln.strip():
@@ -248,6 +286,16 @@ class CodeMap:
                     f"{path}: epoch {epoch}: line {lineno}: {e}"
                 ) from None
         return cls(epoch, records, source=path)
+
+
+def read_map_files(map_dir: Path | str) -> Iterator[tuple[CodeMap, bytes]]:
+    """Parse every ``jit-map.NNNNN`` file of ``map_dir`` in epoch order,
+    yielding each map with the bytes it was parsed from (so the arena
+    digests exactly what it packs).  The one text-map loader."""
+    for path in sorted(Path(map_dir).iterdir()):
+        if path.is_file() and _FILE_RE.match(path.name):
+            blob = path.read_bytes()
+            yield CodeMap.load(path, blob), blob
 
 
 class _Blocked:
@@ -269,14 +317,6 @@ RESOLVE_BLOCKED = _Blocked()
 class CodeMapIndex:
     """All of a session's maps plus the backward-resolution algorithm.
 
-    The backward walk is memoized: once a session's maps are loaded they
-    are immutable, so the walk is a pure function of ``(top epoch, addr,
-    backward)`` and its result — including a miss — can never change.  A
-    bounded memo (it stops inserting once full) short-circuits repeat
-    walks for hot PCs, which is
-    most of a profile (``memo_hits`` counts the short-circuits;
-    ``fallback_steps`` counts only real walk steps).
-
     ``quarantined`` marks epochs whose maps existed but were damaged and
     set aside by salvage (``viprof recover``).  A quarantined epoch is a
     **barrier**: the walk cannot see what the lost map recorded, and the
@@ -286,16 +326,14 @@ class CodeMapIndex:
     — the degraded pipeline counts those samples as unresolved, keeping
     every resolution it *does* make a subset of the undamaged run's
     (property-tested in ``tests/viprof/test_epoch_walk_properties.py``).
-    An epoch absent from both ``maps`` and ``quarantined`` is skipped
-    exactly as before (pre-salvage behaviour is unchanged).
+    Clamping and bottoming use loaded *and* quarantined epochs, so a lost
+    newest map cannot make later samples silently consult older maps.  An
+    epoch absent from both ``maps`` and ``quarantined`` is skipped.
     """
-
-    #: Bound on memoized (top, addr, backward) walk results.
-    MEMO_CAPACITY = 1 << 13
 
     def __init__(
         self,
-        maps: dict[int, CodeMap],
+        maps: dict[int, PackedCodeMap],
         quarantined: Iterable[int] = (),
     ):
         self._maps = maps
@@ -305,215 +343,93 @@ class CodeMapIndex:
             raise CodeMapError(
                 f"epochs {sorted(overlap)} both loaded and quarantined"
             )
-        self.lookups = 0
-        self.fallback_steps = 0  # how far backward searches walked, total
-        self.memo_hits = 0
-        self._memo: dict[
-            tuple[int, int, bool], tuple[CodeMapRecord, int] | _Blocked | None
-        ] = {}
+        known = maps.keys() | self.quarantined
+        self._span = (min(known), max(known)) if known else None
 
     @classmethod
     def load_dir(
         cls,
         map_dir: Path | str,
         quarantined: Iterable[int] = (),
-        arena: bool | str = "auto",
     ) -> "CodeMapIndex":
-        """Load a session's maps, preferring the compiled arena.
+        """Load a session's maps: zero-copy arena tables when the
+        compiled arena (:mod:`repro.viprof.arena`) is valid and its
+        source digests still match the map files, else the text maps
+        (:func:`read_map_files`).  Never writes anything.
 
-        ``arena`` controls the compiled-artifact path
-        (:mod:`repro.viprof.arena`):
-
-        * ``"auto"`` (default) — if a valid arena file exists **and** its
-          recorded source digests still match the map files, back the
-          index with zero-copy mmap tables; otherwise parse the text
-          maps exactly as before.  Never writes anything.
-        * ``False`` — text maps only (the parity baseline).
-        * ``"require"`` — raise :class:`~repro.viprof.arena.ArenaError`
-          unless a fresh arena is usable (tests and ``viprof index
-          --check`` use this to prove the fast path was actually taken).
-
-        Quarantined sessions always use the text path: salvage deletes
-        the arena, and the barrier walk is the well-tested authority on
-        damaged sessions.
+        Quarantined sessions always take the text parse: salvage deletes
+        the arena, and the lost epochs are not in the map files.
         """
         map_dir = Path(map_dir)
         quarantined = tuple(quarantined)
-        if arena is not False and not quarantined:
-            from repro.viprof import arena as arena_mod
+        if not quarantined:
+            from repro.viprof import arena
 
             try:
-                opened = arena_mod.CodeMapArena.open_fresh(map_dir)
-            except arena_mod.ArenaError:
-                if arena == "require":
-                    raise
-            else:
-                return cls(opened.maps(), quarantined=quarantined)
-        elif arena == "require":
-            raise CodeMapError(
-                f"{map_dir}: arena required but session is quarantined"
-            )
-        maps: dict[int, CodeMap] = {}
-        for path in sorted(map_dir.iterdir()):
-            if not path.is_file():
-                continue
-            m = _FILE_RE.match(path.name)
-            if m is None:
-                continue
-            cm = CodeMap.load(path)
-            if int(m.group(1)) != cm.epoch:
-                raise CodeMapError(
-                    f"{path}: filename epoch {m.group(1)} != header epoch {cm.epoch}"
-                )
-            maps[cm.epoch] = cm
+                return cls(arena.CodeMapArena.open_fresh(map_dir).maps())
+            except arena.ArenaError:
+                pass
+        maps = {cm.epoch: cm for cm, _ in read_map_files(map_dir)}
         return cls(maps, quarantined=quarantined)
 
     @property
     def epochs(self) -> tuple[int, ...]:
         return tuple(sorted(self._maps))
 
-    def map_for(self, epoch: int) -> CodeMap | None:
+    def map_for(self, epoch: int) -> PackedCodeMap | None:
         return self._maps.get(epoch)
 
     def resolve(
         self, epoch: int, addr: int, backward: bool = True
     ) -> tuple[CodeMapRecord, int] | _Blocked | None:
-        """Resolve ``addr`` for a sample taken during ``epoch``.
+        """:meth:`resolve_run` for a single address."""
+        return self.resolve_run(epoch, (addr,), backward)[0]
 
-        Searches the sample's epoch first, then walks strictly backwards.
-        Returns ``(record, epoch_found)`` or None when no map ever held the
-        address (e.g. the method was compiled after the last map write and
-        the final flush is missing).
+    def resolve_run(
+        self, epoch: int, addrs: Iterable[int], backward: bool = True
+    ) -> list[tuple[CodeMapRecord, int] | _Blocked | None]:
+        """Resolve an **ascending** run of addresses sampled during
+        ``epoch`` (the columnar resolver's bucket shape).
 
-        With a non-empty ``quarantined`` set the walk stops at the first
-        quarantined epoch it meets and returns :data:`RESOLVE_BLOCKED`:
-        the damaged map could have held the address, so any hit below the
-        barrier might be a stale occupant.
+        Searches the sample's epoch first (clamped to the newest known
+        epoch; -1 means the newest), then walks strictly backwards,
+        probing each map once for the addresses still pending.  Returns,
+        per address, ``(record, epoch_found)``, or None when no map ever
+        held it (e.g. the method was compiled after the last map write
+        and the final flush is missing), or :data:`RESOLVE_BLOCKED` when
+        the walk reached a quarantined epoch first: the damaged map could
+        have held the address, so any hit below the barrier might be a
+        stale occupant.
 
         ``backward=False`` is the ablation: consult only the sample's own
         epoch map, which loses every sample whose method was compiled or
         moved in an earlier epoch.
         """
-        if self.quarantined:
-            return self._resolve_guarded(epoch, addr, backward)
-        if not self._maps:
-            return None
-        self.lookups += 1
-        top = min(epoch, max(self._maps)) if epoch >= 0 else max(self._maps)
-        key = (top, addr, backward)
-        memo = self._memo
-        if key in memo:
-            self.memo_hits += 1
-            return memo[key]
-        result: tuple[CodeMapRecord, int] | None = None
-        bottom = top if not backward else min(self._maps)
-        for e in range(top, bottom - 1, -1):
-            cm = self._maps.get(e)
-            if cm is None:
-                continue
-            rec = cm.lookup(addr)
-            if rec is not None:
-                result = (rec, e)
-                break
-            self.fallback_steps += 1
-        self._memo_put(key, result)
-        return result
-
-    def resolve_run(
-        self, epoch: int, addrs: Iterable[int], backward: bool = True
-    ) -> list[tuple[CodeMapRecord, int] | _Blocked | None]:
-        """Batched :meth:`resolve` for an **ascending** run of addresses
-        sharing one sample epoch (the columnar resolver's bucket shape).
-
-        Walks the epochs once for the whole run — each visited map is
-        probed with one :meth:`CodeMap.lookup_run` over the still-pending
-        addresses — instead of restarting the backward walk per address.
-        Results, the memo contents, and every counter (``lookups``,
-        ``memo_hits``, ``fallback_steps``) are identical to calling
-        :meth:`resolve` per address.
-        """
-        if self.quarantined or not self._maps:
-            # Guarded walks stop at per-address barriers; keep the
-            # well-tested scalar path authoritative for salvage mode.
-            return [self.resolve(epoch, a, backward) for a in addrs]
         addrs = list(addrs)
-        if not addrs:
-            return []
-        self.lookups += len(addrs)
-        top = min(epoch, max(self._maps)) if epoch >= 0 else max(self._maps)
-        memo = self._memo
         results: list[tuple[CodeMapRecord, int] | _Blocked | None] = (
             [None] * len(addrs)
         )
-        pending: list[tuple[int, int]] = []  # (position, addr)
-        for pos, addr in enumerate(addrs):
-            key = (top, addr, backward)
-            if key in memo:
-                self.memo_hits += 1
-                results[pos] = memo[key]
-            else:
-                pending.append((pos, addr))
-        bottom = top if not backward else min(self._maps)
-        for e in range(top, bottom - 1, -1):
+        if self._span is None:
+            return results
+        low, high = self._span
+        top = min(epoch, high) if epoch >= 0 else high
+        pending = list(range(len(addrs)))
+        for e in range(top, (low if backward else top) - 1, -1):
             if not pending:
                 break
-            cm = self._maps.get(e)
-            if cm is None:
-                continue
-            found = cm.lookup_run([a for _, a in pending])
-            still: list[tuple[int, int]] = []
-            for (pos, addr), rec in zip(pending, found):
-                if rec is not None:
-                    results[pos] = (rec, e)
-                    self._memo_put((top, addr, backward), (rec, e))
-                else:
-                    self.fallback_steps += 1
-                    still.append((pos, addr))
-            pending = still
-        for pos, addr in pending:
-            self._memo_put((top, addr, backward), None)
-        return results
-
-    def _memo_put(
-        self,
-        key: tuple[int, int, bool],
-        result: tuple[CodeMapRecord, int] | _Blocked | None,
-    ) -> None:
-        if len(self._memo) < self.MEMO_CAPACITY:
-            self._memo[key] = result
-
-    def _resolve_guarded(
-        self, epoch: int, addr: int, backward: bool
-    ) -> tuple[CodeMapRecord, int] | _Blocked | None:
-        """The barrier walk used when some epochs are quarantined.
-
-        Identical to the plain walk except a quarantined epoch ends the
-        search with :data:`RESOLVE_BLOCKED`, and clamping/bottoming use
-        healthy *and* quarantined epochs (a lost newest map must not make
-        later samples silently consult older maps).
-        """
-        self.lookups += 1
-        known = self._maps.keys() | self.quarantined
-        known_top = max(known)
-        top = min(epoch, known_top) if epoch >= 0 else known_top
-        key = (top, addr, backward)
-        memo = self._memo
-        if key in memo:
-            self.memo_hits += 1
-            return memo[key]
-        result: tuple[CodeMapRecord, int] | _Blocked | None = None
-        bottom = top if not backward else min(known)
-        for e in range(top, bottom - 1, -1):
             if e in self.quarantined:
-                result = RESOLVE_BLOCKED
+                for i in pending:
+                    results[i] = RESOLVE_BLOCKED
                 break
             cm = self._maps.get(e)
             if cm is None:
                 continue
-            rec = cm.lookup(addr)
-            if rec is not None:
-                result = (rec, e)
-                break
-            self.fallback_steps += 1
-        self._memo_put(key, result)
-        return result
+            found = cm.lookup_run([addrs[i] for i in pending])
+            still: list[int] = []
+            for i, rec in zip(pending, found):
+                if rec is None:
+                    still.append(i)
+                else:
+                    results[i] = (rec, e)
+            pending = still
+        return results

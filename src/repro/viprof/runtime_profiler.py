@@ -12,8 +12,9 @@ Concretely, relative to :class:`repro.oprofile.daemon.OprofileDaemon`:
 * :meth:`register_vm` records per-task heap boundaries and installs the
   VM's epoch counter as the kernel module's epoch source, so every sample
   is stamped with the GC epoch it was taken in;
-* :meth:`classify` checks registered heap bounds *before* falling through
-  to the anonymous path; a hit takes the cheap ``jit_classify`` cost path
+* :meth:`classify_chunk` checks registered heap bounds *before* falling
+  through to the anonymous path; a hit takes the cheap ``jit_classify``
+  cost path
   instead of the expensive ``anon_extra`` one (this replacement is why
   VIProf sometimes runs *faster* than stock OProfile — Figure 2 discussion).
 """
@@ -82,14 +83,6 @@ class ViprofRuntimeProfiler(OprofileDaemon):
         return self._registrations.get(task_id)
 
     # ------------------------------------------------------------------
-
-    def classify(self, sample: RawSample) -> str:
-        """Heap-bounds check before the stock classification."""
-        if self.jit_fast_path and not sample.kernel_mode:
-            reg = self._registrations.get(sample.task_id)
-            if reg is not None and reg.covers(sample.pc):
-                return self.JIT
-        return super().classify(sample)
 
     def classify_chunk(self, samples: list[RawSample]) -> list[str]:
         """Heap-bounds check over whole runs before stock classification.

@@ -46,14 +46,13 @@ class ViprofSession:
         full_map_rewrite: bool = False,
         eager_move_logging: bool = False,
         jit_fast_path: bool = True,
-        batch: bool = True,
         write_buffer_bytes: int | None = None,
     ) -> None:
         """The three boolean knobs select the ablation variants studied in
         ``benchmarks/bench_ablation.py``; the defaults are the paper's
-        design.  ``batch``/``write_buffer_bytes`` tune the daemon's drain
-        and write batching (simulator wall-clock only — session bytes and
-        cycle accounting are identical either way)."""
+        design.  ``write_buffer_bytes`` tunes the daemon's write batching
+        (simulator wall-clock only — session bytes and cycle accounting
+        are identical either way)."""
         self.kernel = kernel
         self.config = config
         self.session_dir = Path(session_dir)
@@ -63,7 +62,7 @@ class ViprofSession:
         self.daemon = ViprofRuntimeProfiler(
             kernel, self.kmodule, config, self.sample_dir,
             costs=daemon_costs, jit_fast_path=jit_fast_path,
-            batch=batch, write_buffer_bytes=write_buffer_bytes,
+            write_buffer_bytes=write_buffer_bytes,
         )
         self.map_writer = CodeMapWriter(self.map_dir)
         self._agent_costs = agent_costs

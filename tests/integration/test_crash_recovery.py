@@ -213,3 +213,16 @@ def test_dry_run_leaves_the_wreck_untouched(tmp_path):
     assert before == after
     assert manifest.damaged
     assert not (session_dir / "salvage.json").exists()
+
+
+def test_salvage_quarantines_an_undecodable_map(tmp_path):
+    from repro.statcheck.fixtures import write_fixture_session
+
+    session_dir = write_fixture_session(tmp_path / "s")
+    victim = session_dir / "jit-maps" / "jit-map.00001"
+    victim.write_bytes(victim.read_bytes() + b"\xff\n")
+    manifest = salvage_session(session_dir)
+    (entry,) = [m for m in manifest.maps if m.epoch == 1]
+    assert entry.action == ACTION_QUARANTINED
+    assert "UTF-8" in entry.reason
+    assert manifest.quarantined_epochs == (1,)

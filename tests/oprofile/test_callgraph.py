@@ -1,6 +1,6 @@
 """Unit tests for the arc-recording call-graph profiler."""
 
-from repro.oprofile.callgraph import CallArc, CallGraphRecorder
+from repro.pipeline.callgraph import CallArc, CallGraphRecorder
 
 A = ("app", "f")
 B = ("libc", "memset")

@@ -1,16 +1,57 @@
-"""Unit tests for the OProfile daemon: classification, costs, sample files."""
+"""Unit tests for the OProfile daemon: classification, costs, sample files.
+
+The daemon drains in chunks; :func:`classify` and :func:`drain_per_sample`
+are the sample-at-a-time reference it must agree with, byte for byte and
+cycle for cycle.
+"""
 
 import pytest
 
 from repro.errors import ProfilerError
-from repro.oprofile.daemon import DaemonCosts, OprofileDaemon, build_daemon_image
+from repro.oprofile.daemon import (
+    DaemonWork,
+    OprofileDaemon,
+    build_daemon_image,
+)
 from repro.oprofile.kmodule import OprofileKernelModule
 from repro.oprofile.opcontrol import EventSpec, OprofileConfig
+from repro.os.address_space import VmaKind
 from repro.os.binary import standard_libraries
 from repro.os.kernel import Kernel
 from repro.os.loader import ProgramLoader
 from repro.profiling.model import RawSample
 from repro.profiling.samplefile import SampleFileReader
+
+
+def classify(daemon, sample):
+    """Stock per-sample classification: kernel / file-backed / anonymous."""
+    if sample.kernel_mode or daemon.kernel.is_kernel_address(sample.pc):
+        return daemon.KERNEL
+    proc = daemon.kernel.process(sample.task_id)
+    if proc is None:
+        return daemon.ANON
+    vma = proc.address_space.resolve(sample.pc)
+    if vma is None or vma.kind is not VmaKind.FILE:
+        return daemon.ANON
+    return daemon.FILE
+
+
+def drain_per_sample(daemon):
+    """One wakeup, a sample at a time: drain everything, then classify,
+    charge and append each sample on its own."""
+    work = DaemonWork()
+    work.charge("opd_main_loop", daemon.costs.wakeup)
+    daemon.stats.wakeups += 1
+    samples = daemon.kmodule.buffer.drain()
+    for s in samples:
+        daemon._log_cost_run(classify(daemon, s), 1, work)
+        daemon._writers[s.event_name].write(s)
+        work.charge("opd_sfile_write", daemon.costs.write_per_sample)
+        daemon.stats.samples_logged += 1
+    if samples:
+        work.charge("opd_sfile_write", daemon.costs.flush)
+    daemon.work_cycles += work.total
+    return work
 
 
 def config():
@@ -45,28 +86,32 @@ class TestClassify:
     def test_kernel_sample(self, machine):
         kernel, proc, *_, daemon = machine
         s = raw(kernel.kernel_pc("schedule"), proc.pid, kernel_mode=True)
-        assert daemon.classify(s) == daemon.KERNEL
+        assert daemon.classify_chunk([s]) == [daemon.KERNEL]
 
     def test_kernel_address_without_flag(self, machine):
         kernel, proc, *_, daemon = machine
         s = raw(kernel.kernel_pc("schedule"), proc.pid)
-        assert daemon.classify(s) == daemon.KERNEL
+        assert daemon.classify_chunk([s]) == [daemon.KERNEL]
 
     def test_file_backed_sample(self, machine):
         _, proc, libc_vma, _, _, daemon = machine
-        assert daemon.classify(raw(libc_vma.start + 0x1000, proc.pid)) == daemon.FILE
+        assert daemon.classify_chunk(
+            [raw(libc_vma.start + 0x1000, proc.pid)]
+        ) == [daemon.FILE]
 
     def test_anon_sample(self, machine):
         _, proc, _, heap_vma, _, daemon = machine
-        assert daemon.classify(raw(heap_vma.start + 64, proc.pid)) == daemon.ANON
+        assert daemon.classify_chunk(
+            [raw(heap_vma.start + 64, proc.pid)]
+        ) == [daemon.ANON]
 
     def test_unknown_task_is_anon(self, machine):
         *_, daemon = machine
-        assert daemon.classify(raw(0x1000, 999999)) == daemon.ANON
+        assert daemon.classify_chunk([raw(0x1000, 999999)]) == [daemon.ANON]
 
     def test_unmapped_pc_is_anon(self, machine):
         _, proc, *_, daemon = machine
-        assert daemon.classify(raw(0x300, proc.pid)) == daemon.ANON
+        assert daemon.classify_chunk([raw(0x300, proc.pid)]) == [daemon.ANON]
 
 
 class TestWakeup:
@@ -167,7 +212,7 @@ class TestBatchedDrain:
         *_, daemon = machine
         stream = self._mixed_stream(machine)
         assert daemon.classify_chunk(stream) == [
-            daemon.classify(s) for s in stream
+            classify(daemon, s) for s in stream
         ]
 
     def test_batched_drain_matches_sequential(self, machine, tmp_path):
@@ -177,13 +222,12 @@ class TestBatchedDrain:
         for batch in (False, True):
             km2 = OprofileKernelModule(config())
             d = OprofileDaemon(
-                kernel, km2, config(), tmp_path / f"batch-{batch}",
-                batch=batch,
+                kernel, km2, config(), tmp_path / f"batch-{batch}"
             )
             for s in stream:
                 km2.buffer.append(s)
             d.start()
-            work = d.wakeup()
+            work = d.wakeup() if batch else drain_per_sample(d)
             d.stop()
             files = {
                 ev: d.sample_file(ev).read_bytes()
@@ -204,9 +248,7 @@ class TestBatchedDrain:
                 buffer_capacity=64,
             )
         )
-        d = OprofileDaemon(
-            kernel, km2, km2.config, tmp_path / "chunked", batch=True
-        )
+        d = OprofileDaemon(kernel, km2, km2.config, tmp_path / "chunked")
         old_chunk = daemon_mod.DRAIN_CHUNK_RECORDS
         daemon_mod.DRAIN_CHUNK_RECORDS = 8
         try:

@@ -29,9 +29,12 @@ class TestInterval:
         assert not r.contains(0xFF)
 
     def test_overlaps(self):
-        assert iv(0, 10).overlaps(iv(9, 20))
-        assert not iv(0, 10).overlaps(iv(10, 20))  # half-open: touching ok
-        assert iv(5, 6).overlaps(iv(0, 100))
+        def overlap(a, b):
+            return bool(IntervalIndex([a, b]).overlapping_pairs())
+
+        assert overlap(iv(0, 10), iv(9, 20))
+        assert not overlap(iv(0, 10), iv(10, 20))  # half-open: touching ok
+        assert overlap(iv(5, 6), iv(0, 100))
 
 
 class TestStab:
@@ -45,15 +48,6 @@ class TestStab:
         assert idx.first_covering(0x2100).payload == "b"
         assert idx.first_covering(0) is None
         assert idx.first_covering(0x9999_9999) is None
-
-    def test_stab_returns_all_covering(self):
-        idx = IntervalIndex(
-            [iv(0, 100, "wide"), iv(10, 20, "inner"), iv(50, 60, "other")]
-        )
-        assert [i.payload for i in idx.stab(15)] == ["wide", "inner"]
-        assert [i.payload for i in idx.stab(55)] == ["wide", "other"]
-        assert [i.payload for i in idx.stab(99)] == ["wide"]
-        assert idx.stab(100) == ()
 
     def test_first_covering_prefers_greatest_start(self):
         idx = IntervalIndex([iv(0, 100, "wide"), iv(10, 20, "inner")])
@@ -71,20 +65,16 @@ class TestStab:
     def test_empty_index(self):
         idx = IntervalIndex([])
         assert idx.first_covering(0) is None
-        assert idx.stab(0) == ()
-        assert idx.is_disjoint()
         assert idx.overlapping_pairs() == []
 
 
 class TestOverlapDetection:
     def test_disjoint(self):
         idx = IntervalIndex([iv(0, 10), iv(10, 20), iv(30, 40)])
-        assert idx.is_disjoint()
         assert idx.overlapping_pairs() == []
 
     def test_single_overlap(self):
         idx = IntervalIndex([iv(0, 10, "a"), iv(5, 15, "b")])
-        assert not idx.is_disjoint()
         pairs = idx.overlapping_pairs()
         assert len(pairs) == 1
         assert {pairs[0][0].payload, pairs[0][1].payload} == {"a", "b"}
@@ -103,47 +93,53 @@ class TestOverlapDetection:
 
 
 class TestFirstCoveringMany:
-    def test_matches_scalar_on_sorted_points(self):
-        idx = IntervalIndex(
-            [iv(0x1000, 0x1100, "a"), iv(0x2000, 0x2200, "b")]
-        )
-        points = [0, 0x1000, 0x10FF, 0x1100, 0x2100, 0x9999]
-        assert idx.first_covering_many(points) == [
-            idx.first_covering(p) for p in points
-        ]
+    """The packed table's run lookup (every code map's ``lookup_run``)
+    against per-point :meth:`IntervalIndex.first_covering`."""
 
-    def test_overlap_still_prefers_greatest_start(self):
-        # The run shortcut must not get stuck on "wide" once the walk
-        # enters "inner" territory, nor stay on "inner" past its end.
-        idx = IntervalIndex([iv(0, 100, "wide"), iv(10, 20, "inner")])
-        got = idx.first_covering_many([5, 12, 15, 25, 99])
-        assert [r.payload for r in got] == [
-            "wide", "inner", "inner", "wide", "wide"
-        ]
+    def build(self, spans):
+        table = PackedIntervalTable(
+            [s for s, _ in spans], [e for _, e in spans]
+        )
+        idx = IntervalIndex(
+            [Interval(s, e, i) for i, (s, e) in enumerate(spans)]
+        )
+        return table, idx
+
+    def per_point(self, idx, points):
+        hits = [idx.first_covering(p) for p in points]
+        return [-1 if h is None else h.payload for h in hits]
+
+    def test_matches_scalar_on_sorted_points(self):
+        table, idx = self.build([(0x1000, 0x1100), (0x2000, 0x2200)])
+        points = [0, 0x1000, 0x10FF, 0x1100, 0x2100, 0x9999]
+        assert table.first_covering_many(points) == self.per_point(
+            idx, points
+        )
 
     def test_rejects_unsorted_points(self):
-        idx = IntervalIndex([iv(0, 10)])
+        table, _ = self.build([(0, 10)])
         with pytest.raises(ConfigError):
-            idx.first_covering_many([5, 3])
+            table.first_covering_many([5, 3])
 
     def test_empty_inputs(self):
-        assert IntervalIndex([]).first_covering_many([1, 2]) == [None, None]
-        assert IntervalIndex([iv(0, 10)]).first_covering_many([]) == []
+        assert self.build([])[0].first_covering_many([1, 2]) == [-1, -1]
+        assert self.build([(0, 10)])[0].first_covering_many([]) == []
 
     @pytest.mark.parametrize("seed", [2, 17, 41])
     def test_randomized_matches_scalar(self, seed):
+        # Touching neighbours included: the run shortcut must move on to
+        # the next row exactly at the boundary.
         rng = random.Random(seed)
-        intervals = []
-        for i in range(100):
-            start = rng.randrange(0, 4000)
-            intervals.append(iv(start, start + rng.randrange(1, 150), i))
-        idx = IntervalIndex(intervals)
-        points = sorted(
-            rng.randrange(-10, 4300) for _ in range(500)
+        spans, cursor = [], 0
+        for _ in range(100):
+            start = cursor + rng.choice((0, rng.randrange(1, 40)))
+            cursor = start + rng.randrange(1, 150)
+            spans.append((start, cursor))
+        table, idx = self.build(spans)
+        points = sorted(rng.randrange(-10, cursor + 50) for _ in range(500))
+        assert table.first_covering_many(points) == self.per_point(
+            idx, points
         )
-        assert idx.first_covering_many(points) == [
-            idx.first_covering(p) for p in points
-        ]
 
 
 class TestRandomizedAgainstBruteForce:
@@ -162,7 +158,6 @@ class TestRandomizedAgainstBruteForce:
                 (i for i in intervals if i.contains(point)),
                 key=lambda i: (i.start, i.end),
             )
-            assert list(idx.stab(point)) == expect
             first = idx.first_covering(point)
             if expect:
                 assert first == expect[-1]
@@ -180,14 +175,13 @@ class TestRandomizedAgainstBruteForce:
         expect = set()
         for i, a in enumerate(intervals):
             for b in intervals[i + 1:]:
-                if a.overlaps(b):
+                if a.start < b.end and b.start < a.end:
                     expect.add(frozenset((a.payload, b.payload)))
         got = {
             frozenset((a.payload, b.payload))
             for a, b in idx.overlapping_pairs()
         }
         assert got == expect
-        assert idx.is_disjoint() == (not expect)
 
 
 # A disjoint layout as (gap, size) segments laid out left to right —
@@ -215,7 +209,7 @@ def lay_out(segments):
 
 class TestPackedIntervalTable:
     """The packed table must be position-identical to IntervalIndex over
-    any disjoint layout — it is the arena's zero-copy stand-in for it."""
+    any disjoint layout — every code map's stand-in for it."""
 
     def build(self, spans):
         table = PackedIntervalTable(
@@ -246,10 +240,11 @@ class TestPackedIntervalTable:
     ))
     @settings(max_examples=80, deadline=None)
     def test_run_matches_scalar(self, segments, probes):
-        table, _ = self.build(lay_out(segments))
+        table, idx = self.build(lay_out(segments))
         points = sorted(probes)
+        hits = [idx.first_covering(p) for p in points]
         assert table.first_covering_many(points) == [
-            table.first_covering(p) for p in points
+            -1 if hit is None else hit.payload for hit in hits
         ]
 
     def test_rejects_mismatched_columns(self):

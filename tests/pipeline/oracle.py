@@ -3,9 +3,10 @@
 Production resolution (:meth:`repro.pipeline.ResolverChain.resolve_groups`)
 groups samples by key, memoizes, walks bucket by bucket and derives its
 statistics from one claim counter.  This oracle does none of that: it
-offers every sample to every stage in order, calls
-:meth:`~repro.viprof.codemap.CodeMapIndex.resolve` directly for the JIT
-step, recurses into the domain chain for the Xen dispatch, and counts
+offers every sample to every stage in order, resolves the JIT step with
+its own per-address backward walk (:func:`walk`, a linear scan of each
+map's records — it shares neither the production walk nor its interval
+table), recurses into the domain chain for the Xen dispatch, and counts
 hits, misses and the JIT split by hand as it goes.  Parity tests compare
 production reports and ``stats_dict()`` (less the memo's ``cache`` block)
 against it.
@@ -32,7 +33,32 @@ from repro.profiling.model import ResolvedSample
 from repro.profiling.report import ProfileReport, StreamingAggregator
 from repro.viprof.codemap import RESOLVE_BLOCKED
 
-__all__ = ["Oracle", "oracle_report", "without_cache"]
+__all__ = ["Oracle", "oracle_report", "walk", "without_cache"]
+
+
+def walk(codemaps, epoch: int, pc: int, backward: bool = True):
+    """The paper's backward epoch walk (§3.2) for one address.
+
+    Starts at the sample's epoch, clamped to the newest loaded or
+    quarantined epoch (-1 means the newest), and steps down to the oldest
+    one (``backward=False``: the sample's epoch alone).  Returns
+    ``(record, epoch)`` from the first map with a record covering ``pc``,
+    :data:`RESOLVE_BLOCKED` at a quarantined epoch, else None.
+    """
+    known = set(codemaps.epochs) | codemaps.quarantined
+    if not known:
+        return None
+    top = max(known) if epoch < 0 else min(epoch, max(known))
+    for e in range(top, (min(known) if backward else top) - 1, -1):
+        if e in codemaps.quarantined:
+            return RESOLVE_BLOCKED
+        cm = codemaps.map_for(e)
+        if cm is None:
+            continue
+        for record in cm.records:
+            if record.contains(pc):
+                return record, e
+    return None
 
 
 class Oracle:
@@ -73,7 +99,7 @@ class Oracle:
         reg = stage._registrations.get(raw.task_id)
         if reg is None or not reg.covers(raw.pc):
             return None
-        hit = stage.codemaps.resolve(raw.epoch, raw.pc, backward=stage.backward)
+        hit = walk(stage.codemaps, raw.epoch, raw.pc, stage.backward)
         if hit is RESOLVE_BLOCKED:
             if stage.strict:
                 raise ProfilerError(

@@ -1,4 +1,4 @@
-"""The epoch-aware resolution memo and the codemap walk memo.
+"""The epoch-aware resolution memo, and the memo-free codemap walk.
 
 Memoization is transparency-tested: a memoized run must match an
 unmemoized run byte for byte — report *and* per-stage statistics —
@@ -14,7 +14,9 @@ from repro.pipeline import (
     sample_key,
 )
 from repro.pipeline.cache import CachedResolution, ResolutionCache
-from repro.pipeline.resolver import StageStats
+from repro.pipeline.source import PipelineSample
+from repro.pipeline.stages import FallbackStage
+from repro.profiling.model import RawSample
 from repro.system.api import viprof_profile
 from repro.viprof.codemap import CodeMap, CodeMapIndex, CodeMapRecord
 from repro.workloads import by_name
@@ -93,20 +95,41 @@ class TestResolutionCache:
 
 
 class TestStageStatsInvariants:
+    def samples(self, n=3):
+        return [
+            PipelineSample(raw=RawSample(
+                pc=0x1000 + i, event_name="EV", task_id=1,
+                kernel_mode=False, cycle=i,
+            ))
+            for i in range(n)
+        ]
+
     def test_terminal_stage_with_misses_fails_check(self):
-        st = StageStats("unresolved", hits=3, misses=1, terminal=True)
-        with pytest.raises(ProfilerError, match="terminal"):
-            st.check()
+        # A fallback that declined a sample would leave the terminal
+        # stage with misses; the chain refuses it instead of counting.
+        class Declining(FallbackStage):
+            def resolve(self, sample):
+                return None
+
+        chain = ResolverChain([], fallback=Declining())
+        with pytest.raises(ProfilerError, match="declined"):
+            chain.resolve(self.samples(1)[0])
 
     def test_terminal_stage_offered_equals_hits(self):
-        st = StageStats("unresolved", hits=3, terminal=True)
-        assert st.check().offered == st.hits
+        chain = ResolverChain([])
+        list(chain.resolve_stream(self.samples()))
+        (st,) = chain.stats()
+        assert st.terminal
+        assert st.offered == st.hits == 3
 
     def test_merge_rejects_mismatched_stages(self):
-        with pytest.raises(ProfilerError):
-            StageStats("a").merge(StageStats("b"))
-        with pytest.raises(ProfilerError):
-            StageStats("a", terminal=True).merge(StageStats("a"))
+        from repro.os.kernel import Kernel
+        from repro.pipeline import opreport_chain
+
+        worker = ResolverChain([])
+        list(worker.resolve_stream(self.samples()))
+        with pytest.raises(ProfilerError, match="diverged"):
+            opreport_chain(Kernel()).absorb_stats(worker.export_stats())
 
 
 class TestChainCacheTransparency:
@@ -179,6 +202,10 @@ class TestChainCacheTransparency:
 
 
 class TestCodeMapMemo:
+    """The backward walk keeps no memo (the chain's memo absorbs repeated
+    keys): repeated and ablated walks are pure functions of ``(epoch,
+    addr, backward)``."""
+
     def index(self) -> CodeMapIndex:
         rec = lambda a, name: CodeMapRecord(  # noqa: E731
             address=a, size=0x10, tier="O1", name=name
@@ -189,42 +216,18 @@ class TestCodeMapMemo:
             3: CodeMap(3, [rec(0x3000, "m.three")]),
         })
 
-    def test_memo_short_circuits_repeat_walks(self):
-        idx = self.index()
-        first = idx.resolve(3, 0x1008)  # walks 3 -> 1 -> 0
-        steps = idx.fallback_steps
-        again = idx.resolve(3, 0x1008)
-        assert again == first and first[0].name == "m.zero"
-        assert idx.memo_hits == 1
-        assert idx.fallback_steps == steps  # no re-walk
-        assert idx.lookups == 2  # lookups still count every call
-
     def test_memo_results_match_fresh_index(self):
         warm = self.index()
-        for _ in range(2):  # second round is all memo hits
+        for _ in range(2):  # the second round repeats every walk
             for epoch in (0, 1, 2, 3, 9):
                 for addr in (0x1008, 0x2008, 0x3008, 0x9999):
                     fresh = self.index().resolve(epoch, addr)
                     assert warm.resolve(epoch, addr) == fresh
 
-    def test_negative_results_are_memoized(self):
-        idx = self.index()
-        assert idx.resolve(3, 0xDEAD) is None
-        assert idx.resolve(3, 0xDEAD) is None
-        assert idx.memo_hits == 1
-
-    def test_memo_is_bounded(self):
-        idx = self.index()
-        idx.MEMO_CAPACITY = 4  # shadow the class bound for the test
-        for addr in range(0x1000, 0x1000 + 16):
-            idx.resolve(3, addr)
-        assert len(idx._memo) <= 4
-
     def test_ablation_keys_separately(self):
         idx = self.index()
         assert idx.resolve(3, 0x1008, backward=True) is not None
-        # Same (top, addr) with backward=False is a different walk and
-        # must not hit the backward entry.
+        # Same (top, addr) with backward=False is a different walk.
         assert idx.resolve(3, 0x1008, backward=False) is None
 
 

@@ -10,14 +10,15 @@ holds exactly — counters, row order, event order, and rendered bytes.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.errors import ProfilerError
-from repro.pipeline.resolver import StageStats
 from repro.pipeline.stages import JitStageStats
 from repro.profiling.model import RawSample, ResolvedSample
 from repro.profiling.report import StreamingAggregator, build_report
+from tests.pipeline.oracle import without_cache
 
 EVENTS = ("GLOBAL_POWER_EVENTS", "BSQ_CACHE_REFERENCE", "ITLB_MISS")
 IMAGES = ("vmlinux", "JIT.App", "RVM.map", "libc.so", "(unknown)")
@@ -118,69 +119,75 @@ class TestAggregatorMergeProperty:
 
 
 class TestStageStatsMergeProperty:
+    """Shard merge is counter addition: a chain that absorbs its shards'
+    exported claim counters derives per-stage counters that are the exact
+    sums of the shards' own."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_merge_is_exact_sum(self, seed):
+        from repro.os.kernel import Kernel
+        from repro.pipeline import opreport_chain
+
+        rng = random.Random(seed)
+        kernel = Kernel()
+        kpc = kernel.kernel_pc("schedule")
+        parent = opreport_chain(kernel)
+        shards = []
+        for _ in range(rng.randrange(2, 6)):
+            shard = opreport_chain(kernel)
+            stream = [
+                RawSample(
+                    pc=kpc if kmode else rng.randrange(1, 1 << 20),
+                    event_name=EVENTS[0], task_id=1, kernel_mode=kmode,
+                    cycle=i,
+                )
+                for i in range(rng.randrange(50))
+                for kmode in [rng.random() < 0.4]
+            ]
+            list(shard.resolve_stream(stream))
+            parent.absorb_stats(shard.export_stats())
+            shards.append(shard.stats())
+        for i, merged in enumerate(parent.stats()):
+            parts = [stats[i] for stats in shards]
+            assert merged.hits == sum(p.hits for p in parts)
+            assert merged.misses == sum(p.misses for p in parts)
+            assert merged.offered == sum(p.offered for p in parts)
+
+
+class TestJitStatsMergeProperty:
+    """The JIT detail is linear in the stage's outcome counter, so adding
+    shard counters adds their details exactly."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_merge_is_exact_sum(self, seed):
         rng = random.Random(seed)
         parts = [
-            StageStats("s", rng.randrange(1000), rng.randrange(1000))
+            Counter({
+                o: rng.randrange(500)
+                for o in ("own", "earlier", "unresolved", "blocked")
+            })
             for _ in range(rng.randrange(2, 6))
         ]
-        acc = StageStats("s")
-        for p in parts:
-            acc.merge(p)
-        assert acc.hits == sum(p.hits for p in parts)
-        assert acc.misses == sum(p.misses for p in parts)
-        assert acc.offered == sum(p.offered for p in parts)
-
-    def test_dunder_add_is_non_mutating(self):
-        a = StageStats("s", 3, 4)
-        b = StageStats("s", 5, 6)
-        c = a + b
-        assert (a.hits, a.misses, b.hits, b.misses) == (3, 4, 5, 6)
-        assert (c.hits, c.misses) == (8, 10)
-
-
-class TestJitStatsMergeProperty:
-    def random_stats(self, rng: random.Random) -> JitStageStats:
-        s = JitStageStats()
-        s.resolved_in_own_epoch = rng.randrange(500)
-        s.resolved_in_earlier_epoch = rng.randrange(500)
-        s.unresolved = rng.randrange(500)
-        s.jit_samples = s.resolved + s.unresolved
-        return s
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_merge_is_exact_sum(self, seed):
-        rng = random.Random(seed)
-        parts = [self.random_stats(rng) for _ in range(rng.randrange(2, 6))]
-        acc = JitStageStats()
-        for p in parts:
-            acc.merge(p)
+        merged = JitStageStats.from_outcomes(sum(parts, Counter()))
+        details = [JitStageStats.from_outcomes(p) for p in parts]
         for field in (
             "jit_samples", "resolved_in_own_epoch",
             "resolved_in_earlier_epoch", "unresolved",
+            "blocked_at_quarantine",
         ):
-            assert getattr(acc, field) == sum(
-                getattr(p, field) for p in parts
+            assert getattr(merged, field) == sum(
+                getattr(d, field) for d in details
             )
-        whole = sum(p.resolved for p in parts)
-        assert acc.resolved == whole
-        if acc.jit_samples:
-            assert acc.resolution_rate == whole / acc.jit_samples
-
-    def test_dunder_add_is_non_mutating(self):
-        rng = random.Random(0)
-        a, b = self.random_stats(rng), self.random_stats(rng)
-        snap = (a.jit_samples, b.jit_samples)
-        c = a + b
-        assert (a.jit_samples, b.jit_samples) == snap
-        assert c.jit_samples == a.jit_samples + b.jit_samples
+        whole = sum(d.resolved for d in details)
+        assert merged.resolved == whole
+        if merged.jit_samples:
+            assert merged.resolution_rate == whole / merged.jit_samples
 
 
 class TestChainShardMergeProperty:
     """End-to-end: resolving random splits of a real session on chain
     copies and absorbing their exported counters equals one sequential
-    pass — stage counters and JIT detail, exactly."""
+    pass — the whole ``stats_dict()`` but the memo's own counters."""
 
     @pytest.fixture(scope="class")
     def post(self):
@@ -192,8 +199,7 @@ class TestChainShardMergeProperty:
         ).viprof_report().post
 
     def stats_key(self, chain):
-        d = chain.stats_dict()
-        return (d["stages"], d["total_samples"])
+        return without_cache(chain.stats_dict())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_absorbed_shards_equal_sequential(self, seed, post):
@@ -202,14 +208,12 @@ class TestChainShardMergeProperty:
         cuts = split_points(rng, len(samples), rng.randrange(2, 5))
 
         sequential = post._build_chain()
-        for s in samples:
-            sequential.resolve(s)
+        list(sequential.resolve_stream(samples))
 
         parent = post._build_chain()
         for lo, hi in zip(cuts, cuts[1:]):
             worker = post._build_chain()
-            for s in samples[lo:hi]:
-                worker.resolve(s)
+            list(worker.resolve_stream(samples[lo:hi]))
             parent.absorb_stats(worker.export_stats())
         assert self.stats_key(parent) == self.stats_key(sequential)
 

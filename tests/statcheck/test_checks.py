@@ -133,6 +133,16 @@ class TestTolerantLoading:
         # The rest of the artifact is still analyzed (no other errors).
         assert report.count(Severity.ERROR) == 1
 
+    def test_undecodable_map_becomes_vp100(self, tmp_path):
+        sess = write_fixture_session(tmp_path / "s")
+        path = sess / "jit-maps" / "jit-map.00001"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        report = lint_session(sess)
+        assert any(
+            "unreadable map file" in f.message and f.artifact == str(path)
+            for f in report.by_rule("VP100")
+        )
+
     def test_corrupt_sample_file_becomes_vp100(self, tmp_path):
         sess = write_fixture_session(tmp_path / "s")
         bad = sess / "samples" / "GLOBAL_POWER_EVENTS.samples"
@@ -146,6 +156,15 @@ class TestTolerantLoading:
         report = lint_session(sess)
         assert any(
             "metadata" in f.message for f in report.by_rule("VP100")
+        )
+
+    @pytest.mark.parametrize("name", ["meta.json", "salvage.json"])
+    def test_undecodable_json_becomes_vp100(self, tmp_path, name):
+        sess = write_fixture_session(tmp_path / "s")
+        (sess / name).write_bytes(b'{"x": "\xff"}')
+        report = lint_session(sess)
+        assert any(
+            f.artifact == str(sess / name) for f in report.by_rule("VP100")
         )
 
     def test_bad_registration_becomes_vp100(self, tmp_path):

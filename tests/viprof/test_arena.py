@@ -24,8 +24,14 @@ from repro.viprof.codemap import (
     CodeMapIndex,
     CodeMapRecord,
     CodeMapWriter,
+    read_map_files,
 )
 from tests.conftest import make_tiny_workload
+
+
+def text_index(map_dir):
+    """The text-map index ``load_dir`` falls back to."""
+    return CodeMapIndex({cm.epoch: cm for cm, _ in read_map_files(map_dir)})
 
 
 def rec(addr, size=0x100, name="a.B.m", tier="baseline", moved=False):
@@ -50,7 +56,7 @@ class TestBuildAndOpen:
         path = build_arena(map_dir)
         assert path == arena_path_for(map_dir)
         arena = CodeMapArena.open(path)
-        text = CodeMapIndex.load_dir(map_dir, arena=False)
+        text = text_index(map_dir)
         assert arena.epochs == text.epochs
         assert arena.records == sum(
             len(text.map_for(e)) for e in text.epochs
@@ -79,7 +85,7 @@ class TestBuildAndOpen:
             build_arena(map_dir)
 
     def test_lookup_parity_with_text_map(self, map_dir):
-        text = CodeMapIndex.load_dir(map_dir, arena=False)
+        text = text_index(map_dir)
         probes = [
             0x6080_0000, 0x6080_00FF, 0x6080_0100, 0x6080_1000,
             0x6080_2000, 0x6080_241F, 0x6080_2420, 0x7000_0000,
@@ -151,17 +157,17 @@ class TestDamagedArenaRejected:
             CodeMapArena.open(path)
         # ... and resolution survives on the text path, identically.
         idx = CodeMapIndex.load_dir(map_dir)
-        text = CodeMapIndex.load_dir(map_dir, arena=False)
+        text = text_index(map_dir)
         assert idx.epochs == text.epochs
 
     def test_require_mode_raises_on_damage(self, map_dir):
         self.damage(map_dir, lambda p: p.write_bytes(p.read_bytes()[:9]))
         with pytest.raises(ArenaError):
-            CodeMapIndex.load_dir(map_dir, arena="require")
+            CodeMapArena.open_fresh(map_dir)
 
     def test_missing_arena_require_raises_auto_falls_back(self, map_dir):
         with pytest.raises(ArenaError):
-            CodeMapIndex.load_dir(map_dir, arena="require")
+            CodeMapArena.open_fresh(map_dir)
         assert CodeMapIndex.load_dir(map_dir).epochs == (0, 1, 2)
 
 
@@ -222,8 +228,9 @@ class TestLoadDirIntegration:
             gc.enable()
 
     def test_arena_false_ignores_arena(self, map_dir):
+        # The text loader parses the map files even next to a fresh arena.
         build_arena(map_dir)
-        idx = CodeMapIndex.load_dir(map_dir, arena=False)
+        idx = text_index(map_dir)
         assert not any(
             isinstance(idx.map_for(e), ArenaCodeMap) for e in idx.epochs
         )

@@ -1,7 +1,7 @@
 """Unit tests for the cross-layer call graph."""
 
 from repro.profiling.model import Layer
-from repro.viprof.callgraph import CrossLayerCallGraph, LayeredNode
+from repro.pipeline.callgraph import CrossLayerCallGraph, LayeredNode
 
 
 def node(layer, image, symbol):

@@ -174,15 +174,15 @@ class TestCodeMapIndex:
         with pytest.raises(CodeMapError, match="filename epoch"):
             CodeMapIndex.load_dir(tmp_path)
 
+    def test_undecodable_map_rejected(self, tmp_path):
+        p = CodeMapWriter(tmp_path).write(0, [rec(0x1000)])
+        p.write_bytes(p.read_bytes() + b"\xff\n")
+        with pytest.raises(CodeMapError, match="jit-map.00000.*UTF-8"):
+            CodeMapIndex.load_dir(tmp_path)
+
     def test_non_map_files_ignored(self, tmp_path):
         w = CodeMapWriter(tmp_path)
         w.write(0, [rec(0x1000)])
         (tmp_path / "README").write_text("not a map")
         idx = CodeMapIndex.load_dir(tmp_path)
         assert idx.epochs == (0,)
-
-    def test_lookup_stats(self, tmp_path):
-        idx = self.build_index(tmp_path)
-        idx.resolve(2, 0x5010)  # walks 2 epochs back
-        assert idx.lookups == 1
-        assert idx.fallback_steps == 2

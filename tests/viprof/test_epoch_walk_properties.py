@@ -250,3 +250,39 @@ def test_quarantine_never_widens_resolution(tmp_path, seed):
                 if got is RESOLVE_BLOCKED or got is None:
                     continue
                 assert got == full.resolve(epoch, addr)
+
+
+# ----------------------------------------------------------------------
+# The batched walk against the reference per-address walk.
+# ----------------------------------------------------------------------
+
+from tests.pipeline.oracle import walk  # noqa: E402
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_walk_matches_per_address_oracle(tmp_path, seed):
+    """``resolve_run`` over an ascending PC run equals the oracle's
+    per-address walk — clamping, barriers and the ablation included —
+    for random quarantine subsets (the first trial: none), both walk
+    directions, and sample epochs from -1 to past the last map."""
+    world = EpochWorld(seed)
+    world.run(tmp_path / "maps")
+    rng = random.Random(seed + 101)
+    bodies = sorted({a for snap in world.snapshots for a in snap.values()})
+    for trial in range(3):
+        quarantine = frozenset(
+            e for e in range(world.epochs) if trial and rng.random() < 0.3
+        )
+        index = _guarded_index(
+            tmp_path / "maps", tmp_path / f"q{trial}", quarantine
+        )
+        for epoch in range(-1, world.epochs + 2):
+            # PCs inside recycled bodies, plus a miss below and above.
+            pcs = sorted(
+                {a + rng.randrange(BODY_SIZE) for a in bodies}
+                | {0x10, world.bump + BODY_SIZE}
+            )
+            for backward in (True, False):
+                assert index.resolve_run(epoch, pcs, backward) == [
+                    walk(index, epoch, pc, backward) for pc in pcs
+                ]

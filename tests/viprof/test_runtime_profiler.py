@@ -10,6 +10,16 @@ from repro.os.kernel import Kernel
 from repro.os.loader import ProgramLoader
 from repro.profiling.model import RawSample
 from repro.viprof.runtime_profiler import ViprofRuntimeProfiler
+from tests.oprofile.test_daemon import classify as stock_classify
+
+
+def classify(rp, sample):
+    """Per-sample reference: the heap-bounds check, then stock."""
+    if rp.jit_fast_path and not sample.kernel_mode:
+        reg = rp.registration_for(sample.task_id)
+        if reg is not None and reg.covers(sample.pc):
+            return rp.JIT
+    return stock_classify(rp, sample)
 
 
 def config():
@@ -65,24 +75,30 @@ class TestClassification:
     def test_heap_sample_classified_jit(self, rig):
         _, proc, _, heap_vma, _, rp = rig
         rp.register_vm(proc.pid, (heap_vma.start, heap_vma.end))
-        assert rp.classify(raw(heap_vma.start + 0x40, proc.pid)) == rp.JIT
+        assert rp.classify_chunk(
+            [raw(heap_vma.start + 0x40, proc.pid)]
+        ) == [rp.JIT]
 
     def test_unregistered_task_still_anon(self, rig):
         kernel, proc, _, heap_vma, _, rp = rig
         rp.register_vm(proc.pid, (heap_vma.start, heap_vma.end))
         other = kernel.spawn("other")
-        assert rp.classify(raw(heap_vma.start + 0x40, other.pid)) == rp.ANON
+        assert rp.classify_chunk(
+            [raw(heap_vma.start + 0x40, other.pid)]
+        ) == [rp.ANON]
 
     def test_outside_heap_falls_through(self, rig):
         _, proc, libc_vma, heap_vma, _, rp = rig
         rp.register_vm(proc.pid, (heap_vma.start, heap_vma.end))
-        assert rp.classify(raw(libc_vma.start + 0x1000, proc.pid)) == rp.FILE
+        assert rp.classify_chunk(
+            [raw(libc_vma.start + 0x1000, proc.pid)]
+        ) == [rp.FILE]
 
     def test_kernel_sample_never_jit(self, rig):
         kernel, proc, _, heap_vma, _, rp = rig
         rp.register_vm(proc.pid, (heap_vma.start, heap_vma.end))
         s = raw(kernel.kernel_pc("schedule"), proc.pid, kernel_mode=True)
-        assert rp.classify(s) == rp.KERNEL
+        assert rp.classify_chunk([s]) == [rp.KERNEL]
 
     def test_jit_path_cheaper_than_anon_path(self, rig):
         """The paper's replacement claim: classifying a JIT sample must cost
@@ -126,7 +142,7 @@ class TestClassification:
         rp.register_vm(proc.pid, (heap_vma.start, heap_vma.end))
         stream = self._mixed_stream(rig)
         assert rp.classify_chunk(stream) == [
-            rp.classify(s) for s in stream
+            classify(rp, s) for s in stream
         ]
 
     def test_classify_chunk_without_fast_path_delegates(self, rig, tmp_path):
@@ -138,4 +154,4 @@ class TestClassification:
         stream = self._mixed_stream(rig)
         cats = rp.classify_chunk(stream)
         assert rp.JIT not in cats
-        assert cats == [rp.classify(s) for s in stream]
+        assert cats == [classify(rp, s) for s in stream]
