@@ -14,7 +14,7 @@ from repro.workloads import by_name
 from repro.xen import GuestSpec, MultiStackEngine
 
 
-def test_multistack_xenoprof(benchmark, results_dir, scale):
+def test_multistack_xenoprof(benchmark, results_dir, scale, tmp_path):
     def run():
         engine = MultiStackEngine(
             [
@@ -23,6 +23,7 @@ def test_multistack_xenoprof(benchmark, results_dir, scale):
             ],
             period=45_000,
             time_scale=min(scale, 0.5),  # two full stacks; cap the cost
+            session_dir=tmp_path,
         )
         return engine.run()
 

@@ -19,6 +19,7 @@ Usage::
 """
 
 import argparse
+import tempfile
 
 from repro.workloads import by_name
 from repro.xen import GuestSpec, MultiStackEngine
@@ -30,29 +31,31 @@ def main() -> None:
     ap.add_argument("--period", type=int, default=45_000)
     args = ap.parse_args()
 
-    engine = MultiStackEngine(
-        [
-            GuestSpec(by_name("fop"), weight=256),
-            GuestSpec(by_name("ps"), weight=512),  # double CPU share
-        ],
-        period=args.period,
-        time_scale=args.scale,
-    )
-    result = engine.run()
+    with tempfile.TemporaryDirectory(prefix="xenoprof-") as session_dir:
+        engine = MultiStackEngine(
+            [
+                GuestSpec(by_name("fop"), weight=256),
+                GuestSpec(by_name("ps"), weight=512),  # double CPU share
+            ],
+            period=args.period,
+            time_scale=args.scale,
+            session_dir=session_dir,
+        )
+        result = engine.run()
 
-    print(f"Simulated {result.wall_cycles:,} cycles; "
-          f"{result.hypervisor.world_switches} world switches; "
-          f"{len(result.buffer)} samples "
-          f"({100 * result.xen_share():.2f}% in the hypervisor)\n")
+        print(f"Simulated {result.wall_cycles:,} cycles; "
+              f"{result.hypervisor.world_switches} world switches; "
+              f"{len(result.buffer)} samples "
+              f"({100 * result.xen_share():.2f}% in the hypervisor)\n")
 
-    for dom in result.hypervisor.domains:
-        print(f"=== Domain {dom.domain_id} ({dom.name}), "
-              f"{dom.cpu_cycles:,} cycles ===")
-        print(result.domain_report(dom.domain_id).format_table(limit=6))
-        print()
+        for dom in result.hypervisor.domains:
+            print(f"=== Domain {dom.domain_id} ({dom.name}), "
+                  f"{dom.cpu_cycles:,} cycles ===")
+            print(result.domain_report(dom.domain_id).format_table(limit=6))
+            print()
 
-    print("=== Unified cross-stack profile ===")
-    print(result.unified_report().format_table(limit=14))
+        print("=== Unified cross-stack profile ===")
+        print(result.unified_report().format_table(limit=14))
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 from repro.analysis.overhead import decompose_overhead
 from repro.system.api import base_run, oprofile_profile, viprof_profile
@@ -97,26 +98,28 @@ def _run_fleet_report(
     )
     from repro.xen.fleet import run_fleet
 
-    fs = run_fleet(
-        workloads, period=args.period, time_scale=args.scale, seed=args.seed
-    )
-    summaries = {}
-    for did in fs.domain_ids:
-        drep, dchain = fs.domain_resolve(did)
-        summaries[did] = domain_summary(
-            did,
-            drep,
-            stats=dchain.stats_dict(),
-            meta={"workload": fs.result.guests[did].domain.name},
+    with tempfile.TemporaryDirectory(prefix="xenoprof-") as tmp:
+        fs = run_fleet(
+            workloads, period=args.period, time_scale=args.scale,
+            session_dir=tmp, seed=args.seed,
         )
-    rollup = fleet_rollup(summaries)
-    if summary_out:
-        rollup.save(summary_out)
-    if args.json:
-        doc = fleet_report_doc(summaries, rollup, top_n=args.rows)
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    report, chain = fs.resolve(workers=workers)
+        summaries = {}
+        for did in fs.domain_ids:
+            drep, dchain = fs.domain_resolve(did)
+            summaries[did] = domain_summary(
+                did,
+                drep,
+                stats=dchain.stats_dict(),
+                meta={"workload": fs.result.guests[did].domain.name},
+            )
+        rollup = fleet_rollup(summaries)
+        if summary_out:
+            rollup.save(summary_out)
+        if args.json:
+            doc = fleet_report_doc(summaries, rollup, top_n=args.rows)
+            print(json.dumps(doc, indent=2, sort_keys=True))
+            return 0
+        report, chain = fs.resolve(workers=workers)
     print(f"fleet: {len(fs.domain_ids)} domains, "
           f"{len(fs.result.buffer)} samples, "
           f"{100 * fs.result.xen_share():.2f}% in the hypervisor\n")
@@ -476,15 +479,18 @@ def _cmd_xen(args: argparse.Namespace) -> int:
         return _run_fleet_report(
             workloads, args, workers=workers, summary_out=args.summary_out
         )
-    engine = MultiStackEngine(
-        [GuestSpec(wl) for wl in workloads],
-        period=args.period, time_scale=args.scale, seed=args.seed,
-    )
-    result = engine.run()
+    with tempfile.TemporaryDirectory(prefix="xenoprof-") as tmp:
+        engine = MultiStackEngine(
+            [GuestSpec(wl) for wl in workloads],
+            period=args.period, time_scale=args.scale,
+            session_dir=tmp, seed=args.seed,
+        )
+        result = engine.run()
+        report = result.unified_report()
     print(f"{len(result.buffer)} samples, "
           f"{100 * result.xen_share():.2f}% in the hypervisor, "
           f"{result.hypervisor.world_switches} world switches\n")
-    print(result.unified_report().format_table(limit=args.rows))
+    print(report.format_table(limit=args.rows))
     return 0
 
 

@@ -18,8 +18,9 @@ The three report flavours are nothing but chain compositions:
   one :func:`viprof_chain` per guest domain (XenoProf multi-stack).
 
 ``repro.oprofile.opreport``, ``repro.viprof.postprocess``, and
-``repro.xen.xenoprof`` are thin wrappers over these compositions — there
-is exactly one "PC → symbol" code path in the tree, and it is here.
+``repro.xen.engine`` (``MultiStackResult.domain_chain``) build their
+reports from these compositions — there is exactly one "PC → symbol"
+code path in the tree, and it is here.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ Both sample-file flavours in the tree — the core OProfile/VIProf format
 share one header layout and one core record definition; the XenoProf
 record merely appends a domain-id column.  This module holds that single
 definition behind a small versioned registry, so
-:mod:`repro.profiling.samplefile` and :mod:`repro.xen.samplefile` are thin
-format-pinning wrappers and the streaming pipeline
+:mod:`repro.profiling.samplefile` is a thin format-pinning wrapper, the
+XenoProf engine writes ``XPRS`` through :class:`RecordFileWriter` with
+:data:`DOMAIN_CODEC` directly, and the streaming pipeline
 (:mod:`repro.pipeline.source`) can open *any* sample file by sniffing the
 magic.
 

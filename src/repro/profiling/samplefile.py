@@ -8,9 +8,9 @@ the paper: the daemon's write path is part of the overhead model, and the
 post-processors operate strictly on files, never on live state.
 
 The header/record layout lives in :mod:`repro.profiling.record_codec`,
-which both this module and the domain-tagged XenoProf flavour
-(:mod:`repro.xen.samplefile`) share; this module pins the core ``VPRS``
-codec (no domain column).  Readers stream records in constant memory and
+which both this module and the domain-tagged XenoProf flavour (``XPRS``,
+written by :mod:`repro.xen.engine`) share; this module pins the core
+``VPRS`` codec (no domain column).  Readers stream records in constant memory and
 report corruption with the file path and byte offset.
 """
 

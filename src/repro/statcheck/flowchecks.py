@@ -71,8 +71,6 @@ _HANDLE_CALLS = frozenset(
         "RecordFileWriter",
         "SampleFileReader",
         "SampleFileWriter",
-        "XenoSampleFileReader",
-        "XenoSampleFileWriter",
     }
 )
 

@@ -10,20 +10,22 @@ This package builds that system on the same substrate:
   table above the guest kernels, domains, a credit-style VCPU scheduler,
   and VMEXIT/hypercall cost accounting;
 * :mod:`repro.xen.xenoprof` — XenoProf-style sampling: the counter
-  overflow handler runs *in the hypervisor*, tags every sample with the
-  currently-running domain, and post-processing resolves each sample
-  against that domain's own software stack (through the domain's VIProf
-  code maps and boot-image map) or against the hypervisor's symbols;
+  overflow handler runs *in the hypervisor* and tags every sample with
+  the currently-running domain;
 * :mod:`repro.xen.engine` — a multi-stack engine running several isolated
   guest stacks (each a kernel + Jikes-RVM-like VM + workload) time-sliced
-  over one physical CPU, the execution model the VIVA project targets;
+  over one physical CPU, the execution model the VIVA project targets.
+  Its result builds each guest's resolver chain on demand (through the
+  domain's VIProf code maps and boot-image map, behind a hypervisor
+  stage, with quarantine + degraded modes) and persists the ``XPRS``
+  sample files;
 * :mod:`repro.xen.fleet` — many-guest fleet sessions: the per-domain
-  session layout, fresh per-domain/fleet resolver chains (with
-  quarantine + degraded modes), and per-domain salvage.
+  session layout, file-backed per-domain/fleet resolution, and
+  per-domain salvage.
 """
 
 from repro.xen.hypervisor import Domain, Hypervisor, VcpuScheduler, XEN_BASE
-from repro.xen.xenoprof import XenoProfBuffer, XenoProfReport, XenoSample
+from repro.xen.xenoprof import XenoProfBuffer, XenoSample
 from repro.xen.engine import GuestSpec, MultiStackEngine, MultiStackResult
 from repro.xen.fleet import FLEET_SHARD_PATTERN, FleetSession, run_fleet
 
@@ -34,7 +36,6 @@ __all__ = [
     "XEN_BASE",
     "XenoSample",
     "XenoProfBuffer",
-    "XenoProfReport",
     "GuestSpec",
     "MultiStackEngine",
     "MultiStackResult",

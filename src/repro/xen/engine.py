@@ -15,11 +15,11 @@ guest, so per-guest VIProf overhead remains visible.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Mapping
 
-from repro.errors import ConfigError, InjectedFault
+from repro.errors import ConfigError, InjectedFault, ProfilerError
 from repro.faults import injector as faults
 from repro.hardware.cache import CacheGeometry, StatisticalCacheModel
 from repro.hardware.cpu import CPU, CpuMode, Quantum
@@ -33,19 +33,18 @@ from repro.os.address_space import PAGE_SIZE, VmaKind
 from repro.os.kernel import Kernel
 from repro.os.loader import ProgramLoader
 from repro.os.binary import standard_libraries
-from repro.profiling.model import RawSample
+from repro.pipeline import ResolverChain, viprof_chain, xen_chain
+from repro.profiling.model import RawSample, ResolvedSample
+from repro.profiling.record_codec import DOMAIN_CODEC, RecordFileWriter
+from repro.profiling.report import ProfileReport, StreamingAggregator
 from repro.system.engine import build_agent_image, build_jikesrvm_bootstrap
 from repro.system.ledger import TruthLedger
-from repro.viprof.codemap import CodeMapError, CodeMapIndex, CodeMapWriter
+from repro.viprof.codemap import CodeMapIndex, CodeMapWriter
+from repro.viprof.runtime_profiler import VmRegistration
 from repro.viprof.vm_agent import ViprofVmAgent
 from repro.workloads.base import Workload
 from repro.xen.hypervisor import Domain, Hypervisor, VcpuScheduler
-from repro.xen.xenoprof import (
-    DomainResolver,
-    XenoProfBuffer,
-    XenoProfReport,
-    XenoSample,
-)
+from repro.xen.xenoprof import XenoProfBuffer, XenoSample
 
 __all__ = ["GuestSpec", "MultiStackEngine", "MultiStackResult"]
 
@@ -84,18 +83,21 @@ class _Guest:
 
 @dataclass
 class MultiStackResult:
-    """Everything a caller needs after a multi-stack run."""
+    """Everything a caller needs after a multi-stack run.
+
+    Guest chains are built on demand, never during the run: every report
+    and every fleet resolution goes through :meth:`domain_chain`, so a
+    guest's code maps load only when someone resolves its samples, and a
+    torn map raises :class:`~repro.viprof.codemap.CodeMapError` until the
+    domain is salvaged and its bad epochs quarantined.
+    """
 
     hypervisor: Hypervisor
     buffer: XenoProfBuffer
-    report_builder: XenoProfReport
     guests: dict[int, _Guest]
     wall_cycles: int
     session_dir: Path
-    period: int = 90_000
-    #: Domains whose code-map directory did not load cleanly after a
-    #: guest kill (torn map): resolution for them waits for salvage.
-    damaged_domains: tuple[int, ...] = ()
+    config: OprofileConfig
 
     @property
     def killed_domains(self) -> tuple[int, ...]:
@@ -105,45 +107,45 @@ class MultiStackResult:
             if g.killed is not None
         )
 
-    def _write_event_files(self, dest: Path, samples: list) -> list[Path]:
-        """One ``XPRS`` file per event under ``dest`` (created on demand).
+    # -- persistence ---------------------------------------------------
 
-        ``samples`` may be empty for an event: the file is still written,
-        header-only, so a freshly killed guest's sub-session stays a
-        complete (and salvageable) session directory.
+    def _write_sample_files(self, dirs: dict[Path, int | None]) -> list[Path]:
+        """One ``XPRS`` file per programmed event in each directory of
+        ``dirs``, which maps a directory to the domain it holds (``None``
+        for every domain); returns the paths written.
+
+        The buffer is partitioned once, in buffer order.  An event a
+        directory never saw still gets its file, header-only, so every
+        session — an empty fleet's, or a freshly killed guest's
+        sub-session — is complete (and salvageable).
         """
-        from repro.xen.samplefile import XenoSampleFileWriter
-
-        events = sorted({s.raw.event_name for s in self.buffer.samples})
-        by_event: dict[str, list] = {event: [] for event in events}
-        for s in samples:
-            by_event[s.raw.event_name].append(s)
-        dest.mkdir(parents=True, exist_ok=True)
+        parts: dict[tuple[int | None, str], tuple[list, list]] = {}
+        for s in self.buffer.samples:
+            for did in (None, s.domain_id):
+                raws, dids = parts.setdefault(
+                    (did, s.raw.event_name), ([], [])
+                )
+                raws.append(s.raw)
+                dids.append(s.domain_id)
+        events = sorted(spec.event_name for spec in self.config.events)
+        period = self.config.primary_period
         paths = []
-        for event, batch in sorted(by_event.items()):
-            path = dest / f"xenoprof.{event}.samples"
-            with XenoSampleFileWriter(path, event, period=self.period) as w:
-                w.write_batch(batch)
-            paths.append(path)
+        for dest, did in dirs.items():
+            dest.mkdir(parents=True, exist_ok=True)
+            for event in events:
+                raws, dids = parts.get((did, event), ([], []))
+                path = dest / f"xenoprof.{event}.samples"
+                with RecordFileWriter(path, DOMAIN_CODEC, event, period) as w:
+                    w.write_batch(raws, dids)
+                paths.append(path)
         return paths
 
     def save_samples(self) -> list[Path]:
         """Persist the tagged sample stream, one file per event, under the
         session directory (what XenoProf's dom0 daemon does)."""
-        from repro.xen.samplefile import XenoSampleFileWriter
+        return self._write_sample_files({self.session_dir: None})
 
-        by_event: dict[str, list] = {}
-        for s in self.buffer.samples:
-            by_event.setdefault(s.raw.event_name, []).append(s)
-        paths = []
-        for event, samples in sorted(by_event.items()):
-            path = self.session_dir / f"xenoprof.{event}.samples"
-            with XenoSampleFileWriter(path, event, period=self.period) as w:
-                w.write_batch(samples)
-            paths.append(path)
-        return paths
-
-    def save_fleet_session(self) -> dict[str, list[Path]]:
+    def save_fleet_session(self) -> list[Path]:
         """Persist the many-guest fleet layout.
 
         The root stream lands in ``samples/`` (all domains, one ``XPRS``
@@ -154,26 +156,105 @@ class MultiStackResult:
         order matches the root stream (both are buffer order), so the
         per-domain files are an exact partition of the root stream.
         """
-        out = {
-            "root": self._write_event_files(
-                self.session_dir / "samples", list(self.buffer.samples)
-            )
-        }
+        dirs: dict[Path, int | None] = {self.session_dir / "samples": None}
         for did in sorted(self.guests):
-            out[f"dom{did}"] = self._write_event_files(
-                self.session_dir / f"dom{did}" / "samples",
-                [s for s in self.buffer.samples if s.domain_id == did],
+            dirs[self.session_dir / f"dom{did}" / "samples"] = did
+        return self._write_sample_files(dirs)
+
+    # -- chain construction --------------------------------------------
+
+    def domain_chain(
+        self,
+        domain_id: int,
+        quarantined: Iterable[int] = (),
+        strict: bool = True,
+    ) -> ResolverChain:
+        """A fresh VIProf chain for one guest (kernel → JIT epoch maps →
+        boot image → task VMAs), with its own counters and memo.
+
+        ``quarantined`` epochs become barriers in the domain's code-map
+        index (exactly what its salvage report prescribes); pair with
+        ``strict=False`` to resolve a salvaged domain in degraded mode.
+        """
+        try:
+            g = self.guests[domain_id]
+        except KeyError:
+            raise ProfilerError(
+                f"no domain {domain_id} in this run "
+                f"(domains: {', '.join(map(str, sorted(self.guests)))})"
+            ) from None
+        if g.map_dir.is_dir():
+            codemaps = CodeMapIndex.load_dir(
+                g.map_dir, quarantined=tuple(quarantined)
             )
-        return out
+        else:
+            codemaps = CodeMapIndex({})
+        lo, hi = g.heap.bounds
+        return viprof_chain(
+            g.kernel,
+            codemaps,
+            g.boot.rvm_map,
+            (VmRegistration(g.vm_pid, lo, hi),),
+            strict=strict,
+        )
 
-    def domain_report(self, domain_id: int):
-        return self.report_builder.domain_report(self.buffer, domain_id)
+    def fleet_chain(
+        self,
+        quarantined: Mapping[int, Iterable[int]] | None = None,
+        strict: bool = True,
+    ) -> ResolverChain:
+        """The full multi-stack chain: hypervisor stage over a fresh
+        per-domain dispatch.  ``quarantined`` maps domain id to that
+        domain's barrier epochs; unlisted domains get clean chains."""
+        quarantined = dict(quarantined or {})
+        return xen_chain(
+            self.hypervisor,
+            {
+                did: self.domain_chain(
+                    did, quarantined.get(did, ()), strict=strict
+                )
+                for did in sorted(self.guests)
+            },
+        )
 
-    def unified_report(self):
-        return self.report_builder.unified_report(self.buffer)
+    # -- in-memory reports ---------------------------------------------
+
+    def domain_report(self, domain_id: int) -> ProfileReport:
+        """Per-domain profile: that guest's samples plus hypervisor work
+        performed while it ran (XenoProf's per-domain view)."""
+        chain = xen_chain(
+            self.hypervisor, {domain_id: self.domain_chain(domain_id)}
+        )
+        stream = (s for s in self.buffer.samples if s.domain_id == domain_id)
+        agg = StreamingAggregator()
+        for resolved in chain.resolve_stream(stream):
+            agg.add(resolved)
+        return agg.report()
+
+    def unified_report(self) -> ProfileReport:
+        """One vertically *and horizontally* integrated profile: every
+        domain's stack plus the hypervisor, in one listing.  Symbols are
+        prefixed with their domain so identical guest symbols stay
+        distinguishable."""
+        agg = StreamingAggregator()
+        samples = self.buffer.samples
+        for s, r in zip(samples, self.fleet_chain().resolve_stream(samples)):
+            if self.hypervisor.is_xen_address(s.raw.pc):
+                prefix = "xen"
+            else:
+                prefix = f"dom{s.domain_id}"
+            agg.add(
+                ResolvedSample(
+                    raw=r.raw, image=f"{prefix}:{r.image}", symbol=r.symbol
+                )
+            )
+        return agg.report()
 
     def xen_share(self) -> float:
-        return self.report_builder.xen_share(self.buffer)
+        """Fraction of all samples that landed in the hypervisor itself."""
+        if not len(self.buffer):
+            return 0.0
+        return self.buffer.xen_samples / len(self.buffer)
 
 
 class MultiStackEngine:
@@ -184,7 +265,8 @@ class MultiStackEngine:
         specs: list[GuestSpec],
         period: int = 90_000,
         time_scale: float = 1.0,
-        session_dir: Path | None = None,
+        *,
+        session_dir: Path | str,
         seed: int = 7,
     ) -> None:
         if not specs:
@@ -194,9 +276,7 @@ class MultiStackEngine:
         self.cpu = CPU()
         self.buffer = XenoProfBuffer()
         self.config = OprofileConfig.paper_config(period)
-        self.session_dir = session_dir or Path(
-            tempfile.mkdtemp(prefix="xenoprof-")
-        )
+        self.session_dir = Path(session_dir)
         self.seed = seed
         self._current_domain: int = 0
         self._in_xen_quantum = False
@@ -393,39 +473,11 @@ class MultiStackEngine:
                     self._kill_guest(guest, fault)
                 domain.finished = True
 
-        resolvers: dict[int, DomainResolver] = {}
-        damaged: list[int] = []
-        for did, g in self.guests.items():
-            try:
-                codemaps = (
-                    CodeMapIndex.load_dir(g.map_dir)
-                    if g.map_dir.is_dir()
-                    else CodeMapIndex({})
-                )
-            except CodeMapError:
-                if g.killed is None:
-                    raise
-                # A torn map from the guest kill: the eager report keeps
-                # running (the domain's heap samples fall to
-                # "(unresolved jit)"); exact accounting for this domain
-                # waits for salvage + a quarantined rebuild
-                # (repro.xen.fleet.FleetSession.domain_chain).
-                codemaps = CodeMapIndex({})
-                damaged.append(did)
-            resolvers[did] = DomainResolver(
-                kernel=g.kernel,
-                vm_task_id=g.vm_pid,
-                heap_bounds=g.heap.bounds,
-                codemaps=codemaps,
-                rvm_map=g.boot.rvm_map,
-            )
         return MultiStackResult(
             hypervisor=self.hypervisor,
             buffer=self.buffer,
-            report_builder=XenoProfReport(self.hypervisor, resolvers),
             guests=self.guests,
             wall_cycles=self.cpu.cycle,
             session_dir=self.session_dir,
-            period=self.config.primary_period,
-            damaged_domains=tuple(damaged),
+            config=self.config,
         )

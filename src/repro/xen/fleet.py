@@ -22,29 +22,27 @@ what makes guest-kill isolation mechanical: a dead guest's damage is
 confined to its own ``dom<N>/`` subtree, and rebuilding its chain with
 quarantined epochs never touches a sibling's artifacts.
 
-Resolution goes through the streaming pipeline (:mod:`repro.pipeline`)
-rather than the eager :class:`~repro.xen.xenoprof.XenoProfReport` path,
-so fleet reports shard across workers like any session and their
-``stats_dict()`` carries the per-domain inner-chain counters.
+Resolution streams the session's sample files through the pipeline
+(:mod:`repro.pipeline`) with chains from
+:meth:`MultiStackResult.domain_chain` and
+:meth:`MultiStackResult.fleet_chain`, so fleet reports shard across
+workers like any session and their ``stats_dict()`` carries the
+per-domain inner-chain counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.errors import ProfilerError
 from repro.pipeline import (
     DirectorySource,
     ResolverChain,
     run_pipeline,
-    viprof_chain,
     xen_chain,
 )
 from repro.profiling.report import ProfileReport
-from repro.viprof.codemap import CodeMapIndex
-from repro.viprof.runtime_profiler import VmRegistration
 from repro.workloads.base import Workload
 from repro.xen.engine import GuestSpec, MultiStackEngine, MultiStackResult
 
@@ -61,16 +59,14 @@ FLEET_SHARD_PATTERN = "dom*/samples/*.samples"
 class FleetSession:
     """One many-guest session: artifacts on disk plus live guest state.
 
-    Chains built here are *fresh per call* — each carries its own
-    counters and cache — so a caller can resolve the same session twice
-    (say, strict baseline vs degraded post-salvage) without one run's
+    Every resolution builds fresh chains through the result's
+    :meth:`~MultiStackResult.domain_chain`, each with its own counters
+    and cache, so a caller can resolve the same session twice (say,
+    strict baseline vs degraded post-salvage) without one run's
     statistics bleeding into the other's.
     """
 
     result: MultiStackResult
-    #: ``save_fleet_session()``'s output: ``"root"`` and ``"dom<N>"``
-    #: keys to the sample files written for each.
-    saved: dict[str, list[Path]] = field(default_factory=dict)
 
     @property
     def session_dir(self) -> Path:
@@ -84,63 +80,9 @@ class FleetSession:
     def killed_domains(self) -> tuple[int, ...]:
         return self.result.killed_domains
 
-    @property
-    def damaged_domains(self) -> tuple[int, ...]:
-        return self.result.damaged_domains
-
     def domain_dir(self, domain_id: int) -> Path:
         """The domain's sub-session root (``session/dom<N>``)."""
         return self.session_dir / f"dom{domain_id}"
-
-    # -- chain construction --------------------------------------------
-
-    def domain_chain(
-        self,
-        domain_id: int,
-        quarantined: Iterable[int] = (),
-        strict: bool = True,
-    ) -> ResolverChain:
-        """A fresh VIProf chain for one guest.
-
-        ``quarantined`` epochs become barriers in the domain's code-map
-        index (exactly what its salvage report prescribes); pair with
-        ``strict=False`` to resolve a salvaged domain in degraded mode.
-        """
-        g = self._guest(domain_id)
-        quarantined = tuple(quarantined)
-        if g.map_dir.is_dir():
-            codemaps = CodeMapIndex.load_dir(
-                g.map_dir, quarantined=quarantined
-            )
-        else:
-            codemaps = CodeMapIndex({})
-        lo, hi = g.heap.bounds
-        return viprof_chain(
-            g.kernel,
-            codemaps,
-            g.boot.rvm_map,
-            (VmRegistration(g.vm_pid, lo, hi),),
-            strict=strict,
-        )
-
-    def fleet_chain(
-        self,
-        quarantined: Mapping[int, Iterable[int]] | None = None,
-        strict: bool = True,
-    ) -> ResolverChain:
-        """The full multi-stack chain: hypervisor stage over a fresh
-        per-domain dispatch.  ``quarantined`` maps domain id to that
-        domain's barrier epochs; unlisted domains get clean chains."""
-        quarantined = dict(quarantined or {})
-        return xen_chain(
-            self.result.hypervisor,
-            {
-                did: self.domain_chain(
-                    did, quarantined.get(did, ()), strict=strict
-                )
-                for did in self.domain_ids
-            },
-        )
 
     # -- sources -------------------------------------------------------
 
@@ -179,7 +121,7 @@ class FleetSession:
         exactly this run — including every domain's inner-chain counters
         under the dispatch stage's ``detail``.
         """
-        chain = self.fleet_chain(quarantined, strict=strict)
+        chain = self.result.fleet_chain(quarantined, strict=strict)
         report = run_pipeline(
             self.source(sharded=sharded),
             chain,
@@ -206,7 +148,7 @@ class FleetSession:
         chain = xen_chain(
             self.result.hypervisor,
             {
-                domain_id: self.domain_chain(
+                domain_id: self.result.domain_chain(
                     domain_id, quarantined, strict=strict
                 )
             },
@@ -235,26 +177,17 @@ class FleetSession:
         (dom_dir / "jit-maps").mkdir(parents=True, exist_ok=True)
         return salvage_session(dom_dir, dry_run=dry_run)
 
-    # -- internals -----------------------------------------------------
-
-    def _guest(self, domain_id: int):
-        try:
-            return self.result.guests[domain_id]
-        except KeyError:
-            raise ProfilerError(
-                f"no domain {domain_id} in this fleet "
-                f"(domains: {', '.join(map(str, self.domain_ids))})"
-            ) from None
-
 
 def run_fleet(
     workloads: list[Workload],
     period: int = 90_000,
     time_scale: float = 1.0,
-    session_dir: Path | None = None,
+    *,
+    session_dir: Path | str,
     seed: int = 7,
 ) -> FleetSession:
-    """Run N guest stacks and persist the fleet session layout."""
+    """Run N guest stacks and persist the fleet session layout under
+    ``session_dir``."""
     engine = MultiStackEngine(
         [GuestSpec(w) for w in workloads],
         period=period,
@@ -263,4 +196,5 @@ def run_fleet(
         seed=seed,
     )
     result = engine.run()
-    return FleetSession(result=result, saved=result.save_fleet_session())
+    result.save_fleet_session()
+    return FleetSession(result=result)

@@ -1,4 +1,4 @@
-"""XenoProf-style sampling and cross-stack post-processing.
+"""XenoProf-style sampling: the hypervisor-side, domain-tagged buffer.
 
 XenoProf moves the counter-overflow handler into the hypervisor: Xen owns
 the hardware counters, tags each sample with the *currently running
@@ -8,34 +8,23 @@ same structure:
 * :class:`XenoSample` — a raw sample plus its domain id;
 * :class:`XenoProfBuffer` — the hypervisor-side sample store with
   per-domain accounting (and a bounded capacity, like the real shared
-  buffer pages);
-* :class:`XenoProfReport` — resolution across *every* layer of *every*
-  stack: hypervisor symbols, each guest's kernel, its processes, its boot
-  image (via RVM.map), and its JIT code (via that domain's VIProf epoch
-  code maps).  This is the paper's "multiple concurrently executing
-  software stacks" goal realized end to end.
+  buffer pages).
 
-Resolution is the streaming pipeline's (:mod:`repro.pipeline`): each
-:class:`DomainResolver` is one guest's VIProf chain, and the report is a
-hypervisor stage in front of a domain-dispatch stage over those chains —
-the same stages every other report in the tree composes.
+Resolution across *every* layer of *every* stack — hypervisor symbols,
+each guest's kernel, its processes, its boot image (via RVM.map), and its
+JIT code (via that domain's VIProf epoch code maps) — is the streaming
+pipeline's :func:`~repro.pipeline.xen_chain` over one
+:func:`~repro.pipeline.viprof_chain` per guest, built by
+:meth:`repro.xen.engine.MultiStackResult.domain_chain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.jvm.bootimage import RvmMap
-from repro.os.kernel import Kernel
-from repro.pipeline import viprof_chain, xen_chain
-from repro.pipeline.source import PipelineSample
-from repro.profiling.model import RawSample, ResolvedSample
-from repro.profiling.report import ProfileReport, StreamingAggregator
-from repro.viprof.codemap import CodeMapIndex
-from repro.viprof.runtime_profiler import VmRegistration
-from repro.xen.hypervisor import Hypervisor
+from repro.profiling.model import RawSample
 
-__all__ = ["XenoSample", "XenoProfBuffer", "DomainResolver", "XenoProfReport"]
+__all__ = ["XenoSample", "XenoProfBuffer"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,89 +63,3 @@ class XenoProfBuffer:
 
     def __len__(self) -> int:
         return len(self._samples)
-
-
-@dataclass
-class DomainResolver:
-    """Everything needed to symbolize one guest's samples.
-
-    Attributes:
-        kernel: the guest's kernel (own vmlinux + process table).
-        vm_task_id: pid of the guest's JVM process.
-        heap_bounds: the registered VM heap range.
-        codemaps: the guest's VIProf epoch code maps.
-        rvm_map: the guest's boot-image map.
-
-    The resolver is one guest's VIProf chain (kernel → JIT epoch maps →
-    boot image → task VMAs), built once and cached; its per-stage counters
-    accumulate across every sample the domain resolves.
-    """
-
-    kernel: Kernel
-    vm_task_id: int
-    heap_bounds: tuple[int, int]
-    codemaps: CodeMapIndex
-    rvm_map: RvmMap
-
-    def __post_init__(self) -> None:
-        lo, hi = self.heap_bounds
-        self.chain = viprof_chain(
-            self.kernel,
-            self.codemaps,
-            self.rvm_map,
-            (VmRegistration(self.vm_task_id, lo, hi),),
-        )
-
-    def resolve(self, sample: RawSample) -> ResolvedSample:
-        return self.chain.resolve(PipelineSample(raw=sample))
-
-
-class XenoProfReport:
-    """Cross-stack post-processor over a XenoProf buffer."""
-
-    def __init__(
-        self,
-        hypervisor: Hypervisor,
-        resolvers: dict[int, DomainResolver],
-    ) -> None:
-        self.hypervisor = hypervisor
-        self.resolvers = resolvers
-        self.chain = xen_chain(
-            hypervisor, {d: r.chain for d, r in resolvers.items()}
-        )
-
-    def domain_report(
-        self, buffer: XenoProfBuffer, domain_id: int
-    ) -> ProfileReport:
-        """Per-domain profile: that guest's samples plus hypervisor work
-        performed while it ran (XenoProf's per-domain view)."""
-        stream = (s for s in buffer.samples if s.domain_id == domain_id)
-        agg = StreamingAggregator()
-        for resolved in self.chain.resolve_stream(stream):
-            agg.add(resolved)
-        return agg.report()
-
-    def unified_report(self, buffer: XenoProfBuffer) -> ProfileReport:
-        """One vertically *and horizontally* integrated profile: every
-        domain's stack plus the hypervisor, in one listing.  Symbols are
-        prefixed with their domain so identical guest symbols stay
-        distinguishable."""
-        agg = StreamingAggregator()
-        samples = buffer.samples
-        for s, r in zip(samples, self.chain.resolve_stream(samples)):
-            if self.hypervisor.is_xen_address(s.raw.pc):
-                prefix = "xen"
-            else:
-                prefix = f"dom{s.domain_id}"
-            agg.add(
-                ResolvedSample(
-                    raw=r.raw, image=f"{prefix}:{r.image}", symbol=r.symbol
-                )
-            )
-        return agg.report()
-
-    def xen_share(self, buffer: XenoProfBuffer) -> float:
-        """Fraction of all samples that landed in the hypervisor itself."""
-        if not len(buffer):
-            return 0.0
-        return buffer.xen_samples / len(buffer)

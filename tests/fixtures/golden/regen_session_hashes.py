@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -47,13 +48,15 @@ def viprof_session_hashes() -> dict[str, str]:
 
 
 def xen_session_hashes() -> dict[str, str]:
-    engine = MultiStackEngine(
-        [GuestSpec(by_name("fop")), GuestSpec(by_name("ps"), weight=512)],
-        **XEN_PARAMS,
-    )
-    result = engine.run()
-    result.save_samples()
-    return hash_tree(result.session_dir)
+    with tempfile.TemporaryDirectory(prefix="xenoprof-") as session_dir:
+        engine = MultiStackEngine(
+            [GuestSpec(by_name("fop")), GuestSpec(by_name("ps"), weight=512)],
+            **XEN_PARAMS,
+            session_dir=session_dir,
+        )
+        result = engine.run()
+        result.save_samples()
+        return hash_tree(result.session_dir)
 
 
 def main() -> int:

@@ -37,6 +37,7 @@ from repro.pipeline import DirectorySource, xen_chain
 from repro.pipeline.stages import UNRESOLVED_JIT
 from repro.statcheck.analyzer import lint_session
 from repro.statcheck.findings import Severity
+from repro.viprof.codemap import CodeMapError
 from repro.workloads.fleet import fleet_workloads
 from repro.xen.fleet import FleetSession, run_fleet
 
@@ -70,7 +71,7 @@ def _fleet_multisets(
 ):
     """Per-domain resolution multisets of the whole fleet stream, plus
     the chain that produced them (for its counters)."""
-    chain = fs.fleet_chain(quarantined, strict=strict)
+    chain = fs.result.fleet_chain(quarantined, strict=strict)
     out = {did: Counter() for did in fs.domain_ids}
     for ps in fs.source():
         rs = chain.resolve(ps)
@@ -90,7 +91,11 @@ def _domain_multiset(
     single-domain chain — the clean twin the fleet path must match."""
     chain = xen_chain(
         fs.result.hypervisor,
-        {domain_id: fs.domain_chain(domain_id, quarantined, strict=strict)},
+        {
+            domain_id: fs.result.domain_chain(
+                domain_id, quarantined, strict=strict
+            )
+        },
     )
     out: Counter = Counter()
     for ps in DirectorySource(fs.domain_dir(domain_id) / "samples"):
@@ -178,13 +183,17 @@ def test_guest_kill_isolation(point, selector, baseline, hit_counts, tmp_path):
     # Exactly one guest dies; the engine finishes the siblings.
     assert len(fs.killed_domains) == 1
     killed = fs.killed_domains[0]
-    assert set(fs.damaged_domains) <= {killed}
     survivors = [d for d in fs.domain_ids if d != killed]
+    try:
+        fs.result.domain_chain(killed)
+        torn = False
+    except CodeMapError:
+        torn = True
 
     # Salvage the dead guest's own sub-session only.
     manifest = fs.salvage_domain(killed)
     quarantined = tuple(manifest.quarantined_epochs)
-    if fs.damaged_domains:
+    if torn:
         # A torn map must have been quarantined, not silently parsed.
         assert manifest.damaged and quarantined
 

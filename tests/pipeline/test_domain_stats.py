@@ -73,7 +73,7 @@ def test_per_domain_stats_lifts_detail_by_integer_id(session):
 
 
 def test_per_domain_stats_ignores_single_stack_chains(session):
-    chain = session.domain_chain(session.domain_ids[0])
+    chain = session.result.domain_chain(session.domain_ids[0])
     assert per_domain_stats(chain.stats_dict()) == {}
     assert per_domain_stats({"stages": "not-a-list"}) == {}
 
@@ -124,7 +124,9 @@ def test_inner_degradation_propagates_to_outer_chain(tmp_path):
     }
     # The per-sample oracle counts the same inner and outer statistics.
     _, reference = oracle_report(
-        session.fleet_chain(quarantined={victim: epochs}, strict=False),
+        session.result.fleet_chain(
+            quarantined={victim: epochs}, strict=False
+        ),
         session.source(),
     )
     assert without_cache(stats) == reference
@@ -133,7 +135,7 @@ def test_inner_degradation_propagates_to_outer_chain(tmp_path):
 def test_plain_viprof_chain_detail_is_unchanged(session):
     # The fix touches only the dispatch stage: a single-stack VIProf
     # chain's stats_dict keeps its flat shape (no dom-keyed nesting).
-    chain = session.domain_chain(session.domain_ids[0])
+    chain = session.result.domain_chain(session.domain_ids[0])
     stats = chain.stats_dict()
     for e in stats["stages"]:
         detail = e.get("detail")

@@ -3,7 +3,7 @@ to the legacy batch resolvers' output.
 
 The fixtures under ``tests/fixtures/golden/`` were captured from the
 pre-pipeline resolver implementations (subclass-override ``OpReport``/
-``ViprofReport`` and the hand-rolled Xen ``DomainResolver``) on seeded,
+``ViprofReport`` and a hand-rolled per-domain Xen resolver) on seeded,
 deterministic runs.  These tests regenerate the same reports through the
 stage-composition pipeline and compare bytes — any drift in resolution
 order, tie-breaking, or formatting fails loudly.
@@ -45,10 +45,10 @@ class TestGoldenParity:
         )
         assert cs.side_by_side() + "\n" == golden("case_study_fop.txt")
 
-    def test_xen_reports_match_legacy_bytes(self):
+    def test_xen_reports_match_legacy_bytes(self, tmp_path):
         engine = MultiStackEngine(
             [GuestSpec(by_name("fop")), GuestSpec(by_name("ps"), weight=512)],
-            period=30_000, time_scale=0.08, seed=7,
+            period=30_000, time_scale=0.08, session_dir=tmp_path, seed=7,
         )
         res = engine.run()
         text = res.unified_report().format_table() + "\n"

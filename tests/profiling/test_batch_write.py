@@ -19,8 +19,6 @@ from repro.profiling.record_codec import (
     RecordFileReader,
     RecordFileWriter,
 )
-from repro.xen.samplefile import XenoSampleFileWriter
-from repro.xen.xenoprof import XenoSample
 
 EVENT = "GLOBAL_POWER_EVENTS"
 
@@ -131,16 +129,14 @@ class TestWriteBatchParity:
             assert [rec.sample for rec in r] == samples
 
     def test_xeno_writer_batch_parity(self, tmp_path):
-        xs = [
-            XenoSample(raw=sample(pc=0x2000 + i, epoch=i), domain_id=i % 3)
-            for i in range(25)
-        ]
+        raws = [sample(pc=0x2000 + i, epoch=i) for i in range(25)]
+        domains = [i % 3 for i in range(25)]
         seq, bat = tmp_path / "seq.samples", tmp_path / "bat.samples"
-        with XenoSampleFileWriter(seq, EVENT, 1000) as w:
-            for s in xs:
-                w.write(s)
-        with XenoSampleFileWriter(bat, EVENT, 1000) as w:
-            assert w.write_batch(iter(xs)) == len(xs)
+        with RecordFileWriter(seq, DOMAIN_CODEC, EVENT, 1000) as w:
+            for s, d in zip(raws, domains):
+                w.write(s, domain_id=d)
+        with RecordFileWriter(bat, DOMAIN_CODEC, EVENT, 1000) as w:
+            assert w.write_batch(iter(raws), iter(domains)) == len(raws)
         assert seq.read_bytes() == bat.read_bytes()
 
 

@@ -1,5 +1,7 @@
 """Tests for the viprof CLI."""
 
+import tempfile
+
 import pytest
 
 from repro.cli import main
@@ -59,6 +61,29 @@ class TestCli:
         assert main(["xen", "fop", "--scale", "0.08"]) == 0
         out = capsys.readouterr().out
         assert "world switches" in out and "dom0:" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["xen", "fop", "--scale", "0.05"],
+            ["xen", "--fleet", "2", "--scale", "0.1", "--period", "20000"],
+        ],
+        ids=["stacks", "fleet"],
+    )
+    def test_xen_leaves_no_session_dir(self, argv, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(argv) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_xen_fleet_without_samples(self, capsys):
+        # One guest at the default period records nothing; the session
+        # still holds a header-only file per programmed event.
+        assert main(["xen", "--fleet", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("fleet: 1 domains, 0 samples")
+        rollup = out.split("== fleet rollup ==\n")[1]
+        table = rollup.split("\n\nresolution stages:")[0].splitlines()
+        assert len(table) == 1 and "Symbol name" in table[0]  # header only
 
     def test_timeline(self, capsys):
         assert main(

@@ -51,12 +51,13 @@ def test_viprof_session_matches_golden(golden):
     assert hash_tree(run.session_dir) == golden["viprof_fop"]["files"]
 
 
-def test_xen_session_matches_golden(golden):
+def test_xen_session_matches_golden(golden, tmp_path):
     params = golden["xen_fop_ps"]["params"]
     engine = MultiStackEngine(
         [GuestSpec(by_name("fop")), GuestSpec(by_name("ps"), weight=512)],
         period=params["period"],
         time_scale=params["time_scale"],
+        session_dir=tmp_path,
         seed=params["seed"],
     )
     result = engine.run()

@@ -34,7 +34,7 @@ def session(tmp_path_factory):
 
 def _oracle(session, sharded):
     report, stats = oracle_report(
-        session.fleet_chain(), session.source(sharded=sharded),
+        session.result.fleet_chain(), session.source(sharded=sharded),
         events=session.events(),
     )
     return {
@@ -81,7 +81,8 @@ def test_fleet_parity_root_stream(session, reference, workers, memo):
     if memo:
         report, chain = session.resolve(workers=workers)
     else:
-        domains = session.fleet_chain().stage("domain-dispatch").chains
+        fleet = session.result.fleet_chain()
+        domains = fleet.stage("domain-dispatch").chains
         chain = xen_chain(
             session.result.hypervisor,
             {
