@@ -18,9 +18,12 @@ from benchmarks.conftest import publish
 from repro.system.experiment import run_case_study
 
 
-def test_figure1_case_study(benchmark, results_dir, scale):
+def test_figure1_case_study(benchmark, results_dir, scale, tmp_path):
     result = benchmark.pedantic(
-        lambda: run_case_study("ps", period=90_000, time_scale=scale, limit=14),
+        lambda: run_case_study(
+            "ps", period=90_000, time_scale=scale, limit=14,
+            session_dir=tmp_path,
+        ),
         rounds=1,
         iterations=1,
     )

@@ -13,7 +13,7 @@ from repro.hardware.cache import (
     StatisticalCacheModel,
 )
 from repro.hardware.counters import CounterBank, CounterConfig
-from repro.hardware.cpu import CPU, Quantum
+from repro.hardware.cpu import CPU
 from repro.hardware.events import EventCounts, GLOBAL_POWER_EVENTS
 from repro.hardware.memory import WorkingSet
 from repro.profiling.model import RawSample
@@ -52,11 +52,8 @@ def test_cpu_quantum_execution(benchmark):
         CounterConfig(event=GLOBAL_POWER_EVENTS, period=90_000)
     )
     cpu.nmi.register(lambda f: 1100)
-    q = Quantum(
-        pc_start=0x6080_0000, code_len=0x800,
-        counts=EventCounts(cycles=2_000, instructions=1_500),
-    )
-    benchmark(cpu.execute, q)
+    counts = EventCounts(cycles=2_000, instructions=1_500)
+    benchmark(cpu.execute, 0x6080_0000, 0x800, counts)
 
 
 def test_codemap_backward_resolution(benchmark, tmp_path):

@@ -13,6 +13,8 @@ Usage::
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
 from repro.system.experiment import run_case_study
 
@@ -24,9 +26,11 @@ def main() -> None:
     ap.add_argument("--rows", type=int, default=14)
     args = ap.parse_args()
 
-    result = run_case_study(
-        args.benchmark, time_scale=args.scale, limit=args.rows
-    )
+    with tempfile.TemporaryDirectory(prefix="viprof-case-study-") as tmp:
+        result = run_case_study(
+            args.benchmark, time_scale=args.scale, limit=args.rows,
+            session_dir=Path(tmp),
+        )
     print(result.side_by_side())
 
     v = result.viprof_run

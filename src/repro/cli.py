@@ -32,6 +32,9 @@ import argparse
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
 
 from repro.analysis.overhead import decompose_overhead
 from repro.system.api import base_run, oprofile_profile, viprof_profile
@@ -47,6 +50,13 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--period", type=int, default=90_000,
                    help="sampling period in cycles (default 90000)")
     p.add_argument("--seed", type=int, default=7)
+
+
+@contextmanager
+def _session_dir(benchmark: str) -> Iterator[Path]:
+    """A session directory for one command's runs, removed afterwards."""
+    with tempfile.TemporaryDirectory(prefix=f"viprof-{benchmark}-") as tmp:
+        yield Path(tmp)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -154,23 +164,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return _run_fleet_report(
             [by_name(n) for n in args.benchmark], args, workers=workers
         )
-    result = viprof_profile(
-        by_name(args.benchmark[0]), period=args.period,
-        time_scale=args.scale, seed=args.seed,
-    )
     workers = args.workers if args.workers == "auto" else int(args.workers)
-    vr = result.viprof_report(workers=workers)
+    with _session_dir(args.benchmark[0]) as session_dir:
+        result = viprof_profile(
+            by_name(args.benchmark[0]), period=args.period,
+            time_scale=args.scale, seed=args.seed, session_dir=session_dir,
+        )
+        vr = result.viprof_report(workers=workers)
+        stats = vr.stage_stats
     if args.json:
         from repro.profiling.export import report_to_json
 
-        print(report_to_json(vr.report, stats=vr.stage_stats))
+        print(report_to_json(vr.report, stats=stats))
         return 0
     print(vr.report.format_table(limit=args.rows))
     s = vr.jit_stats
     print(f"\n{s.jit_samples} JIT samples, "
           f"{100 * s.resolution_rate:.1f}% resolved")
     print("\nresolution stages:")
-    stats = vr.stage_stats
     print(_format_stage_stats(stats))
     cache = stats.get("cache")
     if cache is not None:
@@ -180,10 +191,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_case_study(args: argparse.Namespace) -> int:
-    result = run_case_study(
-        args.benchmark, period=args.period, time_scale=args.scale,
-        seed=args.seed, limit=args.rows,
-    )
+    with _session_dir(args.benchmark) as session_dir:
+        result = run_case_study(
+            args.benchmark, period=args.period, time_scale=args.scale,
+            seed=args.seed, limit=args.rows, session_dir=session_dir,
+        )
     print(result.side_by_side())
     return 0
 
@@ -208,26 +220,29 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
         ("oprofile", oprofile_profile),
         ("viprof", viprof_profile),
     ):
-        run = runner(
-            by_name(wl), period=args.period,
-            time_scale=args.scale, seed=args.seed,
-        )
+        with _session_dir(wl) as session_dir:
+            run = runner(
+                by_name(wl), period=args.period,
+                time_scale=args.scale, seed=args.seed, session_dir=session_dir,
+            )
         print(decompose_overhead(base, run).format_row())
     return 0
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    result = viprof_profile(
-        by_name(args.benchmark), period=args.period,
-        time_scale=args.scale, seed=args.seed,
-    )
-    vr = result.viprof_report()
-    method = args.method
-    if method is None:
-        method = next(
-            r.symbol for r in vr.report.sorted_rows() if r.image == "JIT.App"
+    with _session_dir(args.benchmark) as session_dir:
+        result = viprof_profile(
+            by_name(args.benchmark), period=args.period,
+            time_scale=args.scale, seed=args.seed, session_dir=session_dir,
         )
-    ann = vr.post.annotate_jit(method, bucket_bytes=args.bucket)
+        vr = result.viprof_report()
+        method = args.method
+        if method is None:
+            method = next(
+                r.symbol for r in vr.report.sorted_rows()
+                if r.image == "JIT.App"
+            )
+        ann = vr.post.annotate_jit(method, bucket_bytes=args.bucket)
     print(ann.format_table(limit=args.rows))
     hot = ann.hottest("GLOBAL_POWER_EVENTS")
     if hot is not None:
@@ -298,17 +313,15 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return 2
     benchmark = args.target[0]
     p_before, p_after = args.period
-    before = viprof_profile(
-        by_name(benchmark), period=p_before,
-        time_scale=args.scale, seed=args.seed,
-    )
-    after = viprof_profile(
-        by_name(benchmark), period=p_after,
-        time_scale=args.scale, seed=args.seed,
-    )
-    d = diff_reports(
-        before.viprof_report().report, after.viprof_report().report
-    )
+    reports = []
+    for period in (p_before, p_after):
+        with _session_dir(benchmark) as session_dir:
+            run = viprof_profile(
+                by_name(benchmark), period=period,
+                time_scale=args.scale, seed=args.seed, session_dir=session_dir,
+            )
+            reports.append(run.viprof_report().report)
+    d = diff_reports(*reports)
     print(f"profile diff: period {p_before} -> {p_after}")
     print(d.format_table(limit=args.rows))
     return 0
@@ -330,12 +343,13 @@ def _cmd_pgo(args: argparse.Namespace) -> int:
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.analysis.timeline import build_timeline
 
-    result = viprof_profile(
-        by_name(args.benchmark), period=args.period,
-        time_scale=args.scale, seed=args.seed,
-    )
-    post = result.viprof_report().post
-    tl = build_timeline(post.resolved_samples(), window_cycles=args.window)
+    with _session_dir(args.benchmark) as session_dir:
+        result = viprof_profile(
+            by_name(args.benchmark), period=args.period,
+            time_scale=args.scale, seed=args.seed, session_dir=session_dir,
+        )
+        post = result.viprof_report().post
+        tl = build_timeline(post.resolved_samples(), window_cycles=args.window)
     print(tl.format_table(top=args.top))
     transitions = tl.transitions(min_divergence=args.divergence)
     print(f"\nphase transitions at windows: {transitions or 'none'}")

@@ -31,7 +31,7 @@ from repro.hardware.cache import (
     StatisticalCacheModel,
 )
 from repro.hardware.memory import AddressStream, WorkingSet
-from repro.hardware.cpu import CPU, CpuMode, Quantum
+from repro.hardware.cpu import CPU, CpuMode
 
 __all__ = [
     "EVENTS",
@@ -50,5 +50,4 @@ __all__ = [
     "WorkingSet",
     "CPU",
     "CpuMode",
-    "Quantum",
 ]

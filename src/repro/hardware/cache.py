@@ -148,8 +148,8 @@ class StatisticalCacheModel:
     def __init__(self, geometry: CacheGeometry, seed: int = 0) -> None:
         self.geometry = geometry
         self._seed = seed
-        self._rngs: dict[int, np.random.Generator] = {}
-        self._rates: dict[int, float] = {}
+        #: ws_id -> (the working set's draw stream, its expected miss rate)
+        self._streams: dict[int, tuple[np.random.Generator, float]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -157,14 +157,15 @@ class StatisticalCacheModel:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    def _rng_for(self, ws: WorkingSet) -> np.random.Generator:
-        rng = self._rngs.get(ws.ws_id)
-        if rng is None:
-            rng = np.random.default_rng(
+    def _stream_for(self, ws: WorkingSet) -> tuple[np.random.Generator, float]:
+        stream = (
+            np.random.default_rng(
                 [self._seed, ws.seed & 0x7FFFFFFF, ws.base, ws.size]
-            )
-            self._rngs[ws.ws_id] = rng
-        return rng
+            ),
+            ws.expected_miss_rate(self.geometry.size_bytes),
+        )
+        self._streams[ws.ws_id] = stream
+        return stream
 
     def misses_for(self, ws: WorkingSet, n_accesses: int) -> int:
         """Return the number of L2 misses for ``n_accesses`` by ``ws``."""
@@ -172,11 +173,11 @@ class StatisticalCacheModel:
             raise ConfigError(f"negative access count {n_accesses}")
         if n_accesses == 0:
             return 0
-        rate = self._rates.get(ws.ws_id)
-        if rate is None:
-            rate = ws.expected_miss_rate(self.geometry.size_bytes)
-            self._rates[ws.ws_id] = rate
-        m = int(self._rng_for(ws).binomial(n_accesses, rate))
+        stream = self._streams.get(ws.ws_id)
+        if stream is None:
+            stream = self._stream_for(ws)
+        rng, rate = stream
+        m = int(rng.binomial(n_accesses, rate))
         self.hits += n_accesses - m
         self.misses += m
         return m

@@ -14,7 +14,7 @@ bank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -68,7 +68,8 @@ class EventCounts:
 
     The engine fills one of these per quantum; the counter bank drains it.
     ``cycles`` is always positive for a non-empty quantum; the other fields
-    may be zero.
+    may be zero.  Construction rejects a negative field, so the CPU never
+    re-checks a quantum's counts.
     """
 
     cycles: int = 0
@@ -80,35 +81,19 @@ class EventCounts:
     itlb_misses: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v < 0:
-                raise ConfigError(f"negative event count {f.name}={v}")
-
-    def get(self, field_name: str) -> int:
-        """Return the delta for ``field_name`` (an :class:`EventCounts` field)."""
-        return getattr(self, field_name)
-
-    def __add__(self, other: "EventCounts") -> "EventCounts":
-        return EventCounts(
-            cycles=self.cycles + other.cycles,
-            instructions=self.instructions + other.instructions,
-            l2_references=self.l2_references + other.l2_references,
-            l2_misses=self.l2_misses + other.l2_misses,
-            branches=self.branches + other.branches,
-            branch_mispredicts=self.branch_mispredicts + other.branch_mispredicts,
-            itlb_misses=self.itlb_misses + other.itlb_misses,
-        )
-
-    def __iadd__(self, other: "EventCounts") -> "EventCounts":
-        self.cycles += other.cycles
-        self.instructions += other.instructions
-        self.l2_references += other.l2_references
-        self.l2_misses += other.l2_misses
-        self.branches += other.branches
-        self.branch_mispredicts += other.branch_mispredicts
-        self.itlb_misses += other.itlb_misses
-        return self
+        if (
+            self.cycles < 0
+            or self.instructions < 0
+            or self.l2_references < 0
+            or self.l2_misses < 0
+            or self.branches < 0
+            or self.branch_mispredicts < 0
+            or self.itlb_misses < 0
+        ):
+            for name in self.__slots__:
+                v = getattr(self, name)
+                if v < 0:
+                    raise ConfigError(f"negative event count {name}={v}")
 
     def scaled(self, numer: int, denom: int) -> "EventCounts":
         """Return counts scaled by ``numer/denom`` (floor), used when a

@@ -91,9 +91,9 @@ class StatisticalTlbModel:
         """
         if code_len < 0 or footprint_bytes < 0:
             raise ConfigError("negative code_len/footprint")
-        pages = max(1, (code_len + (1 << PAGE_BITS) - 1) >> PAGE_BITS)
         if footprint_bytes <= self.reach_bytes:
             return 0
+        pages = max(1, (code_len + (1 << PAGE_BITS) - 1) >> PAGE_BITS)
         rate = 1.0 - self.reach_bytes / footprint_bytes
         m = int(self._rng.binomial(pages, min(0.95, rate)))
         self.misses += m

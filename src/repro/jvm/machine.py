@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from random import Random
 from typing import Callable, Iterator, Protocol
 
@@ -75,7 +76,7 @@ class StepKind(Enum):
     AGENT = "agent"  # VIProf VM-agent library work
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VmStep:
     """One slice of VM-process execution.
 
@@ -220,6 +221,17 @@ class JikesVM:
         self._vm_ws = WorkingSet(
             base=boot_base, size=boot.image.size, locality=0.9,
             hot_fraction=0.08, seed=seed ^ 0x71,
+        )
+        # Cumulative weights of every weighted draw, computed once.  Boot
+        # image entries weigh toward the front of each group so the
+        # Figure-1 symbols dominate their categories, with a long tail
+        # over the rest.
+        self._entry_cum_weights = {
+            activity: list(accumulate(1.0 / (i + 1) for i in range(len(group))))
+            for activity, group in boot.groups.items()
+        }
+        self._native_cum_weights = list(
+            accumulate(weight for *_, weight in workload.native_mix)
         )
 
     # ------------------------------------------------------------------
@@ -486,11 +498,10 @@ class JikesVM:
         mix = self.workload.native_mix
         if not mix:
             return
-        images = [m[0] for m in mix]
-        symbols = [m[1] for m in mix]
-        weights = [m[2] for m in mix]
-        i = self._rng.choices(range(len(mix)), weights=weights)[0]
-        yield from self._native_steps(images[i], symbols[i], cycles)
+        image, symbol, _ = self._rng.choices(
+            mix, cum_weights=self._native_cum_weights
+        )[0]
+        yield from self._native_steps(image, symbol, cycles)
 
     def _agent_steps(self, symbol: str, cycles: int) -> Iterator[VmStep]:
         if cycles <= 0:
@@ -539,7 +550,5 @@ class JikesVM:
 
     def _pick_entry(self, activity: VmActivity) -> RvmMapEntry:
         group = self.boot.entries_for(activity)
-        # Weight toward the front of each group so the Figure-1 symbols
-        # dominate their categories, with a long tail over the rest.
-        weights = [1.0 / (i + 1) for i in range(len(group))]
-        return self._rng.choices(group, weights=weights)[0]
+        cum_weights = self._entry_cum_weights[activity]
+        return self._rng.choices(group, cum_weights=cum_weights)[0]

@@ -39,6 +39,8 @@ class SampleBuffer:
     _samples: list[RawSample] = field(default_factory=list)
     lost: int = 0
     total_captured: int = 0
+    #: samples captured per event, in order of each event's first capture
+    captured_by_event: dict[str, int] = field(default_factory=dict)
 
     def append(self, sample: RawSample) -> bool:
         """Append a sample; returns False (and counts a loss) when full."""
@@ -47,6 +49,8 @@ class SampleBuffer:
             return False
         self._samples.append(sample)
         self.total_captured += 1
+        event = sample.event_name
+        self.captured_by_event[event] = self.captured_by_event.get(event, 0) + 1
         return True
 
     def drain(self, max_records: int | None = None) -> list[RawSample]:

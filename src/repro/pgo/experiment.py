@@ -12,7 +12,9 @@ quality.
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.pgo.guided import PgoAdaptiveSystem, hot_method_names
@@ -81,12 +83,13 @@ def run_pgo_experiment(
     if not isinstance(wl_profile, Workload):
         raise ConfigError("workload_factory must return a Workload")
 
-    # Pass 1: profile.
-    prof_run = viprof_profile(
-        wl_profile, period=period, time_scale=time_scale, seed=seed,
-        noise=False,
-    )
-    report = prof_run.viprof_report().report
+    # Pass 1: profile.  Only the hot set outlives the session.
+    with tempfile.TemporaryDirectory(prefix=f"viprof-{wl_profile.name}-") as tmp:
+        prof_run = viprof_profile(
+            wl_profile, period=period, time_scale=time_scale, seed=seed,
+            noise=False, session_dir=Path(tmp),
+        )
+        report = prof_run.viprof_report().report
     hot = hot_method_names(report, min_share=min_share)
 
     # Baseline pass: normal adaptive system, no profiler attached.

@@ -195,12 +195,25 @@ def run_case_study(
     seed: int = 7,
     time_scale: float = 1.0,
     limit: int = 12,
+    *,
+    session_dir: Path,
 ) -> CaseStudyResult:
-    """Reproduce Figure 1 for ``benchmark`` (DaCapo ``ps`` by default)."""
+    """Reproduce Figure 1 for ``benchmark`` (DaCapo ``ps`` by default).
+
+    The two sessions go to ``viprof/`` and ``oprofile/`` under
+    ``session_dir``, which the caller owns; the tables are rendered before
+    this returns, so the directory may go as soon as it does.
+    """
     wl_v = by_name(benchmark)
     wl_o = by_name(benchmark)
-    vrun = viprof_profile(wl_v, period=period, seed=seed, time_scale=time_scale)
-    orun = oprofile_profile(wl_o, period=period, seed=seed, time_scale=time_scale)
+    vrun = viprof_profile(
+        wl_v, period=period, seed=seed, time_scale=time_scale,
+        session_dir=session_dir / "viprof",
+    )
+    orun = oprofile_profile(
+        wl_o, period=period, seed=seed, time_scale=time_scale,
+        session_dir=session_dir / "oprofile",
+    )
     vreport = vrun.viprof_report().report
     oreport = orun.oprofile_report()
     return CaseStudyResult(

@@ -34,18 +34,24 @@ class TruthLedger:
     idle_cycles: int = 0
     total_cycles: int = 0
     total_misses: int = 0
+    #: (image, symbol) -> (layer, its by_symbol entry, that layer's
+    #: by_layer entry), so recording a label costs one lookup
+    _entries: dict[tuple[str, str], tuple[Layer, TruthEntry, TruthEntry]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def record(self, truth: TruthLabel, cycles: int, l2_misses: int = 0) -> None:
-        entry = self.by_symbol.get(truth.key)
-        if entry is None:
-            entry = TruthEntry()
-            self.by_symbol[truth.key] = entry
+        key = (truth.image, truth.symbol)
+        entries = self._entries.get(key)
+        if entries is None or entries[0] is not truth.layer:
+            entries = self._entries[key] = (
+                truth.layer,
+                self.by_symbol.setdefault(key, TruthEntry()),
+                self.by_layer.setdefault(truth.layer, TruthEntry()),
+            )
+        _, entry, lentry = entries
         entry.cycles += cycles
         entry.l2_misses += l2_misses
-        lentry = self.by_layer.get(truth.layer)
-        if lentry is None:
-            lentry = TruthEntry()
-            self.by_layer[truth.layer] = lentry
         lentry.cycles += cycles
         lentry.l2_misses += l2_misses
         self.total_cycles += cycles

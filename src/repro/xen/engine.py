@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 from repro.errors import ConfigError, InjectedFault, ProfilerError
 from repro.faults import injector as faults
 from repro.hardware.cache import CacheGeometry, StatisticalCacheModel
-from repro.hardware.cpu import CPU, CpuMode, Quantum
+from repro.hardware.cpu import CPU, CpuMode
 from repro.hardware.events import EventCounts
 from repro.hardware.interrupts import InterruptFrame
 from repro.jvm.bootimage import BootImage, build_boot_image
@@ -367,10 +367,7 @@ class MultiStackEngine:
         pc = self.hypervisor.xen_pc(symbol)
         sym = self.hypervisor.image.find_symbol(symbol)
         counts = EventCounts(cycles=cycles, instructions=cycles // 2)
-        self.cpu.execute(
-            Quantum(pc_start=pc, code_len=sym.size, counts=counts,
-                    mode=CpuMode.KERNEL)
-        )
+        self.cpu.execute(pc, sym.size, counts, CpuMode.KERNEL)
 
     def _tear_newest_map_effect(self, guest: _Guest):
         """Damage effect for :data:`~repro.faults.GUEST_MAP_TEAR`: cut the
@@ -414,16 +411,11 @@ class MultiStackEngine:
         if step.working_set is not None and step.accesses > 0:
             misses = guest.cache.misses_for(step.working_set, step.accesses)
         counts = EventCounts(
-            cycles=step.cycles,
-            instructions=step.instructions,
-            l2_references=step.accesses,
-            l2_misses=misses,
-            branches=step.instructions // 6,
+            step.cycles, step.instructions, step.accesses, misses,
+            step.instructions // 6,
         )
         self.cpu.current_task_id = guest.vm_pid
-        self.cpu.execute(
-            Quantum(pc_start=step.pc, code_len=step.code_len, counts=counts)
-        )
+        self.cpu.execute(step.pc, step.code_len, counts)
         guest.ledger.record(step.truth, step.cycles, misses)
         if step.kind is not StepKind.AGENT:
             guest.workload_cycles += step.cycles

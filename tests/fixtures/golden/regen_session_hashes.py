@@ -42,9 +42,11 @@ def hash_tree(root: Path) -> dict[str, str]:
 
 
 def viprof_session_hashes() -> dict[str, str]:
-    run = viprof_profile(by_name("fop"), **VIPROF_PARAMS)
-    assert run.session_dir is not None
-    return hash_tree(run.session_dir)
+    with tempfile.TemporaryDirectory(prefix="viprof-fop-") as session_dir:
+        viprof_profile(
+            by_name("fop"), **VIPROF_PARAMS, session_dir=Path(session_dir)
+        )
+        return hash_tree(Path(session_dir))
 
 
 def xen_session_hashes() -> dict[str, str]:

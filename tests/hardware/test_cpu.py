@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import HardwareError
 from repro.hardware.counters import CounterBank, CounterConfig
-from repro.hardware.cpu import CPU, Quantum
+from repro.hardware.cpu import CPU
 from repro.hardware.events import (
     BSQ_CACHE_REFERENCE,
     GLOBAL_POWER_EVENTS,
@@ -26,26 +26,21 @@ def make_cpu(period=90_000, cache_period=None):
 
 
 def quantum(cycles, pc=0x40_0000, code_len=0x400, misses=0, mode=CpuMode.USER):
-    return Quantum(
-        pc_start=pc,
-        code_len=code_len,
-        counts=EventCounts(
-            cycles=cycles, instructions=cycles // 2, l2_misses=misses
-        ),
-        mode=mode,
-    )
+    """``CPU.execute`` arguments for one quantum."""
+    counts = EventCounts(cycles=cycles, instructions=cycles // 2, l2_misses=misses)
+    return pc, code_len, counts, mode
 
 
 class TestExecuteBasics:
     def test_clock_advances_by_quantum_cycles(self):
         cpu = make_cpu()
-        cpu.execute(quantum(10_000))
+        cpu.execute(*quantum(10_000))
         assert cpu.cycle == 10_000
         assert cpu.stats.user_cycles == 10_000
 
     def test_kernel_mode_accounting(self):
         cpu = make_cpu()
-        cpu.execute(quantum(5_000, mode=CpuMode.KERNEL))
+        cpu.execute(*quantum(5_000, mode=CpuMode.KERNEL))
         assert cpu.stats.kernel_cycles == 5_000
         assert cpu.stats.user_cycles == 0
 
@@ -53,7 +48,7 @@ class TestExecuteBasics:
         cpu = make_cpu(period=90_000)
         fired = []
         cpu.nmi.register(lambda f: fired.append(f) or 0)
-        cpu.execute(quantum(89_999))
+        cpu.execute(*quantum(89_999))
         assert not fired
 
     def test_overflow_raises_nmi_at_interpolated_pc(self):
@@ -62,8 +57,8 @@ class TestExecuteBasics:
         cpu.nmi.register(lambda f: frames.append(f) or 0)
         # Two quanta of 45_000: overflow lands exactly at the end of the
         # second quantum.
-        cpu.execute(quantum(45_000, pc=0x1000, code_len=0x1000))
-        cpu.execute(quantum(45_000, pc=0x2000, code_len=0x1000))
+        cpu.execute(*quantum(45_000, pc=0x1000, code_len=0x1000))
+        cpu.execute(*quantum(45_000, pc=0x2000, code_len=0x1000))
         assert len(frames) == 1
         f = frames[0]
         assert 0x2000 <= f.pc < 0x3000
@@ -73,7 +68,7 @@ class TestExecuteBasics:
         cpu = make_cpu(period=90_000)
         frames = []
         cpu.nmi.register(lambda f: frames.append(f) or 0)
-        cpu.execute(quantum(180_000, pc=0x10_000, code_len=0x1000))
+        cpu.execute(*quantum(180_000, pc=0x10_000, code_len=0x1000))
         # Two overflows: at cycle 90_000 (midpoint) and 180_000 (end).
         assert len(frames) == 2
         assert frames[0].pc == 0x10_000 + 0x800
@@ -83,7 +78,7 @@ class TestExecuteBasics:
         cpu = make_cpu(period=90_000, cache_period=1_000)
         events = []
         cpu.nmi.register(lambda f: events.append(f.event_name) or 0)
-        cpu.execute(quantum(90_000, misses=1_500))
+        cpu.execute(*quantum(90_000, misses=1_500))
         assert events.count("BSQ_CACHE_REFERENCE") == 1
         assert events.count("GLOBAL_POWER_EVENTS") == 1
         # The miss counter (1000 misses == 60_000 cycles) fires first.
@@ -94,7 +89,7 @@ class TestExecuteBasics:
         frames = []
         cpu.nmi.register(lambda f: frames.append(f) or 0)
         cpu.current_task_id = 4242
-        cpu.execute(quantum(90_000))
+        cpu.execute(*quantum(90_000))
         assert frames[0].task_id == 4242
 
 
@@ -102,7 +97,7 @@ class TestHandlerCostCharging:
     def test_handler_cycles_charged_to_kernel(self):
         cpu = make_cpu(period=90_000)
         cpu.nmi.register(lambda f: 1_700)
-        cpu.execute(quantum(90_000))
+        cpu.execute(*quantum(90_000))
         assert cpu.stats.nmi_handler_cycles == 1_700
         assert cpu.stats.kernel_cycles == 1_700
         assert cpu.cycle == 91_700
@@ -113,14 +108,14 @@ class TestHandlerCostCharging:
         cpu = make_cpu(period=90_000)
         calls = []
         cpu.nmi.register(lambda f: calls.append(f) or 200_000)
-        cpu.execute(quantum(90_000))
+        cpu.execute(*quantum(90_000))
         assert len(calls) == 1
         assert cpu.stats.masked_overflows >= 2
 
     def test_nmi_count(self):
         cpu = make_cpu(period=90_000)
         cpu.nmi.register(lambda f: 100)
-        cpu.execute(quantum(270_000))
+        cpu.execute(*quantum(270_000))
         assert cpu.stats.nmi_count == 3
 
 
@@ -142,12 +137,16 @@ class TestIdle:
 
 class TestQuantumValidation:
     def test_negative_pc_rejected(self):
+        cpu = make_cpu()
         with pytest.raises(HardwareError):
-            Quantum(pc_start=-1, code_len=4, counts=EventCounts())
+            cpu.execute(-1, 4, EventCounts())
+        assert cpu.stats.quanta == 0
 
     def test_negative_code_len_rejected(self):
+        cpu = make_cpu()
         with pytest.raises(HardwareError):
-            Quantum(pc_start=0, code_len=-4, counts=EventCounts())
+            cpu.execute(0, -4, EventCounts())
+        assert cpu.stats.quanta == 0
 
 
 class TestSamplingRateProperty:
@@ -165,7 +164,7 @@ class TestSamplingRateProperty:
         frames = []
         cpu.nmi.register(lambda f: frames.append(f) or 0)
         for i in range(n_quanta):
-            cpu.execute(quantum(qsize, pc=0x1000 * (i + 1)))
+            cpu.execute(*quantum(qsize, pc=0x1000 * (i + 1)))
         assert len(frames) == (n_quanta * qsize) // period
 
     @given(
@@ -184,7 +183,7 @@ class TestSamplingRateProperty:
             frames = []
             cpu.nmi.register(lambda f: frames.append(f) or 0)
             for s in sizes:
-                cpu.execute(quantum(s))
+                cpu.execute(*quantum(s))
             remaining = cpu.counters.counters[0].remaining
             return len(frames), remaining
 
@@ -212,7 +211,7 @@ class TestSamplingRateProperty:
         pc = 0x100000
         for s in sizes:
             spans.append((pc, pc + 0x800))
-            cpu.execute(quantum(s, pc=pc, code_len=0x800))
+            cpu.execute(*quantum(s, pc=pc, code_len=0x800))
             pc += 0x10000
         for f in frames:
             assert any(lo <= f.pc < hi for lo, hi in spans)

@@ -16,8 +16,11 @@ SCALE = 0.06  # ~0.5 M - 9 M workload cycles per run
 
 
 @pytest.fixture(scope="module")
-def case_study():
-    return run_case_study("ps", time_scale=0.25, limit=30)
+def case_study(tmp_path_factory):
+    return run_case_study(
+        "ps", time_scale=0.25, limit=30,
+        session_dir=tmp_path_factory.mktemp("case-study"),
+    )
 
 
 class TestFigure1Shape:

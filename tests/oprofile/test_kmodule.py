@@ -1,10 +1,12 @@
 """Unit tests for the OProfile kernel module: counter programming, NMI
 sample capture, buffer bounds."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ProfilerError
-from repro.hardware.cpu import CPU, Quantum
+from repro.hardware.cpu import CPU
 from repro.hardware.events import EventCounts
 from repro.hardware.interrupts import CpuMode
 from repro.oprofile.kmodule import (
@@ -53,6 +55,14 @@ class TestSampleBuffer:
         b.drain()
         assert b.append(raw(2))
 
+    def test_captured_by_event_counts_stored_samples_only(self):
+        b = SampleBuffer(capacity=2)
+        b.append(raw(1))
+        b.append(replace(raw(2), event_name="F"))
+        assert not b.append(raw(3))
+        b.drain()
+        assert b.captured_by_event == {"E": 1, "F": 1}
+
 
 class TestKernelModule:
     def test_setup_programs_counters_and_registers_nmi(self):
@@ -84,12 +94,7 @@ class TestKernelModule:
         km = OprofileKernelModule(config(period=90_000))
         km.setup(cpu)
         cpu.current_task_id = 77
-        cpu.execute(
-            Quantum(
-                pc_start=0x1000, code_len=0x100,
-                counts=EventCounts(cycles=180_000),
-            )
-        )
+        cpu.execute(0x1000, 0x100, EventCounts(cycles=180_000))
         samples = km.buffer.drain()
         assert len(samples) == 2
         s = samples[0]
@@ -103,10 +108,7 @@ class TestKernelModule:
         km = OprofileKernelModule(config(period=90_000))
         km.setup(cpu)
         cpu.execute(
-            Quantum(
-                pc_start=0xC010_0000, code_len=0x100,
-                counts=EventCounts(cycles=90_000), mode=CpuMode.KERNEL,
-            )
+            0xC010_0000, 0x100, EventCounts(cycles=90_000), CpuMode.KERNEL
         )
         assert km.buffer.drain()[0].kernel_mode
 
@@ -114,12 +116,7 @@ class TestKernelModule:
         cpu = CPU()
         km = OprofileKernelModule(config(period=90_000))
         km.setup(cpu)
-        cpu.execute(
-            Quantum(
-                pc_start=0x1000, code_len=0x100,
-                counts=EventCounts(cycles=90_000),
-            )
-        )
+        cpu.execute(0x1000, 0x100, EventCounts(cycles=90_000))
         assert cpu.stats.nmi_handler_cycles == NMI_HANDLER_CYCLES
         assert cpu.cycle == 90_000 + NMI_HANDLER_CYCLES
 
@@ -128,24 +125,14 @@ class TestKernelModule:
         km = OprofileKernelModule(config(period=90_000))
         km.epoch_source = lambda: 42
         km.setup(cpu)
-        cpu.execute(
-            Quantum(
-                pc_start=0x1000, code_len=0x100,
-                counts=EventCounts(cycles=90_000),
-            )
-        )
+        cpu.execute(0x1000, 0x100, EventCounts(cycles=90_000))
         assert km.buffer.drain()[0].epoch == 42
 
     def test_buffer_overflow_under_sampling_storm(self):
         cpu = CPU()
         km = OprofileKernelModule(config(period=90_000, capacity=64))
         km.setup(cpu)
-        cpu.execute(
-            Quantum(
-                pc_start=0x1000, code_len=0x100,
-                counts=EventCounts(cycles=90_000 * 100),
-            )
-        )
+        cpu.execute(0x1000, 0x100, EventCounts(cycles=90_000 * 100))
         assert len(km.buffer) == 64
         # 100 overflows from the quantum itself plus a few from handler
         # cycles feeding back into the counter.

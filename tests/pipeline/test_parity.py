@@ -39,9 +39,10 @@ class TestGoldenParity:
         )
         assert text == golden("report_fop.txt")
 
-    def test_case_study_matches_legacy_bytes(self):
+    def test_case_study_matches_legacy_bytes(self, tmp_path):
         cs = run_case_study(
-            "fop", period=90_000, time_scale=0.08, seed=7, limit=12
+            "fop", period=90_000, time_scale=0.08, seed=7, limit=12,
+            session_dir=tmp_path,
         )
         assert cs.side_by_side() + "\n" == golden("case_study_fop.txt")
 

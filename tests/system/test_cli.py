@@ -75,6 +75,26 @@ class TestCli:
         assert main(argv) == 0
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "fop"],
+            ["case-study", "--benchmark", "fop"],
+            ["breakdown", "fop"],
+            ["annotate", "fop"],
+            ["diff", "fop", "--period", "20000", "45000"],
+            ["timeline", "fop", "--period", "20000"],
+            ["pgo", "fop"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_single_stack_leaves_no_session_dir(
+        self, argv, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(argv + ["--scale", "0.05"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_xen_fleet_without_samples(self, capsys):
         # One guest at the default period records nothing; the session
         # still holds a header-only file per programmed event.

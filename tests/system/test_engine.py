@@ -5,7 +5,9 @@ import pytest
 from repro.errors import ConfigError
 from repro.oprofile.opcontrol import OprofileConfig
 from repro.profiling.model import Layer
+from repro.system.api import viprof_profile
 from repro.system.engine import EngineConfig, ProfilerMode, SystemEngine
+from repro.workloads import by_name
 from tests.conftest import make_tiny_workload
 
 
@@ -134,3 +136,31 @@ class TestViprofRun:
         ev = "GLOBAL_POWER_EVENTS"
         assert r.callgraph.recorder.self_samples
         assert r.callgraph.cross_layer_arcs(ev)
+
+    @pytest.mark.parametrize("bench", ["fop", "ps"])
+    def test_callgraph_self_samples_equal_report_rows(self, bench, tmp_path):
+        """Every sample the engine charges to a truth label is on that
+        label's report row, under the event whose counter took it."""
+        r = viprof_profile(
+            by_name(bench), period=20_000, time_scale=0.3, seed=7,
+            session_dir=tmp_path, record_callgraph=True,
+        )
+        assert r.buffer_lost == 0
+        report = r.viprof_report().report
+        rows = {
+            (row.image, row.symbol, e): row.count(e)
+            for row in report.sorted_rows()
+            for e in report.events
+            if row.count(e)
+        }
+        truth = {
+            (image, symbol, e): n
+            for (image, symbol), per_event in (
+                r.callgraph.recorder.self_samples.items()
+            )
+            for e, n in per_event.items()
+        }
+        assert set(report.events) == {
+            "GLOBAL_POWER_EVENTS", "BSQ_CACHE_REFERENCE"
+        }
+        assert truth == rows

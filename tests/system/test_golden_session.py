@@ -39,16 +39,16 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-def test_viprof_session_matches_golden(golden):
+def test_viprof_session_matches_golden(golden, tmp_path):
     params = golden["viprof_fop"]["params"]
-    run = viprof_profile(
+    viprof_profile(
         by_name("fop"),
         period=params["period"],
         time_scale=params["time_scale"],
         seed=params["seed"],
+        session_dir=tmp_path,
     )
-    assert run.session_dir is not None
-    assert hash_tree(run.session_dir) == golden["viprof_fop"]["files"]
+    assert hash_tree(tmp_path) == golden["viprof_fop"]["files"]
 
 
 def test_xen_session_matches_golden(golden, tmp_path):
