@@ -52,8 +52,10 @@ from repro.metrics.model import (
     SessionSummary,
     SymbolEntry,
 )
+from repro.profiling.model import RawSample
 from repro.profiling.record_codec import open_sample_record_file
 from repro.profiling.report import ProfileReport
+from repro.viprof.runtime_profiler import VmRegistration
 
 __all__ = [
     "resolution_panels",
@@ -65,6 +67,8 @@ __all__ = [
     "collection_summary",
     "derive_summary",
     "load_session_summary",
+    "sample_layer",
+    "session_registration",
     "report_json_doc",
     "write_session_summary",
 ]
@@ -349,44 +353,43 @@ def collection_summary(
     )
 
 
-def _registration_bounds(
-    session_dir: Path,
-) -> tuple[int, int, int] | None:
-    """(task_id, heap_low, heap_high) from the session's own metadata —
-    ``meta.json`` (archives, fixtures) or the embedded collection
-    summary."""
+def session_registration(session_dir: Path | str) -> VmRegistration | None:
+    """The VM heap registration a session directory records: the
+    ``registration`` block of ``meta.json`` (archives, fixtures) first,
+    else the one in the embedded ``summary.json`` meta (live sessions).
+    None when neither holds a well-formed block."""
+    session_dir = Path(session_dir)
     meta_path = session_dir / "meta.json"
-    candidates: list[object] = []
     if meta_path.is_file():
         try:
-            candidates.append(
-                json.loads(meta_path.read_text(encoding="utf-8"))
-            )
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except (OSError, ValueError):  # JSON or UTF-8 decode errors
-            pass
+            meta = None
+        if isinstance(meta, dict):
+            reg = VmRegistration.parse(meta.get("registration"))
+            if reg is not None:
+                return reg
     summary_path = session_dir / SUMMARY_NAME
     if summary_path.is_file():
         try:
-            candidates.append(
-                SessionSummary.load(summary_path).meta
-            )
+            meta = SessionSummary.load(summary_path).meta
         except AnalysisError:
-            pass
-    for cand in candidates:
-        if not isinstance(cand, dict):
-            continue
-        reg = cand.get("registration")
-        if not isinstance(reg, dict):
-            continue
-        try:
-            return (
-                int(reg["task_id"]),
-                int(reg["heap_low"]),
-                int(reg["heap_high"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            continue
+            return None
+        return VmRegistration.parse(meta.get("registration"))
     return None
+
+
+def sample_layer(sample: RawSample, reg: VmRegistration | None) -> str:
+    """The offline layer of one sample: ``kernel`` in kernel mode,
+    ``jit`` in user mode inside the registered VM heap, else ``user`` —
+    the daemon's kernel-mode / heap-bounds split, for readers that have
+    no kernel or boot image."""
+    if sample.kernel_mode:
+        return "kernel"
+    if reg is not None and sample.task_id == reg.task_id \
+            and reg.covers(sample.pc):
+        return "jit"
+    return "user"
 
 
 def derive_summary(session_dir: Path | str) -> SessionSummary:
@@ -441,7 +444,7 @@ def derive_summary(session_dir: Path | str) -> SessionSummary:
                 "session first (viprof recover)"
             ) from None
 
-    bounds = _registration_bounds(session_dir)
+    reg = session_registration(session_dir)
     totals: dict[str, int] = {}
     events: list[str] = []
     layers: dict[str, int | float] = {
@@ -471,37 +474,22 @@ def derive_summary(session_dir: Path | str) -> SessionSummary:
                         s = rec.sample
                         totals[ev] += 1
                         layers["total"] += 1
-                        if s.kernel_mode:
-                            layers["kernel"] += 1
-                            continue
-                        in_heap = (
-                            bounds is not None
-                            and s.task_id == bounds[0]
-                            and bounds[1] <= s.pc < bounds[2]
-                        )
-                        if not in_heap:
-                            layers["user"] += 1
-                            continue
-                        layers["jit"] += 1
-                        key = (s.epoch, s.pc, ev)
-                        jit[key] = jit.get(key, 0) + 1
+                        layer = sample_layer(s, reg)
+                        layers[layer] += 1
+                        if layer == "jit":
+                            key = (s.epoch, s.pc, ev)
+                            jit[key] = jit.get(key, 0) + 1
             except SampleFormatError as e:
                 raise AnalysisError(
                     f"{path}: unreadable sample file: {e} — salvage the "
                     "session first (viprof recover)"
                 ) from None
 
-    # One backward walk per epoch over its distinct heap PCs.
-    hits: dict[tuple[int, int], object] = {}
-    if codemaps is not None:
-        pcs: dict[int, set[int]] = {}
-        for epoch, pc, _ in jit:
-            pcs.setdefault(epoch, set()).add(pc)
-        for epoch, run in pcs.items():
-            run = sorted(run)
-            hits.update(zip(
-                [(epoch, pc) for pc in run], codemaps.resolve_run(epoch, run)
-            ))
+    hits = (
+        codemaps.resolve_keys((epoch, pc) for epoch, pc, _ in jit)
+        if codemaps is not None
+        else {}
+    )
     # Counting keys in first-seen order creates symbols in the order
     # their first samples appear, which orders the ties below.
     for (epoch, pc, ev), n in jit.items():

@@ -136,8 +136,8 @@ class SessionStore:
         s = self.get(label)
         engine = self._rebuild_engine(s)
         if s.mode == ProfilerMode.VIPROF.value:
-            reg_meta = s.meta.get("registration")
-            if reg_meta is None:
+            reg = VmRegistration.parse(s.meta.get("registration"))
+            if reg is None:
                 raise ProfilerError(
                     f"archive {label!r} lacks a VM registration record"
                 )
@@ -146,13 +146,7 @@ class SessionStore:
                 sample_dir=s.path / "samples",
                 codemaps=CodeMapIndex.load_dir(s.path / "jit-maps"),
                 rvm_map=build_boot_image().rvm_map,
-                registrations=(
-                    VmRegistration(
-                        task_id=reg_meta["task_id"],
-                        heap_low=reg_meta["heap_low"],
-                        heap_high=reg_meta["heap_high"],
-                    ),
-                ),
+                registrations=(reg,),
             )
             return post.generate()
         return OpReport(engine.kernel, s.path / "samples").generate()

@@ -82,13 +82,14 @@ instead of raising on load.
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import AnalysisError, CodeMapError, SampleFormatError
-from repro.metrics.build import salvage_panel
+from repro.metrics.build import salvage_panel, sample_layer
 from repro.metrics.model import SUMMARY_NAME, SessionSummary
-from repro.os.intervals import Interval, IntervalIndex
 from repro.profiling.record_codec import probe_sample_file
 from repro.statcheck.artifacts import (
     MAP_DIR_NAME,
@@ -96,12 +97,16 @@ from repro.statcheck.artifacts import (
     SALVAGE_NAME,
     SAMPLE_DIR_NAME,
     SessionArtifacts,
-    _MAP_FILE_RE,
 )
 from repro.statcheck.findings import Finding, Severity
 from repro.statcheck.rules import rule
-from repro.viprof.codemap import CodeMapRecord
-from repro.viprof.runtime_profiler import VmRegistration
+from repro.viprof.codemap import (
+    RESOLVE_BLOCKED,
+    CodeMap,
+    CodeMapIndex,
+    CodeMapRecord,
+    map_files,
+)
 
 __all__ = [
     "check_map_overlap",
@@ -119,36 +124,34 @@ __all__ = [
 ]
 
 
-def _epoch_indexes(
-    arts: SessionArtifacts,
-) -> dict[int, IntervalIndex[CodeMapRecord]]:
-    """Interval index per epoch map, tolerant of overlapping records."""
-    return {
-        epoch: IntervalIndex(
-            Interval(r.address, r.end, r) for r in art.records
-        )
-        for epoch, art in arts.maps.items()
-    }
-
-
 @rule(
     "VP101", "map-overlap", Severity.ERROR,
     "records within one epoch's map must cover disjoint address ranges",
 )
 def check_map_overlap(arts: SessionArtifacts) -> Iterator[Finding]:
-    for epoch, index in sorted(_epoch_indexes(arts).items()):
-        for a, b in index.overlapping_pairs():
-            yield Finding(
-                severity=Severity.ERROR,
-                rule_id="VP101",
-                artifact=arts.map_label(epoch),
-                location=f"epoch {epoch}",
-                message=(
-                    f"records {a.payload.name!r} "
-                    f"[{a.start:#x},{a.end:#x}) and {b.payload.name!r} "
-                    f"[{b.start:#x},{b.end:#x}) overlap"
-                ),
-            )
+    for epoch in arts.epochs:
+        # Sweep by start: each record overlaps every earlier one still
+        # open at its start, so nested records report every pair.
+        open_: list[CodeMapRecord] = []
+        for b in sorted(arts.maps[epoch].records, key=_span):
+            open_ = [a for a in open_ if a.end > b.address]
+            for a in open_:
+                yield Finding(
+                    severity=Severity.ERROR,
+                    rule_id="VP101",
+                    artifact=arts.map_label(epoch),
+                    location=f"epoch {epoch}",
+                    message=(
+                        f"records {a.name!r} [{a.address:#x},{a.end:#x}) "
+                        f"and {b.name!r} [{b.address:#x},{b.end:#x}) "
+                        "overlap"
+                    ),
+                )
+            open_.append(b)
+
+
+def _span(r: CodeMapRecord) -> tuple[int, int]:
+    return r.address, r.end
 
 
 @rule(
@@ -211,44 +214,22 @@ def check_orphan_samples(arts: SessionArtifacts) -> Iterator[Finding]:
         return
     if not arts.maps:
         return
-    indexes = _epoch_indexes(arts)
-    epochs_desc = sorted(indexes, reverse=True)
-    quarantined = set(arts.quarantined_epochs)
-    max_epoch = max(epochs_desc[0], max(quarantined, default=-1))
-    for sf in arts.sample_files:
+    index = _walk_index(arts)
+    heap = [
+        [(i, s) for i, s in enumerate(sf.samples)
+         if sample_layer(s, reg) == "jit"]
+        for sf in arts.sample_files
+    ]
+    hits = index.resolve_keys(
+        (s.epoch, s.pc) for samples in heap for _, s in samples
+    )
+    for sf, samples in zip(arts.sample_files, heap):
         blocked = 0
-        for i, s in enumerate(sf.samples):
-            if s.kernel_mode or s.task_id != reg.task_id:
-                continue
-            if not reg.covers(s.pc):
-                continue
-            top = max_epoch if s.epoch < 0 else min(s.epoch, max_epoch)
-            hit = None
-            blocked_here = False
-            if quarantined:
-                # Salvaged session: mirror the degraded pipeline's
-                # barrier walk — a quarantined epoch ends the search.
-                for e in range(top, -1, -1):
-                    if e in quarantined:
-                        blocked_here = True
-                        break
-                    idx = indexes.get(e)
-                    if idx is None:
-                        continue
-                    hit = idx.first_covering(s.pc)
-                    if hit is not None:
-                        break
-            else:
-                for e in epochs_desc:
-                    if e > top:
-                        continue
-                    hit = indexes[e].first_covering(s.pc)
-                    if hit is not None:
-                        break
-            if blocked_here:
+        for i, s in samples:
+            hit = hits[(s.epoch, s.pc)]
+            if hit is RESOLVE_BLOCKED:
                 blocked += 1
-                continue
-            if hit is None:
+            elif hit is None:
                 yield Finding(
                     severity=Severity.ERROR,
                     rule_id="VP103",
@@ -272,6 +253,41 @@ def check_orphan_samples(arts: SessionArtifacts) -> Iterator[Finding]:
                     "degraded reports)"
                 ),
             )
+
+
+def _walk_index(arts: SessionArtifacts) -> CodeMapIndex:
+    """The session's maps as the reports' :class:`CodeMapIndex`, with the
+    salvage manifest's quarantined epochs as barriers.
+
+    A quarantined epoch stays a barrier even when a healthy map shadows
+    it (VP108's finding), so that map is left out.  Overlapping records
+    (VP101's finding) cover the union of their ranges.
+    """
+    quarantined = set(arts.quarantined_epochs)
+    return CodeMapIndex(
+        {
+            epoch: CodeMap(epoch, _union(art.records))
+            for epoch, art in arts.maps.items()
+            if epoch not in quarantined
+        },
+        quarantined=quarantined,
+    )
+
+
+def _union(records: Iterable[CodeMapRecord]) -> list[CodeMapRecord]:
+    """Disjoint records covering exactly the union of ``records``'
+    ranges; each merged run keeps its first record's identity."""
+    merged: list[CodeMapRecord] = []
+    for r in sorted(records, key=_span):
+        if merged and r.address < merged[-1].end:
+            last = merged[-1]
+            if r.end > last.end:
+                merged[-1] = dataclasses.replace(
+                    last, size=r.end - last.address
+                )
+        else:
+            merged.append(r)
+    return merged
 
 
 @rule(
@@ -515,10 +531,7 @@ def check_salvage_manifest(arts: SessionArtifacts) -> Iterator[Finding]:
         on_disk.extend(sorted(sample_dir.glob("*.samples")))
     map_dir = arts.session_dir / MAP_DIR_NAME
     if map_dir.is_dir():
-        on_disk.extend(
-            p for p in sorted(map_dir.iterdir())
-            if p.is_file() and _MAP_FILE_RE.match(p.name)
-        )
+        on_disk.extend(path for _, path in map_files(map_dir))
     for p in on_disk:
         if p not in listed:
             yield Finding(
@@ -738,49 +751,6 @@ def _decoded_event_totals(arts: SessionArtifacts) -> dict[str, int]:
     return totals
 
 
-def _summary_registration(
-    arts: SessionArtifacts, summary: SessionSummary
-) -> VmRegistration | None:
-    """The VM heap registration to classify against: the session's own
-    metadata first, else the one the summary carries in its meta."""
-    if arts.registration is not None:
-        return arts.registration
-    reg = summary.meta.get("registration")
-    if not isinstance(reg, dict):
-        return None
-    try:
-        return VmRegistration(
-            task_id=int(reg["task_id"]),
-            heap_low=int(reg["heap_low"]),
-            heap_high=int(reg["heap_high"]),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _classified_counts(
-    arts: SessionArtifacts, reg: VmRegistration | None
-) -> tuple[int, int, int, int]:
-    """(total, kernel, jit, user) classification of every decoded sample
-    — the same kernel-mode / heap-bounds split the daemon and the
-    offline summary builder both use."""
-    total = kernel = jit = user = 0
-    for sf in arts.sample_files:
-        for s in sf.samples:
-            total += 1
-            if s.kernel_mode:
-                kernel += 1
-            elif (
-                reg is not None
-                and s.task_id == reg.task_id
-                and reg.covers(s.pc)
-            ):
-                jit += 1
-            else:
-                user += 1
-    return total, kernel, jit, user
-
-
 def _mismatch(
     artifact: str, location: str, what: str, claimed: object, actual: object
 ) -> Finding:
@@ -823,8 +793,12 @@ def _check_session_summary(arts: SessionArtifacts) -> Iterator[Finding]:
                 label, f"totals[{ev}]", f"{ev} samples", claimed, actual
             )
 
-    reg = _summary_registration(arts, summary)
-    total, kernel, jit, user = _classified_counts(arts, reg)
+    reg = arts.registration
+    on_disk = Counter(
+        sample_layer(s, reg) for sf in arts.sample_files for s in sf.samples
+    )
+    kernel, jit, user = on_disk["kernel"], on_disk["jit"], on_disk["user"]
+    total = kernel + jit + user
 
     collection = summary.panel("collection")
     if collection:

@@ -45,10 +45,10 @@ from repro.errors import ArenaError
 from repro.faults import injector as faults
 from repro.os.intervals import PackedIntervalTable
 from repro.viprof.codemap import (
-    _FILE_RE,
     CodeMap,
     CodeMapRecord,
     PackedCodeMap,
+    map_files,
     read_map_files,
 )
 
@@ -77,8 +77,8 @@ _FLAG_MOVED = 1
 
 def arena_path_for(map_dir: Path | str) -> Path:
     """Where ``map_dir``'s compiled arena lives: a sibling file, so the
-    map directory itself keeps matching the analyzers' file-name regex
-    scans (``<session>/jit-maps`` -> ``<session>/jit-maps.arena``)."""
+    map directory holds only what :func:`~repro.viprof.codemap.map_files`
+    lists (``<session>/jit-maps`` -> ``<session>/jit-maps.arena``)."""
     map_dir = Path(map_dir)
     return map_dir.parent / (map_dir.name + ARENA_SUFFIX)
 
@@ -87,12 +87,9 @@ def source_digests(map_dir: Path) -> list[list]:
     """``[name, size, sha256]`` per map file, sorted by name — the
     freshness contract stored in the header and re-checked on open."""
     out: list[list] = []
-    for path in sorted(Path(map_dir).iterdir()):
-        if path.is_file() and _FILE_RE.match(path.name):
-            blob = path.read_bytes()
-            out.append(
-                [path.name, len(blob), hashlib.sha256(blob).hexdigest()]
-            )
+    for _, path in map_files(map_dir):
+        blob = path.read_bytes()
+        out.append([path.name, len(blob), hashlib.sha256(blob).hexdigest()])
     return out
 
 

@@ -42,6 +42,22 @@ class VmRegistration:
     def covers(self, pc: int) -> bool:
         return self.heap_low <= pc < self.heap_high
 
+    @classmethod
+    def parse(cls, block: object) -> "VmRegistration | None":
+        """The registration a session's metadata records (the
+        ``registration`` block of ``meta.json`` or of a summary's meta),
+        or None when the block is absent or malformed."""
+        if not isinstance(block, dict):
+            return None
+        try:
+            return cls(
+                task_id=int(block["task_id"]),
+                heap_low=int(block["heap_low"]),
+                heap_high=int(block["heap_high"]),
+            )
+        except (KeyError, TypeError, ValueError):
+            return None
+
 
 class ViprofRuntimeProfiler(OprofileDaemon):
     """OProfile daemon + VM heap registration + epoch stamping."""

@@ -48,7 +48,7 @@ from pathlib import Path
 from repro.errors import CodeMapError, ProfilerError, SampleFormatError
 from repro.profiling.record_codec import codec_for_magic, probe_sample_file
 from repro.viprof.arena import arena_path_for
-from repro.viprof.codemap import _FILE_RE, CodeMap
+from repro.viprof.codemap import CodeMap, map_files
 
 __all__ = [
     "MANIFEST_NAME",
@@ -284,11 +284,8 @@ def _salvage_sample_file(
 
 
 def _salvage_map(
-    path: Path, session_dir: Path, dry_run: bool
+    path: Path, file_epoch: int, session_dir: Path, dry_run: bool
 ) -> SalvagedMap:
-    m = _FILE_RE.match(path.name)
-    assert m is not None  # caller filters on the filename pattern
-    file_epoch = int(m.group(1))
     try:
         CodeMap.load(path)
     except CodeMapError as e:
@@ -390,10 +387,10 @@ def salvage_session(
             _salvage_sample_file(path, session_dir, dry_run)
         )
     if map_dir.is_dir():
-        for path in sorted(map_dir.iterdir()):
-            if not path.is_file() or _FILE_RE.match(path.name) is None:
-                continue
-            manifest.maps.append(_salvage_map(path, session_dir, dry_run))
+        for epoch, path in map_files(map_dir):
+            manifest.maps.append(
+                _salvage_map(path, epoch, session_dir, dry_run)
+            )
 
     healthy = {
         m.epoch for m in manifest.maps if m.action == ACTION_INTACT

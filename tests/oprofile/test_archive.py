@@ -54,6 +54,22 @@ class TestArchive:
 
 
 class TestReplayResolution:
+    @pytest.mark.parametrize("block", [None, {"task_id": 1000}])
+    def test_missing_or_malformed_registration_rejected(
+        self, store, tmp_path, block
+    ):
+        import json
+        import shutil
+
+        copy = SessionStore(tmp_path / "store")
+        dest = copy.root / "broken"
+        shutil.copytree(store.get("fop-viprof").path, dest)
+        meta = json.loads((dest / "meta.json").read_text())
+        meta["registration"] = block
+        (dest / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ProfilerError, match="lacks a VM registration"):
+            copy.report("broken")
+
     def test_viprof_report_from_archive(self, store):
         report = store.report("fop-viprof")
         assert any(r.image == "JIT.App" for r in report.rows)

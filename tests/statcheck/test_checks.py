@@ -1,23 +1,37 @@
 """Artifact-rule tests: seeded corruptions, tolerant loading, verdicts."""
 
 import json
+import random
+import re
+import shutil
 from pathlib import Path
 
 import pytest
 
+from repro import viprof_profile
 from repro.errors import StatCheckError
+from repro.metrics.build import derive_summary, session_registration
 from repro.profiling.model import RawSample
+from repro.profiling.record_codec import CORE_CODEC, probe_sample_file
 from repro.profiling.samplefile import SampleFileWriter
 from repro.statcheck.analyzer import lint_session
-from repro.statcheck.artifacts import load_session
+from repro.statcheck.artifacts import (
+    EpochMapArtifact,
+    SessionArtifacts,
+    load_session,
+)
+from repro.statcheck.checks import check_map_overlap
 from repro.statcheck.findings import Severity
 from repro.statcheck.fixtures import (
     CORRUPTIONS,
     EXPECTED_RULE,
     write_all_fixtures,
+    write_damaged_fixture_session,
     write_fixture_session,
 )
-from repro.viprof.codemap import CodeMapRecord, CodeMapWriter
+from repro.viprof.arena import build_arena
+from repro.viprof.codemap import CodeMapIndex, CodeMapRecord, CodeMapWriter
+from repro.workloads import by_name
 
 
 class TestSeededCorruptionFixtures:
@@ -317,6 +331,197 @@ class TestOverlapViaWriter:
         ])
         report = lint_session(sess, rule_ids=["VP101"])
         assert report.by_rule("VP101")
+
+
+def overlap_pairs(spans):
+    """VP101's pairs, as name sets, over one epoch of ``(start, end,
+    name)`` spans."""
+    records = tuple(
+        CodeMapRecord(address=0x1000 + a, size=b - a, tier="b", name=name)
+        for a, b, name in spans
+    )
+    arts = SessionArtifacts(
+        session_dir=Path("s"),
+        maps={0: EpochMapArtifact(0, Path("s/jit-maps/jit-map.00000"),
+                                  records)},
+    )
+    return [
+        frozenset(re.findall(r"'([^']+)' \[", f.message))
+        for f in check_map_overlap(arts)
+    ]
+
+
+class TestOverlapDetection:
+    """VP101's sweep reports every overlapping pair within an epoch."""
+
+    def test_touching_ranges_do_not_overlap(self):
+        assert overlap_pairs([(0, 10, "a"), (9, 20, "b")])
+        assert not overlap_pairs([(0, 10, "a"), (10, 20, "b")])
+        assert overlap_pairs([(5, 6, "a"), (0, 100, "b")])
+
+    def test_disjoint(self):
+        assert overlap_pairs(
+            [(0, 10, "a"), (10, 20, "b"), (30, 40, "c")]
+        ) == []
+
+    def test_single_overlap(self):
+        assert overlap_pairs([(0, 10, "a"), (5, 15, "b")]) == [
+            frozenset(("a", "b"))
+        ]
+
+    def test_all_pairs_reported(self):
+        pairs = overlap_pairs([(0, 100, "a"), (10, 20, "b"), (15, 30, "c")])
+        assert sorted(pairs, key=sorted) == [
+            frozenset(("a", "b")),
+            frozenset(("a", "c")),
+            frozenset(("b", "c")),
+        ]
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_overlap_pairs_match_quadratic_check(self, seed):
+        rng = random.Random(seed)
+        spans = []
+        for i in range(60):
+            start = rng.randrange(0, 2000)
+            spans.append((start, start + rng.randrange(1, 100), f"m{i}"))
+        expect = {
+            frozenset((a[2], b[2]))
+            for i, a in enumerate(spans)
+            for b in spans[i + 1:]
+            if a[0] < b[1] and b[0] < a[1]
+        }
+        pairs = overlap_pairs(spans)
+        assert len(pairs) == len(expect)
+        assert set(pairs) == expect
+
+
+def _append_map_lines(path, records):
+    with open(path, "a", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(r.to_line() + "\n")
+
+
+def _write_heap_samples(sess, pcs, epoch):
+    with SampleFileWriter(
+        sess / "samples" / "EXTRA.samples", "EXTRA", 1000
+    ) as w:
+        for i, pc in enumerate(pcs):
+            w.write(RawSample(
+                pc=pc, event_name="EXTRA", task_id=42, kernel_mode=False,
+                cycle=9_000 + i, epoch=epoch,
+            ))
+
+
+def _nested_records():
+    return [
+        CodeMapRecord(0x6090_0000, 0x1000, "b", "fixture.app.Long.loop"),
+        CodeMapRecord(0x6090_0100, 0x10, "b", "fixture.app.Short.x"),
+        CodeMapRecord(0x6090_0200, 0x10, "b", "fixture.app.Short.y"),
+    ]
+
+
+def write_nested_session(dest):
+    """The clean fixture plus address reuse across epochs: epoch 2 maps a
+    long body, epoch 3 maps two short bodies nested inside its range.
+    Epoch-3 heap samples hit a short body, walk back to the long one, or
+    (past the long body's end) resolve nowhere."""
+    sess = write_fixture_session(dest)
+    long, x, y = _nested_records()
+    _append_map_lines(sess / "jit-maps" / "jit-map.00002", [long])
+    CodeMapWriter(sess / "jit-maps").write(3, [x, y])
+    build_arena(sess / "jit-maps")
+    _write_heap_samples(sess, [0x6090_0104, 0x6090_0800, 0x6090_1800], 3)
+    return sess
+
+
+@pytest.fixture(scope="module")
+def live_session(tmp_path_factory):
+    """A fresh live session: no meta.json, registration in summary.json."""
+    path = tmp_path_factory.mktemp("live") / "fop"
+    viprof_profile(
+        by_name("fop"), period=20_000, time_scale=0.05, seed=7,
+        session_dir=path,
+    )
+    return path
+
+
+def _vp103_counts(report):
+    """(orphan ERRORs, samples blocked at a quarantine) from VP103."""
+    errors = blocked = 0
+    for f in report.by_rule("VP103"):
+        if f.severity is Severity.ERROR:
+            errors += 1
+        elif "blocked" in f.message:
+            blocked += int(f.message.split()[0])
+    return errors, blocked
+
+
+class TestOrphanWalk:
+    """VP103 walks the session through the reports' backward walk."""
+
+    def test_nested_long_interval_found(self, tmp_path):
+        # Overlapping records (VP101's finding) cover the union of their
+        # ranges: a heap sample inside the long record, past the nearer
+        # nested ones, is not an orphan.
+        sess = write_fixture_session(tmp_path / "s")
+        (sess / "jit-maps.arena").unlink()
+        _append_map_lines(
+            sess / "jit-maps" / "jit-map.00002", _nested_records()
+        )
+        _write_heap_samples(sess, [0x6090_0800], 2)
+        report = lint_session(sess, rule_ids=["VP101", "VP103"])
+        assert not report.by_rule("VP103"), report.format_text()
+        assert len(report.by_rule("VP101")) == 2
+
+    def test_live_session_is_checked(self, live_session):
+        report = lint_session(live_session)
+        assert not report.by_rule("VP103"), report.format_text()
+        assert report.exit_code(fail_on=Severity.INFO) == 0
+
+    def test_live_unmapped_heap_sample_is_an_orphan(
+        self, live_session, tmp_path
+    ):
+        sess = Path(shutil.copytree(live_session, tmp_path / "s"))
+        reg = session_registration(sess)
+        index = CodeMapIndex.load_dir(sess / "jit-maps")
+        pc = next(
+            pc for pc in range(reg.heap_high - 8, reg.heap_low, -0x1000)
+            if index.resolve(-1, pc) is None
+        )
+        path = sess / "samples" / "GLOBAL_POWER_EVENTS.samples"
+        n = probe_sample_file(path).n_records
+        with open(path, "ab") as fh:
+            fh.write(CORE_CODEC.pack(RawSample(
+                pc=pc, event_name="GLOBAL_POWER_EVENTS",
+                task_id=reg.task_id, kernel_mode=False, cycle=10**12,
+                epoch=index.epochs[-1],
+            )))
+        report = lint_session(sess)
+        errors = [
+            f for f in report.by_rule("VP103")
+            if f.severity is Severity.ERROR
+        ]
+        assert [(f.artifact, f.location) for f in errors] == [
+            (str(path), f"sample {n}")
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["clean", "orphan", "damaged", "epoch-gap", "nested", "live"]
+    )
+    def test_agrees_with_offline_summary(self, name, tmp_path, live_session):
+        if name == "live":
+            sess = live_session
+        elif name == "damaged":
+            sess = write_damaged_fixture_session(tmp_path / name)
+        elif name == "nested":
+            sess = write_nested_session(tmp_path / name)
+        else:
+            corruption = None if name == "clean" else name
+            sess = write_fixture_session(tmp_path / name, corruption)
+        jit = derive_summary(sess).panel("jit")
+        assert _vp103_counts(lint_session(sess, rule_ids=["VP103"])) == (
+            jit["unresolved"], jit["blocked_at_quarantine"]
+        )
 
 
 class TestSalvageRules:

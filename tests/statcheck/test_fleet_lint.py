@@ -210,6 +210,34 @@ class TestIncrementalCache:
         full = lint_sessions([fleet[1]], cache_path=cache)
         assert any(f.rule_id == "VP103" for f in full)
 
+    def test_older_schema_cache_is_not_served(self, fleet, tmp_path):
+        # Same session bytes, same rules: an entry written under an older
+        # lint schema holds verdicts this version may no longer give.
+        from repro.statcheck.analyzer import (
+            _rules_cache_key,
+            _session_content_hash,
+        )
+
+        session = fleet[0]
+        planted = Finding(
+            severity=Severity.ERROR, rule_id="VP103", artifact=str(session),
+            location="-", message="planted by a schema-1 cache",
+        )
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({
+            "version": 1,
+            "sessions": {
+                session.resolve().as_posix(): {
+                    "hash": _session_content_hash(session),
+                    "rules": "s1:" + _rules_cache_key(None).split(":", 1)[1],
+                    "findings": [planted.to_dict()],
+                },
+            },
+        }))
+        report = lint_sessions([session], cache_path=cache)
+        assert planted not in list(report)
+        assert len(report) == 0
+
     def test_corrupt_cache_file_is_cold_start(self, fleet, tmp_path):
         cache = tmp_path / "cache.json"
         cache.write_text("garbage{{{")

@@ -1,5 +1,7 @@
 """Unit tests for epoch code maps and backward resolution."""
 
+import re
+
 import pytest
 
 from repro.errors import CodeMapError
@@ -8,6 +10,8 @@ from repro.viprof.codemap import (
     CodeMapIndex,
     CodeMapRecord,
     CodeMapWriter,
+    map_files,
+    parse_map,
 )
 
 
@@ -186,3 +190,73 @@ class TestCodeMapIndex:
         (tmp_path / "README").write_text("not a map")
         idx = CodeMapIndex.load_dir(tmp_path)
         assert idx.epochs == (0,)
+
+
+class TestParseMap:
+    """The one map parser: tolerant, and strict through CodeMap.load."""
+
+    def write(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        return p
+
+    def test_keeps_going_past_every_problem(self, tmp_path):
+        p = self.write(
+            tmp_path, "jit-map.00009",
+            "# viprof code map epoch 3\n"
+            + rec(0x1000).to_line() + "\n"
+            "garbage\n"
+            + rec(0x2000).to_line() + "\n",
+        )
+        epoch, records, problems = parse_map(p)
+        assert epoch == 3
+        assert [r.address for r in records] == [0x1000, 0x2000]
+        assert problems == [
+            ("line 1", "filename epoch 9 != header epoch 3"),
+            ("line 3", "malformed code-map line: 'garbage'"),
+        ]
+        with pytest.raises(CodeMapError) as e:
+            CodeMap.load(p)
+        assert str(e.value) == (
+            f"{p}: epoch 3: line 1: filename epoch 9 != header epoch 3"
+        )
+
+    def test_strict_malformed_line_wording(self, tmp_path):
+        # Salvage manifests record this text; it must not drift.
+        p = self.write(
+            tmp_path, "jit-map.00001", "# viprof code map epoch 1\n0x6"
+        )
+        with pytest.raises(CodeMapError) as e:
+            CodeMap.load(p)
+        assert str(e.value) == (
+            f"{p}: epoch 1: line 2: malformed code-map line: '0x6'"
+        )
+
+    @pytest.mark.parametrize("blob, problem", [
+        (b"", ("line 1", "empty map file")),
+        (b"bogus\n", ("line 1", "bad header 'bogus'")),
+        (b"\xff\n", ("-", "unreadable map file: not UTF-8 text")),
+    ])
+    def test_unusable_file_has_no_epoch(self, tmp_path, blob, problem):
+        p = tmp_path / "jit-map.00000"
+        p.write_bytes(blob)
+        epoch, records, problems = parse_map(p)
+        assert (epoch, records, len(problems)) == (None, [], 1)
+        assert problems[0][0] == problem[0]
+        assert problems[0][1].startswith(problem[1])
+        strict = re.escape(f"{p}: {problem[1]}")
+        with pytest.raises(CodeMapError, match=strict):
+            CodeMap.load(p)
+
+    def test_map_files_lists_only_maps(self, tmp_path):
+        w = CodeMapWriter(tmp_path)
+        w.write(2, [rec(0x1000)])
+        w.write(0, [rec(0x1000)])
+        (tmp_path / "README").write_text("not a map")
+        (tmp_path / "jit-map.7").write_text("short name")
+        (tmp_path / "quarantine").mkdir()
+        (tmp_path / "quarantine" / "jit-map.00001").write_text("torn")
+        assert map_files(tmp_path) == [
+            (0, tmp_path / "jit-map.00000"),
+            (2, tmp_path / "jit-map.00002"),
+        ]
