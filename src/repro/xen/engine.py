@@ -39,7 +39,7 @@ from repro.profiling.record_codec import DOMAIN_CODEC, RecordFileWriter
 from repro.profiling.report import ProfileReport, StreamingAggregator
 from repro.system.engine import build_agent_image, build_jikesrvm_bootstrap
 from repro.system.ledger import TruthLedger
-from repro.viprof.codemap import CodeMapIndex, CodeMapWriter
+from repro.viprof.codemap import CodeMapIndex, CodeMapWriter, map_files
 from repro.viprof.runtime_profiler import VmRegistration
 from repro.viprof.vm_agent import ViprofVmAgent
 from repro.workloads.base import Workload
@@ -379,13 +379,10 @@ class MultiStackEngine:
         def effect(rng) -> None:
             if not guest.map_dir.is_dir():
                 return
-            maps = sorted(
-                p for p in guest.map_dir.iterdir()
-                if p.is_file() and p.name.startswith("jit-map.")
-            )
+            maps = map_files(guest.map_dir)
             if not maps:
                 return
-            path = maps[-1]
+            _, path = maps[-1]
             data = path.read_bytes()
             cut = data.rstrip(b"\n").rfind(b"\n")
             if cut < 0:
