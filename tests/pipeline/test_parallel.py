@@ -20,12 +20,23 @@ from repro.pipeline.parallel import (
     resolve_workers,
     run_parallel_pipeline,
 )
+from repro.pipeline.source import DirectorySource
 from repro.profiling.model import RawSample
-from repro.profiling.record_codec import CORE_CODEC, RecordFileWriter
+from repro.profiling.record_codec import (
+    CORE_CODEC,
+    RecordFileReader,
+    RecordFileWriter,
+)
 from repro.system.api import viprof_profile
+from repro.viprof.postprocess import ViprofReport
 from repro.workloads import by_name
+from tests.pipeline.oracle import without_cache
 
 GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" / "golden"
+
+#: Records per replicated sample file: enough that two and four workers
+#: split a file at an aligned record inside it.
+MULTI_SHARD_RECORDS = 3 * SPLIT_ALIGN_RECORDS
 
 
 def write_sample_file(path: Path, n_records: int, event: str = "EV") -> Path:
@@ -39,6 +50,37 @@ def write_sample_file(path: Path, n_records: int, event: str = "EV") -> Path:
                 )
             )
     return path
+
+
+def replicate_sample_files(
+    src_dir: Path, dst_dir: Path, min_records: int
+) -> None:
+    """Write every sample file of ``src_dir`` into ``dst_dir`` (which may
+    be ``src_dir``) with its records repeated, in order, until it holds
+    at least ``min_records``: one ``pack_many``, then one
+    ``write_packed`` per replica."""
+    dst_dir.mkdir(parents=True, exist_ok=True)
+    for path in sorted(src_dir.glob("*.samples")):
+        with RecordFileReader(path) as reader:
+            records = list(reader)
+            codec, event = reader.codec, reader.event_name
+            period = reader.period
+        blob = codec.pack_many(
+            [r.sample for r in records],
+            [r.domain_id for r in records] if codec.has_domain else None,
+        )
+        replicas = -(-min_records // len(records)) if records else 0
+        with RecordFileWriter(dst_dir / path.name, codec, event, period) as w:
+            for _ in range(replicas):
+                w.write_packed(blob, len(records))
+
+
+def assert_plans_split_files(source: DirectorySource, workers: int) -> None:
+    """The plan has several shards and at least one starts inside a file,
+    so the parity checks that follow exercise a real split."""
+    shards = source.shards(workers)
+    assert len(shards) >= 2
+    assert any(c.start_record > 0 for shard in shards for c in shard)
 
 
 class TestPlanShards:
@@ -257,22 +299,75 @@ class TestShardTransport:
         assert merged.report().totals == agg.report().totals
 
 
+@pytest.fixture(scope="module")
+def replicated(tmp_path_factory):
+    """The golden fop run's sample files (13 + 2 records), each
+    replicated past :data:`MULTI_SHARD_RECORDS`, and a function that
+    resolves them with a fresh post-processor: ``workers -> (report,
+    chain)``."""
+    root = tmp_path_factory.mktemp("multi-shard")
+    run = viprof_profile(
+        by_name("fop"), period=90_000, time_scale=0.1, seed=7,
+        session_dir=root / "session",
+    )
+    sample_dir = root / "samples"
+    replicate_sample_files(run.sample_dir, sample_dir, MULTI_SHARD_RECORDS)
+    seed = run.viprof_report().post
+
+    def resolve(workers):
+        post = ViprofReport(
+            kernel=seed.kernel,
+            sample_dir=sample_dir,
+            codemaps=seed.codemaps,
+            rvm_map=seed.rvm_map,
+            registrations=seed.registrations,
+        )
+        return post.generate(workers=workers), post.chain
+
+    return sample_dir, resolve
+
+
+class TestMultiShardParity:
+    """``workers=N`` over files large enough to split: the shards start
+    inside files, yet the report bytes and the statistics (memo blocks
+    aside) equal the sequential pass."""
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_plan_splits_inside_files(self, replicated, workers):
+        sample_dir, _ = replicated
+        assert_plans_split_files(DirectorySource(sample_dir), workers)
+
+    @pytest.mark.parametrize("workers", [2, 4, "auto"])
+    def test_matches_sequential(self, replicated, workers):
+        _, resolve = replicated
+        seq, seq_chain = resolve(1)
+        par, par_chain = resolve(workers)
+        assert par.format_table(limit=10_000) == seq.format_table(
+            limit=10_000
+        )
+        assert without_cache(par_chain.stats_dict()) == without_cache(
+            seq_chain.stats_dict()
+        )
+
+
 class TestWorkerCacheStats:
     """Sharded runs must report merged cache statistics — in particular a
     non-zero size (the old transport dropped worker cache sizes)."""
 
-    def test_parallel_cache_size_is_reported(self):
-        run = viprof_profile(
-            by_name("fop"), period=90_000, time_scale=0.1, seed=7
-        )
-        seq = run.viprof_report(workers=1).stage_stats["cache"]
-        par = run.viprof_report(workers=2).stage_stats["cache"]
-        # Max-merge policy: worker caches hold disjoint-shard working
-        # sets that overlap on hot keys, so the merged size is the
-        # largest worker cache — positive, never above the sequential
-        # distinct-key count.
-        assert 0 < par["size"] <= seq["size"]
-        assert par["hits"] + par["misses"] == seq["hits"] + seq["misses"]
+    def test_parallel_cache_size_is_reported(self, replicated):
+        _, resolve = replicated
+        seq = resolve(1)[1].stats_dict()["cache"]
+        for workers in (2, 4):
+            par = resolve(workers)[1].stats_dict()["cache"]
+            # Max-merge policy: worker caches hold disjoint-shard working
+            # sets that overlap on hot keys, so the merged size is the
+            # largest worker cache — positive, never above the sequential
+            # distinct-key count.
+            assert 0 < par["size"] <= seq["size"]
+            assert par["hits"] + par["misses"] == seq["hits"] + seq["misses"]
+            # Each worker starts with an empty memo and misses its own
+            # first sight of a key, so the summed misses grow.
+            assert par["misses"] > seq["misses"]
 
 
 class TestParallelGuards:
