@@ -580,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         help="compare two sessions/summaries and gate on regressions",
     )
     p.add_argument("a", help="baseline: session dir, summary.json, "
-                             "BENCH_*.json, or report --json file")
+                             "or report --json file")
     p.add_argument("b", help="candidate (same flavors as the baseline)")
     p.add_argument("--config", default=None,
                    help="TOML/JSON analysis config (panels + regression "

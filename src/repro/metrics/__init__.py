@@ -8,7 +8,6 @@
   metric panels + regression thresholds, TOML/JSON).
 * :mod:`repro.metrics.analyze` — ``viprof analyze``: align two
   summaries, compute share deltas, judge them against a config.
-* :mod:`repro.metrics.bench` — the shared ``BENCH_*.json`` writer.
 
 See ``docs/analysis.md`` for the schema and the gating workflow.
 """
@@ -40,7 +39,6 @@ from repro.metrics.fleet import (
 )
 from repro.metrics.model import (
     KIND_ARTIFACTS,
-    KIND_BENCH,
     KIND_COLLECTION,
     KIND_PROFILE,
     SCHEMA_VERSION,
@@ -61,7 +59,6 @@ __all__ = [
     "KIND_PROFILE",
     "KIND_COLLECTION",
     "KIND_ARTIFACTS",
-    "KIND_BENCH",
     "SUMMARY_NAME",
     "SessionSummary",
     "SymbolEntry",

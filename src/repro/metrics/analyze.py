@@ -1,9 +1,9 @@
 """Session comparison: align two summaries, derive rates, judge deltas.
 
 ``viprof analyze A B`` loads two :class:`~repro.metrics.model.SessionSummary`
-inputs (summary files, ``BENCH_*.json`` artifacts, legacy ``report --json``
-documents, or session directories — directories are re-derived from their
-artifacts on demand), aligns them by (image, symbol) and by panel metric,
+inputs (summary files, legacy ``report --json`` documents, or session
+directories — directories are re-derived from their artifacts on
+demand), aligns them by (image, symbol) and by panel metric,
 and evaluates the share deltas against an
 :class:`~repro.metrics.panels.AnalysisConfig`.  The result is
 deterministic: the same pair of inputs always produces the same JSON
@@ -279,14 +279,14 @@ def analyze(
 
     Symbol shares are compared on one event (explicit ``event``, the
     config's pinned event, or the first event both summaries carry — no
-    common event means no symbol comparison, as for collection/bench
+    common event means no symbol comparison, as for collection
     summaries).  Every derived metric present in *both* summaries becomes
     a :class:`MetricDelta`; the config's thresholds and symbol rules
     decide which deltas are regressions.
 
     Raises:
         AnalysisError: when the summaries are of different kinds (a
-            profile and a bench artifact are not comparable).
+            profile and a collection summary are not comparable).
     """
     if config is None:
         config = DEFAULT_CONFIG
@@ -413,10 +413,8 @@ def load_input(path: Path | str) -> SessionSummary:
       from its artifacts (deterministic regardless of whether a
       ``summary.json`` is embedded — point at the file to compare the
       embedded copy itself);
-    * a ``.json`` file holding ``schema_version`` is parsed as a
-      serialized :class:`SessionSummary` (this covers ``summary.json``
-      and the stamped ``BENCH_*.json`` artifacts, whose summary rides
-      under the ``"summary"`` key);
+    * a ``.json`` file holding ``schema_version`` and ``kind`` is parsed
+      as a serialized :class:`SessionSummary` (``summary.json``);
     * a legacy ``report --json`` document (``events`` + ``symbols``) is
       converted on the fly.
     """
@@ -436,16 +434,13 @@ def load_input(path: Path | str) -> SessionSummary:
     try:
         if "schema_version" in doc and "kind" in doc:
             return SessionSummary.from_dict(doc)
-        embedded = doc.get("summary")
-        if isinstance(embedded, dict) and "schema_version" in embedded:
-            return SessionSummary.from_dict(embedded)
         if "events" in doc and "symbols" in doc:
             return _from_legacy_report_doc(doc)
     except AnalysisError as e:
         raise AnalysisError(f"{path}: {e}") from None
     raise AnalysisError(
         f"{path}: unrecognized input — expected a session directory, a "
-        "summary.json, a BENCH_*.json, or a report --json document"
+        "summary.json, or a report --json document"
     )
 
 

@@ -1,11 +1,11 @@
 """Builders: each metrics producer's native stats → :class:`SessionSummary`.
 
 This is the refactor seam of the unified-metrics model: the resolver
-chain, the streaming aggregator, the collection daemon, salvage, and the
-benchmark harnesses all keep their own counter structures (they are hot
-paths), and this module is the *only* place that knows how each shape
-maps onto summary panels.  Everything here emits raw counters — derived
-rates belong to :mod:`repro.metrics.analyze`.
+chain, the streaming aggregator, the collection daemon and salvage all
+keep their own counter structures (they are hot paths), and this module
+is the *only* place that knows how each shape maps onto summary panels.
+Everything here emits raw counters — derived rates belong to
+:mod:`repro.metrics.analyze`.
 
 Panel vocabulary (all counters, mergeable by summation):
 
@@ -38,7 +38,6 @@ Panel vocabulary (all counters, mergeable by summation):
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -570,22 +569,6 @@ def report_json_doc(
     if stats is not None:
         doc["resolution"] = stats
     return doc
-
-
-def _commit_hash() -> str | None:
-    """The working tree's commit hash, when running from a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    commit = out.stdout.strip()
-    return commit if out.returncode == 0 and len(commit) == 40 else None
 
 
 def write_session_summary(session_dir: Path | str) -> Path:

@@ -1,8 +1,8 @@
 """The unified session-metrics model: :class:`SessionSummary`.
 
 Every metrics producer in the tree — the streaming pipeline
-(``run_pipeline`` / ``report --json``), the collection daemon, salvage,
-and both benchmark harnesses — emits the same versioned, mergeable shape:
+(``run_pipeline`` / ``report --json``), the collection daemon and
+salvage — emits the same versioned, mergeable shape:
 per-(image, symbol) sample counts plus named **layer panels** of raw
 counters (kernel/JIT/boot-image attribution, GC-epoch cost, daemon
 overhead, cache hits, salvage loss accounting).  One model means two runs
@@ -41,7 +41,6 @@ __all__ = [
     "KIND_PROFILE",
     "KIND_COLLECTION",
     "KIND_ARTIFACTS",
-    "KIND_BENCH",
     "SUMMARY_NAME",
     "SymbolEntry",
     "SessionSummary",
@@ -56,10 +55,8 @@ KIND_PROFILE = "profile"
 KIND_COLLECTION = "collection"
 #: Derived offline from a session directory's artifacts alone.
 KIND_ARTIFACTS = "artifacts"
-#: A benchmark harness result (``BENCH_*.json``).
-KIND_BENCH = "bench"
 
-_KINDS = (KIND_PROFILE, KIND_COLLECTION, KIND_ARTIFACTS, KIND_BENCH)
+_KINDS = (KIND_PROFILE, KIND_COLLECTION, KIND_ARTIFACTS)
 
 #: File name a session's collection summary is stored under.
 SUMMARY_NAME = "summary.json"

@@ -27,7 +27,7 @@ This package builds that system on the same substrate:
 from repro.xen.hypervisor import Domain, Hypervisor, VcpuScheduler, XEN_BASE
 from repro.xen.xenoprof import XenoProfBuffer, XenoSample
 from repro.xen.engine import GuestSpec, MultiStackEngine, MultiStackResult
-from repro.xen.fleet import FLEET_SHARD_PATTERN, FleetSession, run_fleet
+from repro.xen.fleet import FleetSession, run_fleet
 
 __all__ = [
     "Domain",
@@ -39,7 +39,6 @@ __all__ = [
     "GuestSpec",
     "MultiStackEngine",
     "MultiStackResult",
-    "FLEET_SHARD_PATTERN",
     "FleetSession",
     "run_fleet",
 ]

@@ -46,13 +46,7 @@ from repro.profiling.report import ProfileReport
 from repro.workloads.base import Workload
 from repro.xen.engine import GuestSpec, MultiStackEngine, MultiStackResult
 
-__all__ = ["FLEET_SHARD_PATTERN", "FleetSession", "run_fleet"]
-
-#: Glob (relative to the session root) matching every per-domain sample
-#: file — the *sharded* fleet source: N_domains × N_events files, so the
-#: shard planner spreads whole domains across workers instead of
-#: chunking one big root file.
-FLEET_SHARD_PATTERN = "dom*/samples/*.samples"
+__all__ = ["FleetSession", "run_fleet"]
 
 
 @dataclass
@@ -86,19 +80,9 @@ class FleetSession:
 
     # -- sources -------------------------------------------------------
 
-    def source(self, sharded: bool = False) -> DirectorySource:
-        """The session's sample source.
-
-        ``sharded=False`` streams the root files (one per event);
-        ``sharded=True`` streams the per-domain partition via
-        :data:`FLEET_SHARD_PATTERN` — same records, same per-domain
-        order, but many more files for the shard planner to spread
-        across workers.
-        """
-        if sharded:
-            return DirectorySource(
-                self.session_dir, pattern=FLEET_SHARD_PATTERN
-            )
+    def source(self) -> DirectorySource:
+        """The session's root sample source: one file per event, which
+        the shard planner splits at aligned records."""
         return DirectorySource(self.session_dir / "samples")
 
     def events(self) -> tuple[str, ...]:
@@ -111,7 +95,6 @@ class FleetSession:
     def resolve(
         self,
         workers: int | str = 1,
-        sharded: bool = False,
         quarantined: Mapping[int, Iterable[int]] | None = None,
         strict: bool = True,
     ) -> tuple[ProfileReport, ResolverChain]:
@@ -123,7 +106,7 @@ class FleetSession:
         """
         chain = self.result.fleet_chain(quarantined, strict=strict)
         report = run_pipeline(
-            self.source(sharded=sharded),
+            self.source(),
             chain,
             events=self.events(),
             workers=workers,

@@ -12,11 +12,10 @@ from repro.metrics.analyze import (
     derived_metrics,
     load_input,
 )
-from repro.metrics.bench import bench_summary_from_payload, write_bench_payload
 from repro.metrics.model import (
     KIND_ARTIFACTS,
-    KIND_BENCH,
     KIND_COLLECTION,
+    KIND_PROFILE,
     SessionSummary,
     SymbolEntry,
 )
@@ -71,7 +70,7 @@ class TestSeededRegression:
     def test_kind_mismatch_raises(self):
         with pytest.raises(AnalysisError, match="cannot analyze"):
             analyze(
-                SessionSummary(kind=KIND_BENCH),
+                SessionSummary(kind=KIND_PROFILE),
                 SessionSummary(kind=KIND_COLLECTION),
             )
 
@@ -210,37 +209,18 @@ class TestLoadInput:
         with pytest.raises(AnalysisError, match="unrecognized input"):
             load_input(path)
 
-
-class TestBenchSummaries:
-    PAYLOAD = {
-        "benchmark": "demo",
-        "samples": 1000,
-        "elapsed": 1.25,
-        "smoke": True,
-        "daemon": {"wakeups": 4, "speedup": 2.0},
-        "configs": [
-            {"workers": 1, "resolve_cache": False, "seconds": 2.0},
-            {"workers": 1, "resolve_cache": True, "seconds": 1.0},
-        ],
-    }
-
-    def test_payload_flattening(self):
-        summary = bench_summary_from_payload(self.PAYLOAD)
-        assert summary.kind == KIND_BENCH
-        headline = summary.panel("headline")
-        assert headline["samples"] == 1000 and headline["elapsed"] == 1.25
-        assert summary.panel("daemon")["wakeups"] == 4
-        configs = summary.panel("configs")
-        assert configs["workers_1_resolve_cache_off_seconds"] == 2.0
-        assert configs["workers_1_resolve_cache_on_seconds"] == 1.0
-
-    def test_write_bench_payload_stamps_and_embeds(self, tmp_path):
+    def test_embedded_bench_summary_rejected(self, tmp_path):
+        """A retired ``BENCH_*.json`` document (provenance at the top,
+        a ``kind: bench`` summary embedded under ``"summary"``) is no
+        analyze input."""
         path = tmp_path / "BENCH_demo.json"
-        write_bench_payload(path, dict(self.PAYLOAD))
-        doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
-        assert isinstance(doc["cpu_count"], int)
-        assert doc["summary"]["kind"] == KIND_BENCH
-        loaded = load_input(path)
-        assert loaded.kind == KIND_BENCH
-        assert analyze(loaded, load_input(path)).ok
+        embedded = SessionSummary(kind=KIND_COLLECTION).to_dict()
+        embedded["kind"] = "bench"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "cpu_count": 1,
+            "samples": 1000,
+            "summary": embedded,
+        }))
+        with pytest.raises(AnalysisError, match="unrecognized input"):
+            load_input(path)

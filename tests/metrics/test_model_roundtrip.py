@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.errors import AnalysisError
 from repro.metrics.model import (
     KIND_ARTIFACTS,
-    KIND_BENCH,
     KIND_COLLECTION,
     KIND_PROFILE,
     SCHEMA_VERSION,
@@ -26,7 +25,7 @@ from repro.metrics.model import (
 )
 
 EVENTS = ("GLOBAL_POWER_EVENTS", "BSQ_CACHE_REFERENCE", "ITLB_MISS")
-KINDS = (KIND_PROFILE, KIND_COLLECTION, KIND_ARTIFACTS, KIND_BENCH)
+KINDS = (KIND_PROFILE, KIND_COLLECTION, KIND_ARTIFACTS)
 IMAGES = ("JIT.App", "vmlinux", "RVM.map", "libc.so")
 
 _name = st.text(
@@ -131,7 +130,7 @@ class TestMerge:
     def test_merge_rejects_kind_mismatch(self):
         with pytest.raises(AnalysisError, match="cannot merge"):
             SessionSummary(kind=KIND_PROFILE).merge(
-                SessionSummary(kind=KIND_BENCH)
+                SessionSummary(kind=KIND_ARTIFACTS)
             )
 
 
