@@ -37,6 +37,8 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.analysis.overhead import decompose_overhead
+from repro.errors import ProfilerError
+from repro.pipeline.parallel import resolve_workers
 from repro.system.api import base_run, oprofile_profile, viprof_profile
 from repro.system.experiment import run_case_study, run_overhead_matrix
 from repro.workloads import by_name, paper_suite
@@ -50,6 +52,19 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--period", type=int, default=90_000,
                    help="sampling period in cycles (default 90000)")
     p.add_argument("--seed", type=int, default=7)
+
+
+def _worker_count(text: str) -> int | str:
+    """``--workers`` value: ``auto`` or a count of at least 1; anything
+    else is a usage error."""
+    if text == "auto":
+        return text
+    try:
+        return resolve_workers(int(text))
+    except (ValueError, ProfilerError):
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer >= 1, got {text!r}"
+        ) from None
 
 
 @contextmanager
@@ -158,19 +173,15 @@ def _run_fleet_report(
 
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.per_domain or len(args.benchmark) > 1:
-        workers = (
-            args.workers if args.workers == "auto" else int(args.workers)
-        )
         return _run_fleet_report(
-            [by_name(n) for n in args.benchmark], args, workers=workers
+            [by_name(n) for n in args.benchmark], args, workers=args.workers
         )
-    workers = args.workers if args.workers == "auto" else int(args.workers)
     with _session_dir(args.benchmark[0]) as session_dir:
         result = viprof_profile(
             by_name(args.benchmark[0]), period=args.period,
             time_scale=args.scale, seed=args.seed, session_dir=session_dir,
         )
-        vr = result.viprof_report(workers=workers)
+        vr = result.viprof_report(workers=args.workers)
         stats = vr.stage_stats
     if args.json:
         from repro.profiling.export import report_to_json
@@ -487,11 +498,9 @@ def _cmd_xen(args: argparse.Namespace) -> int:
             return 2
         workloads = [by_name(n) for n in args.benchmarks]
     if args.fleet or args.per_domain or args.summary_out:
-        workers = (
-            args.workers if args.workers == "auto" else int(args.workers)
-        )
         return _run_fleet_report(
-            workloads, args, workers=workers, summary_out=args.summary_out
+            workloads, args, workers=args.workers,
+            summary_out=args.summary_out,
         )
     with tempfile.TemporaryDirectory(prefix="xenoprof-") as tmp:
         engine = MultiStackEngine(
@@ -531,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--json", action="store_true",
                    help="emit the report (plus per-stage resolution "
                         "counters) as JSON")
-    p.add_argument("--workers", default="1",
+    p.add_argument("--workers", type=_worker_count, default="1",
                    help="shard sample resolution across N worker "
                         "processes, or 'auto' to size the pool from the "
                         "machine's core count (same output, faster; "
@@ -614,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="write the merged fleet rollup as summary JSON")
     p.add_argument("--json", action="store_true",
                    help="emit the cross-domain fleet document as JSON")
-    p.add_argument("--workers", default="1",
+    p.add_argument("--workers", type=_worker_count, default="1",
                    help="shard fleet resolution across N worker processes "
                         "('auto' sizes from core count; default 1)")
     _add_run_args(p)

@@ -50,13 +50,11 @@ class OprofileConfig:
         events: events to profile (at least one).
         buffer_capacity: kernel ring-buffer capacity in samples.
         daemon_period: cycles between daemon wakeups.
-        output_dir_name: directory (under the session dir) for sample files.
     """
 
     events: tuple[EventSpec, ...]
     buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
     daemon_period: int = DEFAULT_DAEMON_PERIOD
-    output_dir_name: str = "samples"
 
     def __post_init__(self) -> None:
         if not self.events:

@@ -9,9 +9,11 @@ process with its own copy of the :class:`~repro.pipeline.resolver.ResolverChain`
 Exactness is the design constraint, not best-effort parallelism:
 
 * shards are **contiguous in global stream order** (files in sorted name
-  order, record ranges in file order), and partial results are merged in
-  shard order, so row/event first-seen order — the report's sort
-  tie-break — matches the sequential pass exactly;
+  order, record ranges in file order), and each worker's aggregate comes
+  back as the pool's result and is folded in shard order by the
+  order-preserving :meth:`~repro.profiling.report.StreamingAggregator.merge`,
+  so row/event first-seen order — the report's sort tie-break — matches
+  the sequential pass exactly;
 * workers reset their chain copy's counters and export pure **deltas**,
   which the parent chain absorbs
   (:meth:`~repro.pipeline.resolver.ResolverChain.absorb_stats`); counters
@@ -29,10 +31,8 @@ from __future__ import annotations
 
 import os
 import pickle
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -58,12 +58,6 @@ __all__ = [
 #: does not depend on it).
 SPLIT_ALIGN_RECORDS = 4096
 
-#: Size of each shard's shared-memory result segment.  Sized for the
-#: packed aggregate of a realistic shard (a few hundred rows is a few tens
-#: of KB); a shard whose result outgrows it falls back to returning the
-#: blob over the pool's pickle channel — slower, never wrong.
-SHARD_SEGMENT_BYTES = 1 << 20
-
 #: ``workers="auto"`` never picks more than this many shards: resolution
 #: is CPU-bound, so workers beyond the core count only add fork + merge
 #: overhead, and very wide boxes hit diminishing returns on session I/O.
@@ -76,7 +70,7 @@ def resolve_workers(workers: int | str) -> int:
     ``"auto"`` picks ``min(cpu_count, MAX_AUTO_WORKERS)`` — and degrades
     to 1 on a single-core box, where extra processes can only lose (fork,
     transport, and merge overhead with zero added parallelism).  Integer
-    counts pass through unchanged (validated by :func:`plan_shards`).
+    counts of at least 1 pass through unchanged.
     """
     if workers == "auto":
         cores = os.cpu_count() or 1
@@ -85,6 +79,8 @@ def resolve_workers(workers: int | str) -> int:
         raise ProfilerError(
             f'worker count must be an int or "auto", got {workers!r}'
         )
+    if workers < 1:
+        raise ProfilerError(f"worker count must be >= 1, got {workers}")
     return workers
 
 
@@ -227,66 +223,19 @@ def _record_count(path: Path | str) -> int:
 # ----------------------------------------------------------------------
 
 
-def _pack_shard_payload(
-    agg: StreamingAggregator, chain: ResolverChain
-) -> bytes:
-    """Flatten a worker's whole shard result — the chain's counter
-    snapshot plus the packed aggregate — into one binary blob for the
-    shared-memory segment.
-
-    Layout: ``stats_len:u32 +`` pickled
-    :meth:`~repro.pipeline.resolver.ResolverChain.export_stats` snapshot
-    (a few small counters), ``rows_len:u32 +``
-    :meth:`StreamingAggregator.pack_rows` blob (the bulk of the result).
-    """
-    stats_blob = pickle.dumps(chain.export_stats())
-    rows_blob = agg.pack_rows()
-    return b"".join((
-        struct.pack("<I", len(stats_blob)), stats_blob,
-        struct.pack("<I", len(rows_blob)), rows_blob,
-    ))
-
-
-def _absorb_shard_payload(
-    data: bytes | memoryview,
-    agg: StreamingAggregator,
-    chain: ResolverChain,
-) -> None:
-    """Fold one worker's packed shard result into the parent aggregate
-    and chain (``agg.merge`` + ``chain.absorb_stats`` semantics)."""
-    (stats_len,) = struct.unpack_from("<I", data, 0)
-    chain.absorb_stats(pickle.loads(bytes(data[4:4 + stats_len])))
-    off = 4 + stats_len
-    (rows_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    agg.absorb_packed_rows(data[off:off + rows_len])
-
-
 def _resolve_shard_worker(
-    payload: tuple[bytes, list[ShardChunk], tuple[str, ...] | None, str | None],
-) -> tuple[str, int] | tuple[str, bytes]:
-    """Worker entry: resolve one shard on a private chain copy and
-    publish the packed result through the shard's shared-memory segment.
-
-    Returns ``("shm", n_bytes)`` when the blob fit the segment, or
-    ``("pickled", blob)`` when it did not (the pool's pickle channel is
-    the overflow path — slower, never wrong).
-    """
-    chain_bytes, chunks, events, segment_name = payload
+    payload: tuple[bytes, list[ShardChunk], tuple[str, ...] | None],
+) -> tuple[dict[str, object], StreamingAggregator]:
+    """Worker entry: resolve one shard on a private chain copy and return
+    the chain's counter deltas
+    (:meth:`~repro.pipeline.resolver.ResolverChain.export_stats`) and the
+    shard's aggregate, for the parent to fold in shard order."""
+    chain_bytes, chunks, events = payload
     chain: ResolverChain = pickle.loads(chain_bytes)
     chain.reset_stats()
     agg = StreamingAggregator(events)
     consume_chunks(chunks, chain, agg)
-    blob = _pack_shard_payload(agg, chain)
-    if segment_name is not None:
-        segment = shared_memory.SharedMemory(name=segment_name)
-        try:
-            if len(blob) <= segment.size:
-                segment.buf[: len(blob)] = blob
-                return ("shm", len(blob))
-        finally:
-            segment.close()
-    return ("pickled", blob)
+    return chain.export_stats(), agg
 
 
 def run_parallel_pipeline(
@@ -302,13 +251,6 @@ def run_parallel_pipeline(
     run.  Falls back to the sequential loop when the plan yields a
     single shard (tiny inputs) — same results either way.  Workers start
     with empty memos (a pickled memo ships no entries).
-
-    Shard results travel through per-shard ``multiprocessing.shared_memory``
-    segments as flat packed blobs (:func:`_pack_shard_payload`) rather
-    than pickled ``StreamingAggregator`` objects: the parent absorbs each
-    segment in shard order, so transport cost no longer scales with
-    Python object graph size.  A result too large for its segment
-    (:data:`SHARD_SEGMENT_BYTES`) falls back to the pickle channel.
     """
     if not isinstance(source, DirectorySource):
         raise ProfilerError(
@@ -337,35 +279,14 @@ def run_parallel_pipeline(
         else None
     )
     ctx = multiprocessing.get_context(method)
-    # The parent owns every segment's lifecycle (create + unlink), so a
-    # crashed worker can never leak shared memory past this call.
-    segments = [
-        shared_memory.SharedMemory(create=True, size=SHARD_SEGMENT_BYTES)
-        for _ in shards
-    ]
-    try:
-        payloads = [
-            (chain_bytes, shard, events, segment.name)
-            for shard, segment in zip(shards, segments)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=len(shards), mp_context=ctx
-        ) as pool:
-            results = list(pool.map(_resolve_shard_worker, payloads))
-        # Merge in shard order: shards are contiguous in stream order, so
-        # order-preserving merges reproduce the sequential first-seen
-        # order.
-        for segment, (kind, value) in zip(segments, results):
-            if kind == "shm":
-                view = segment.buf[:value]
-                try:
-                    _absorb_shard_payload(view, agg, chain)
-                finally:
-                    view.release()
-            else:
-                _absorb_shard_payload(value, agg, chain)
-    finally:
-        for segment in segments:
-            segment.close()
-            segment.unlink()
+    payloads = [(chain_bytes, shard, events) for shard in shards]
+    with ProcessPoolExecutor(
+        max_workers=len(shards), mp_context=ctx
+    ) as pool:
+        results = list(pool.map(_resolve_shard_worker, payloads))
+    # Merge in shard order: shards are contiguous in stream order, so
+    # order-preserving merges reproduce the sequential first-seen order.
+    for stats, part in results:
+        chain.absorb_stats(stats)
+        agg.merge(part)
     return agg

@@ -96,20 +96,15 @@ class DirectorySource:
     Files are visited in sorted name order and decoded through the codec
     registry, so a directory may mix core and domain-tagged files.  The
     source is re-iterable; each iteration re-opens the files.
-
-    For parallel resolution, :meth:`shards` partitions the directory's
-    records — whole files, and large files by record-chunk ranges — into
-    contiguous, disjoint shards (see :mod:`repro.pipeline.parallel`).
     """
 
-    def __init__(self, sample_dir: Path | str, pattern: str = "*.samples") -> None:
+    def __init__(self, sample_dir: Path | str) -> None:
         self.sample_dir = Path(sample_dir)
-        self.pattern = pattern
         if not self.sample_dir.is_dir():
             raise ProfilerError(f"no sample directory {self.sample_dir}")
 
     def paths(self) -> list[Path]:
-        paths = sorted(self.sample_dir.glob(self.pattern))
+        paths = sorted(self.sample_dir.glob("*.samples"))
         if not paths:
             raise ProfilerError(f"no sample files in {self.sample_dir}")
         return paths
@@ -117,13 +112,6 @@ class DirectorySource:
     def __iter__(self) -> Iterator[PipelineSample]:
         for path in self.paths():
             yield from file_source(path)
-
-    def shards(self, workers: int) -> "list[list]":
-        """Partition the directory's records into ``workers`` contiguous
-        shards of :class:`~repro.pipeline.parallel.ShardChunk` ranges."""
-        from repro.pipeline.parallel import plan_shards
-
-        return plan_shards(self.paths(), workers)
 
     def event_names(self) -> tuple[str, ...]:
         """Event column order: the time event first (as the paper's tables

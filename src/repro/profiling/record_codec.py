@@ -424,6 +424,57 @@ class RecordFileWriter:
         self.close()
 
 
+def _read_header(
+    fh: BinaryIO, path: Path, codec: RecordCodec | None = None
+) -> tuple[RecordCodec, str, int, int]:
+    """Parse a sample file's header from ``fh``, positioned at byte 0.
+
+    Returns ``(codec, event_name, period, data_start)``.  ``codec`` pins
+    the expected format; None accepts any registered magic.  Read errors
+    propagate as :class:`OSError`; header damage raises
+    :class:`~repro.errors.SampleFormatError` naming ``path`` and the byte
+    offset.
+    """
+    head = fh.read(_HEADER_FIXED.size)
+    if len(head) < _HEADER_FIXED.size:
+        raise SampleFormatError(
+            f"{path}: truncated header at byte offset "
+            f"{len(head)} (fixed header is {_HEADER_FIXED.size} bytes)"
+        )
+    magic, version, name_len = _HEADER_FIXED.unpack(head)
+    if codec is not None and magic != codec.magic:
+        raise SampleFormatError(
+            f"{path}: bad magic {magic!r} at byte offset 0 "
+            f"(expected {codec.magic!r})"
+        )
+    known = codec_for_magic(magic)
+    if known is None:
+        raise SampleFormatError(
+            f"{path}: bad magic {magic!r} at byte offset 0"
+        )
+    if version != known.version:
+        raise SampleFormatError(
+            f"{path}: version {version}, expected "
+            f"{known.version} (magic {magic!r})"
+        )
+    rest = fh.read(name_len + _HEADER_PERIOD.size)
+    if len(rest) < name_len + _HEADER_PERIOD.size:
+        raise SampleFormatError(
+            f"{path}: truncated header at byte offset "
+            f"{_HEADER_FIXED.size + len(rest)}"
+        )
+    try:
+        event_name = rest[:name_len].decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SampleFormatError(
+            f"{path}: undecodable event name at byte offset "
+            f"{_HEADER_FIXED.size}: {e}"
+        ) from None
+    (period,) = _HEADER_PERIOD.unpack_from(rest, name_len)
+    data_start = _HEADER_FIXED.size + name_len + _HEADER_PERIOD.size
+    return known, event_name, period, data_start
+
+
 class RecordFileReader:
     """Streaming reader: validates the header and body length up front,
     then decodes records chunk by chunk on iteration.
@@ -447,50 +498,15 @@ class RecordFileReader:
         except OSError as e:
             raise SampleFormatError(f"{self.path}: unreadable: {e}") from None
         try:
-            head = fh.read(_HEADER_FIXED.size)
-            if len(head) < _HEADER_FIXED.size:
-                raise SampleFormatError(
-                    f"{self.path}: truncated header at byte offset "
-                    f"{len(head)} (fixed header is {_HEADER_FIXED.size} bytes)"
-                )
-            magic, version, name_len = _HEADER_FIXED.unpack(head)
-            known = codec_for_magic(magic)
-            if codec is not None and magic != codec.magic:
-                raise SampleFormatError(
-                    f"{self.path}: bad magic {magic!r} at byte offset 0 "
-                    f"(expected {codec.magic!r})"
-                )
-            if known is None:
-                raise SampleFormatError(
-                    f"{self.path}: bad magic {magic!r} at byte offset 0"
-                )
-            self.codec = known
-            if version != self.codec.version:
-                raise SampleFormatError(
-                    f"{self.path}: version {version}, expected "
-                    f"{self.codec.version} (magic {magic!r})"
-                )
-            rest = fh.read(name_len + _HEADER_PERIOD.size)
-            if len(rest) < name_len + _HEADER_PERIOD.size:
-                raise SampleFormatError(
-                    f"{self.path}: truncated header at byte offset "
-                    f"{_HEADER_FIXED.size + len(rest)}"
-                )
-            try:
-                self.event_name = rest[:name_len].decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise SampleFormatError(
-                    f"{self.path}: undecodable event name at byte offset "
-                    f"{_HEADER_FIXED.size}: {e}"
-                ) from None
-            (self.period,) = _HEADER_PERIOD.unpack_from(rest, name_len)
+            self.codec, self.event_name, self.period, self._data_start = (
+                _read_header(fh, self.path, codec)
+            )
         except (OSError, SampleFormatError):
             # Header parsing can only fail with a read error or one of
-            # the format errors raised above; anything else would mask a
-            # real bug behind a closed handle.
+            # its format errors; anything else would mask a real bug
+            # behind a closed handle.
             fh.close()
             raise
-        self._data_start = _HEADER_FIXED.size + name_len + _HEADER_PERIOD.size
         body = size - self._data_start
         rsize = self.codec.record_size
         if body % rsize:
@@ -655,45 +671,14 @@ def probe_sample_file(path: Path | str) -> SampleFileProbe:
     try:
         size = path.stat().st_size
         with open(path, "rb") as fh:
-            head = fh.read(_HEADER_FIXED.size)
-            if len(head) < _HEADER_FIXED.size:
-                raise SampleFormatError(
-                    f"{path}: truncated header at byte offset {len(head)} "
-                    f"(fixed header is {_HEADER_FIXED.size} bytes)"
-                )
-            magic, version, name_len = _HEADER_FIXED.unpack(head)
-            codec = codec_for_magic(magic)
-            if codec is None:
-                raise SampleFormatError(
-                    f"{path}: bad magic {magic!r} at byte offset 0"
-                )
-            if version != codec.version:
-                raise SampleFormatError(
-                    f"{path}: version {version}, expected "
-                    f"{codec.version} (magic {magic!r})"
-                )
-            rest = fh.read(name_len + _HEADER_PERIOD.size)
-            if len(rest) < name_len + _HEADER_PERIOD.size:
-                raise SampleFormatError(
-                    f"{path}: truncated header at byte offset "
-                    f"{_HEADER_FIXED.size + len(rest)}"
-                )
-            try:
-                event_name = rest[:name_len].decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise SampleFormatError(
-                    f"{path}: undecodable event name at byte offset "
-                    f"{_HEADER_FIXED.size}: {e}"
-                ) from None
-            (period,) = _HEADER_PERIOD.unpack_from(rest, name_len)
+            codec, event_name, period, data_start = _read_header(fh, path)
     except OSError as e:
         raise SampleFormatError(f"{path}: unreadable: {e}") from None
-    data_start = _HEADER_FIXED.size + name_len + _HEADER_PERIOD.size
     body = size - data_start
     rsize = codec.record_size
     return SampleFileProbe(
         path=path,
-        magic=magic,
+        magic=codec.magic,
         event_name=event_name,
         period=period,
         record_size=rsize,

@@ -9,7 +9,6 @@ that shape and :meth:`ProfileReport.format_table` renders it.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -210,84 +209,6 @@ class StreamingAggregator:
             for ev, n in row.counts.items():
                 self.add_counts(ev, row.image, row.symbol, n)
         return self
-
-    def __add__(self, other: "StreamingAggregator") -> "StreamingAggregator":
-        out = StreamingAggregator(self._fixed_events)
-        return out.merge(self).merge(other)
-
-    # ------------------------------------------------------------------
-    # flat binary transport (shared-memory shard results)
-    # ------------------------------------------------------------------
-
-    def pack_rows(self) -> bytes:
-        """Serialize this aggregate as a flat binary blob — the shard
-        workers' shared-memory result format (no pickle, no per-row
-        Python objects on the receiving side until absorption).
-
-        Layout (all little-endian):
-        ``samples_seen:u64, n_events:u32, [len:u16 + utf8]*,
-        n_rows:u32, [image len:u16 + utf8, symbol len:u16 + utf8,
-        n_counts:u16, (event index:u32, count:u64)*]*``.
-        Events and rows are emitted in first-seen order, which is exactly
-        what :meth:`absorb_packed_rows` must replay.
-        """
-        out = bytearray()
-        events = list(self._totals)
-        event_index = {ev: i for i, ev in enumerate(events)}
-        out += struct.pack("<QI", self.samples_seen, len(events))
-        for ev in events:
-            b = ev.encode("utf-8")
-            out += struct.pack("<H", len(b)) + b
-        out += struct.pack("<I", len(self._rows))
-        for row in self._rows.values():
-            bi = row.image.encode("utf-8")
-            bs = row.symbol.encode("utf-8")
-            out += struct.pack("<H", len(bi)) + bi
-            out += struct.pack("<H", len(bs)) + bs
-            out += struct.pack("<H", len(row.counts))
-            for ev, n in row.counts.items():
-                out += struct.pack("<IQ", event_index[ev], n)
-        return bytes(out)
-
-    def absorb_packed_rows(self, data: bytes | memoryview) -> None:
-        """Fold a :meth:`pack_rows` blob (a later shard of the same
-        stream) into this aggregate, with :meth:`merge` semantics:
-        event order is seeded first, rows replay through
-        :meth:`add_counts` in first-seen order, and samples the packed
-        side counted but its event filter dropped stay counted."""
-        unpack_from = struct.unpack_from
-        samples_seen, n_events = unpack_from("<QI", data, 0)
-        off = 12
-        events: list[str] = []
-        for _ in range(n_events):
-            (ln,) = unpack_from("<H", data, off)
-            off += 2
-            events.append(bytes(data[off:off + ln]).decode("utf-8"))
-            off += ln
-        # merge() accounting: drops first, then event-order seeding.
-        counted = 0
-        for ev in events:
-            if ev not in self._totals:
-                self._totals[ev] = 0
-        (n_rows,) = unpack_from("<I", data, off)
-        off += 4
-        for _ in range(n_rows):
-            (ln,) = unpack_from("<H", data, off)
-            off += 2
-            image = bytes(data[off:off + ln]).decode("utf-8")
-            off += ln
-            (ln,) = unpack_from("<H", data, off)
-            off += 2
-            symbol = bytes(data[off:off + ln]).decode("utf-8")
-            off += ln
-            (n_counts,) = unpack_from("<H", data, off)
-            off += 2
-            for _ in range(n_counts):
-                ev_i, n = unpack_from("<IQ", data, off)
-                off += 12
-                self.add_counts(events[ev_i], image, symbol, n)
-                counted += n
-        self.samples_seen += samples_seen - counted
 
     def report(self) -> ProfileReport:
         """Snapshot the aggregate as a :class:`ProfileReport`."""

@@ -349,7 +349,7 @@ class SystemEngine:
 
             if cfg.mode is ProfilerMode.OPROFILE:
                 self.kmodule = OprofileKernelModule(cfg.profile_config)
-                self.sample_dir = self.session_dir / cfg.profile_config.output_dir_name
+                self.sample_dir = self.session_dir / "samples"
                 self.daemon = OprofileDaemon(
                     self.kernel, self.kmodule, cfg.profile_config, self.sample_dir
                 )

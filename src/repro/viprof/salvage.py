@@ -336,10 +336,7 @@ def _max_sample_epoch(
 
 
 def salvage_session(
-    session_dir: Path | str,
-    sample_dir_name: str = "samples",
-    map_dir_name: str = "jit-maps",
-    dry_run: bool = False,
+    session_dir: Path | str, dry_run: bool = False
 ) -> SalvageManifest:
     """Scan a (possibly crash-damaged) session directory and repair it.
 
@@ -358,12 +355,12 @@ def salvage_session(
             (salvage runs once; re-running would double-count damage).
     """
     session_dir = Path(session_dir)
-    sample_dir = session_dir / sample_dir_name
-    map_dir = session_dir / map_dir_name
+    sample_dir = session_dir / "samples"
+    map_dir = session_dir / "jit-maps"
     if not sample_dir.is_dir():
         raise ProfilerError(
             f"{session_dir}: not a session directory "
-            f"(no {sample_dir_name}/ subdirectory)"
+            "(no samples/ subdirectory)"
         )
     if (session_dir / MANIFEST_NAME).exists():
         raise ProfilerError(

@@ -56,7 +56,7 @@ class ViprofSession:
         self.kernel = kernel
         self.config = config
         self.session_dir = Path(session_dir)
-        self.sample_dir = self.session_dir / config.output_dir_name
+        self.sample_dir = self.session_dir / "samples"
         self.map_dir = self.session_dir / "jit-maps"
         self.kmodule = OprofileKernelModule(config)
         self.daemon = ViprofRuntimeProfiler(
@@ -190,12 +190,7 @@ class ViprofSession:
             self.daemon.crash()
             self.kmodule.shutdown()
             self._active = False
-        return salvage_session(
-            self.session_dir,
-            sample_dir_name=self.sample_dir.name,
-            map_dir_name=self.map_dir.name,
-            dry_run=dry_run,
-        )
+        return salvage_session(self.session_dir, dry_run=dry_run)
 
     def recovered_report(
         self,

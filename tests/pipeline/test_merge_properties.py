@@ -79,20 +79,6 @@ class TestAggregatorMergeProperty:
             merged.merge(StreamingAggregator(fixed).extend(stream[lo:hi]))
         assert report_key(merged) == report_key(whole)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_dunder_add_is_non_mutating(self, seed):
-        rng = random.Random(seed)
-        stream = random_stream(rng, 100)
-        a = StreamingAggregator().extend(stream[:40])
-        b = StreamingAggregator().extend(stream[40:])
-        before_a, before_b = report_key(a), report_key(b)
-        combined = a + b
-        assert report_key(a) == before_a
-        assert report_key(b) == before_b
-        assert report_key(combined) == report_key(
-            StreamingAggregator().extend(stream)
-        )
-
     def test_event_filter_drops_count_toward_samples_seen(self):
         stream = random_stream(random.Random(99), 200)
         fixed = (EVENTS[0],)

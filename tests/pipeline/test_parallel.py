@@ -78,7 +78,7 @@ def replicate_sample_files(
 def assert_plans_split_files(source: DirectorySource, workers: int) -> None:
     """The plan has several shards and at least one starts inside a file,
     so the parity checks that follow exercise a real split."""
-    shards = source.shards(workers)
+    shards = plan_shards(source.paths(), workers)
     assert len(shards) >= 2
     assert any(c.start_record > 0 for shard in shards for c in shard)
 
@@ -198,105 +198,68 @@ class TestResolveWorkers:
         assert resolve_workers(1) == 1
         assert resolve_workers(7) == 7
 
-    @pytest.mark.parametrize("bad", [True, 1.5, "four", None])
+    @pytest.mark.parametrize("bad", [True, 1.5, "four", None, 0, -2])
     def test_rejects_non_counts(self, bad):
         with pytest.raises(ProfilerError):
             resolve_workers(bad)
 
 
-class TestShardTransport:
-    """The packed shared-memory shard payload must round-trip a worker's
-    aggregate + chain deltas exactly (same merge semantics as the old
-    pickled-object transport)."""
+class TestShardResult:
+    """A worker hands back its chain's counter deltas and its aggregate
+    through the pool; folding them into the parent (``absorb_stats``,
+    then ``merge``) must reproduce the worker's result exactly."""
 
-    def build_shard_result(self, tmp_path):
+    def resolve_shard(self, tmp_path):
+        """Resolve one 2,000-record shard through the worker entry point
+        and through a local chain copy; the worker's result crosses a
+        pickle round trip, as it does through the pool."""
         import pickle
 
         from repro.pipeline import ResolverChain
-        from repro.pipeline.parallel import consume_chunks
-        from repro.profiling.report import StreamingAggregator
-
-        path = write_sample_file(tmp_path / "s.samples", 2000)
-        parent = ResolverChain([])
-        worker = pickle.loads(pickle.dumps(parent))
-        worker.reset_stats()
-        agg = StreamingAggregator(("EV",))
-        consume_chunks([ShardChunk(str(path), 0, 2000)], worker, agg)
-        return parent, worker, agg
-
-    def test_pack_absorb_round_trips(self, tmp_path):
         from repro.pipeline.parallel import (
-            _absorb_shard_payload,
-            _pack_shard_payload,
+            _resolve_shard_worker,
+            consume_chunks,
         )
         from repro.profiling.report import StreamingAggregator
 
-        parent, worker, agg = self.build_shard_result(tmp_path)
-        blob = _pack_shard_payload(agg, worker)
+        path = write_sample_file(tmp_path / "s.samples", 2000)
+        chunks = [ShardChunk(str(path), 0, 2000)]
+        parent = ResolverChain([])
+        result = pickle.loads(pickle.dumps(_resolve_shard_worker(
+            (pickle.dumps(parent), chunks, ("EV",))
+        )))
+        local = pickle.loads(pickle.dumps(parent))
+        local.reset_stats()
+        agg = StreamingAggregator(("EV",))
+        consume_chunks(chunks, local, agg)
+        return parent, result, local, agg
+
+    def test_worker_result_round_trips(self, tmp_path):
+        from repro.profiling.report import StreamingAggregator
+
+        parent, (stats, part), local, agg = self.resolve_shard(tmp_path)
         merged = StreamingAggregator(("EV",))
-        _absorb_shard_payload(blob, merged, parent)
-        assert parent.stats_dict() == worker.stats_dict()
-        assert merged.samples_seen == agg.samples_seen
+        parent.absorb_stats(stats)
+        merged.merge(part)
+        assert parent.stats_dict() == local.stats_dict()
+        assert merged.samples_seen == agg.samples_seen == 2000
         assert (
             merged.report().format_table() == agg.report().format_table()
         )
 
     def test_absorb_rejects_mismatched_chain_shape(self, tmp_path):
         from repro.pipeline import ResolverChain
-        from repro.pipeline.parallel import (
-            _absorb_shard_payload,
-            _pack_shard_payload,
-        )
         from repro.pipeline.stages import JitEpochStage
-        from repro.profiling.report import StreamingAggregator
         from repro.viprof.codemap import CodeMapIndex
 
-        _, worker, agg = self.build_shard_result(tmp_path)
-        blob = _pack_shard_payload(agg, worker)
+        _, (stats, _), _, _ = self.resolve_shard(tmp_path)
         map_dir = tmp_path / "maps"
         map_dir.mkdir()
         other = ResolverChain(
             [JitEpochStage(CodeMapIndex.load_dir(map_dir), [])]
         )
         with pytest.raises(ProfilerError, match="diverged"):
-            _absorb_shard_payload(blob, StreamingAggregator(("EV",)), other)
-
-    def test_undersized_segment_falls_back_to_pickle(self, tmp_path):
-        import pickle
-
-        from multiprocessing import shared_memory
-
-        from repro.pipeline import ResolverChain
-        from repro.pipeline.parallel import _resolve_shard_worker
-
-        path = write_sample_file(tmp_path / "s.samples", 100)
-        chain_bytes = pickle.dumps(ResolverChain([]))
-        segment = shared_memory.SharedMemory(create=True, size=8)
-        try:
-            kind, value = _resolve_shard_worker(
-                (
-                    chain_bytes,
-                    [ShardChunk(str(path), 0, 100)],
-                    ("EV",),
-                    segment.name,
-                )
-            )
-        finally:
-            segment.close()
-            segment.unlink()
-        assert kind == "pickled"
-        assert isinstance(value, bytes)
-
-    def test_pack_rows_round_trips_dropped_samples(self):
-        from repro.profiling.report import StreamingAggregator
-
-        agg = StreamingAggregator(("A",))
-        agg.add_counts("A", "img", "sym", 5)
-        agg.add_counts("B", "img", "other", 3)  # filtered event: dropped
-        merged = StreamingAggregator(("A",))
-        merged.absorb_packed_rows(agg.pack_rows())
-        assert merged.samples_seen == agg.samples_seen == 8
-        assert merged.report().totals == agg.report().totals
+            other.absorb_stats(stats)
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +334,34 @@ class TestWorkerCacheStats:
 
 
 class TestParallelGuards:
+    def test_dead_worker_raises(self, tmp_path, monkeypatch):
+        """A worker process that dies mid-shard breaks the pool: the run
+        raises instead of waiting for a result that never comes."""
+        import multiprocessing
+        import os
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.pipeline import ResolverChain, parallel
+        from repro.pipeline.aggregate import run_pipeline
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patched loop reaches workers only by fork")
+        for i in range(2):
+            write_sample_file(tmp_path / f"{i:02d}.samples", 10)
+        source = DirectorySource(tmp_path)
+        assert len(plan_shards(source.paths(), 2)) >= 2
+        parent_pid = os.getpid()
+        consume = parallel.consume_chunks
+
+        def die_in_worker(chunks, chain, agg):
+            if os.getpid() != parent_pid:
+                os._exit(3)
+            consume(chunks, chain, agg)
+
+        monkeypatch.setattr(parallel, "consume_chunks", die_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            run_pipeline(source, ResolverChain([]), workers=2)
+
     def test_rejects_in_memory_sources(self):
         from repro.pipeline import ResolverChain
 

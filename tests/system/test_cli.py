@@ -36,6 +36,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "oprofile" in out and "viprof" in out and "agent" in out
 
+    @pytest.mark.parametrize("bad", ["four", "0"])
+    @pytest.mark.parametrize(
+        "command",
+        [["report", "fop"], ["xen", "--fleet", "2"]],
+        ids=lambda command: command[0],
+    )
+    def test_bad_worker_count_is_a_usage_error(self, command, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--scale", "0.02", "--workers", bad])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_unknown_benchmark_errors(self):
         with pytest.raises(Exception):
             main(["report", "doom", "--scale", "0.1"])
