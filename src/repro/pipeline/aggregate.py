@@ -3,7 +3,9 @@
 :func:`run_pipeline` is the whole pipeline in one call: it streams samples
 out of a source, resolves each through the chain, and folds them into a
 :class:`~repro.profiling.report.StreamingAggregator` — never holding more
-than one decode chunk (plus the aggregate's per-symbol rows) in memory.
+in memory than one decode chunk, one ``{key: count}`` table (flushed at
+:data:`~repro.pipeline.parallel.MAX_TABLE_KEYS` distinct keys) and the
+aggregate's per-symbol rows.
 
 ``workers=N`` shards a directory-backed source across ``N`` worker
 processes (:mod:`repro.pipeline.parallel`); the merged output is

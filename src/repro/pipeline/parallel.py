@@ -23,8 +23,10 @@ Exactness is the design constraint, not best-effort parallelism:
 
 The per-shard resolve loop is also the pipeline's sequential path
 (:func:`consume_source`): records are decoded in batched field chunks
-(one ``iter_unpack`` C call per chunk), grouped by resolution key, and
-resolved a key at a time — no sample objects are built for the stream.
+(one ``iter_unpack`` C call per chunk) and counted into one key table
+per chunk range, which is resolved once, a distinct key at a time, when
+the range ends (or early, at :data:`MAX_TABLE_KEYS` keys) — no sample
+objects are built for the stream.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Iterable, Sequence
 import multiprocessing
 
 from repro.errors import ProfilerError
+from repro.pipeline.cache import DEFAULT_RESOLVE_CACHE_SIZE
 from repro.pipeline.resolver import ResolverChain
 from repro.pipeline.source import DirectorySource
 from repro.profiling.record_codec import RecordFileReader
@@ -57,6 +60,11 @@ __all__ = [
 #: split never lands mid decode chunk (pure I/O efficiency; correctness
 #: does not depend on it).
 SPLIT_ALIGN_RECORDS = 4096
+
+#: A chunk range's key table is resolved early once it holds this many
+#: distinct keys, so a range with a huge key population resolves in
+#: bounded memory (a full table is ~12 MB).
+MAX_TABLE_KEYS = DEFAULT_RESOLVE_CACHE_SIZE
 
 #: ``workers="auto"`` never picks more than this many shards: resolution
 #: is CPU-bound, so workers beyond the core count only add fork + merge
@@ -160,27 +168,31 @@ def consume_chunks(
 ) -> None:
     """Resolve every record in the given chunk ranges into ``agg``.
 
-    This is the pipeline's hot loop.  Each decode chunk's raw field
-    tuples ``(pc, task_id, kernel_mode, cycle, epoch[, domain_id])`` are
-    folded into a first-seen-order ``{key: count}`` dict — one dict op
-    per sample, nothing else on the per-sample path — and resolved by
-    :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups`; the
-    aggregate then takes one ``add_counts(..., n)`` per key, in
-    first-seen order, so row insertion order (the report's sort
-    tie-break) is the stream's.  The key layout matches
-    :func:`~repro.pipeline.source.sample_key`; ``kernel_mode`` may be an
-    int here (``1 == True`` hashes identically, so the keys unify).
+    This is the pipeline's hot loop.  Each chunk range's raw field
+    tuples ``(pc, task_id, kernel_mode, cycle, epoch[, domain_id])``,
+    decoded a batch at a time, are folded into one first-seen-order
+    ``{key: count}`` table — one dict op per sample, nothing else on the
+    per-sample path — that lives across the range's decode chunks.  When
+    the range ends, or once the table holds :data:`MAX_TABLE_KEYS`
+    distinct keys (checked after each decode chunk), the table is
+    resolved by one
+    :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups` call
+    and the aggregate takes one ``add_counts(..., n)`` per key, in
+    first-seen order.  Flushes follow stream order, so row insertion
+    order (the report's sort tie-break) is the stream's.  The key layout
+    matches :func:`~repro.pipeline.source.sample_key`; ``kernel_mode``
+    may be an int here (``1 == True`` hashes identically, so the keys
+    unify).
     """
     for chunk in chunks:
         with RecordFileReader(chunk.path) as reader:
             event_name = reader.event_name
             has_domain = reader.codec.has_domain
-            add_counts = agg.add_counts
+            groups: dict[tuple, int] = {}
+            get = groups.get
             for fields_chunk in reader.iter_field_chunks(
                 chunk.start_record, chunk.n_records
             ):
-                groups: dict[tuple, int] = {}
-                get = groups.get
                 if has_domain:
                     for f in fields_chunk:
                         key = (f[0], f[4], f[2], f[1], f[5])
@@ -189,10 +201,26 @@ def consume_chunks(
                     for f in fields_chunk:
                         key = (f[0], f[4], f[2], f[1], None)
                         groups[key] = get(key, 0) + 1
-                entries = chain.resolve_groups(groups)
-                for key, count in groups.items():
-                    entry = entries[key]
-                    add_counts(event_name, entry.image, entry.symbol, count)
+                if len(groups) >= MAX_TABLE_KEYS:
+                    _resolve_table(groups, event_name, chain, agg)
+                    groups.clear()
+            _resolve_table(groups, event_name, chain, agg)
+
+
+def _resolve_table(
+    groups: dict[tuple, int],
+    event_name: str,
+    chain: ResolverChain,
+    agg: StreamingAggregator,
+) -> None:
+    """Resolve one key table and fold each key's count into ``agg``."""
+    if not groups:
+        return
+    entries = chain.resolve_groups(groups)
+    add_counts = agg.add_counts
+    for key, count in groups.items():
+        entry = entries[key]
+        add_counts(event_name, entry.image, entry.symbol, count)
 
 
 def consume_source(

@@ -244,9 +244,13 @@ def write_damaged_fixture_session(dest: Path | str) -> Path:
 
     ``salvage_session`` then truncates the sample file at the last whole
     record, quarantines the torn map, and writes ``salvage.json`` with
-    ``quarantined_epochs == (1,)``.  The result lints with nothing above
-    INFO severity.
+    ``quarantined_epochs == (1,)``.  Last, the session's offline summary
+    is saved as ``summary.json`` for VP110 to check.  The result lints
+    with nothing above INFO severity; written into a directory named
+    ``lint-session-damaged`` (the summary records the name), it is
+    byte-identical to the checked-in fixture of that name.
     """
+    from repro.metrics.build import derive_summary
     from repro.viprof.salvage import salvage_session
 
     dest = write_fixture_session(dest)
@@ -277,6 +281,7 @@ def write_damaged_fixture_session(dest: Path | str) -> Path:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
+    derive_summary(dest).save(dest / "summary.json")
     return dest
 
 

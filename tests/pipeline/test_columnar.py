@@ -1,19 +1,24 @@
-"""Columnar (grouped, bucketed) resolution parity.
+"""Grouped, bucketed resolution parity.
 
-Production resolution groups each decode chunk by key, probes the memo
-once per key and walks the misses bucket by bucket
+Production resolution counts each sample file range into one
+``{key: count}`` table across its decode chunks, resolves the table
+once (early, when it outgrows its bound), probes the memo once per key
+and walks the misses bucket by bucket
 (:meth:`repro.pipeline.ResolverChain.resolve_groups`).  It must produce
 byte-identical reports *and* identical resolution statistics to the
 per-sample oracle (``tests/pipeline/oracle.py``), for every worker
 count, with the memo on or off, in strict and degraded
 (quarantined-epoch) mode.  These tests pin that contract against the
 golden fixtures, against randomized shuffled/duplicated sample streams,
-and against a salvaged world with a quarantine barrier.
+against a multi-chunk stream whose keys recur across decode chunks
+(with the table whole and flushed, and one walk per distinct key), and
+against a salvaged world with a quarantine barrier.
 """
 
 import random
 import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,9 +45,10 @@ class TestGoldenColumnarParity:
     """Production output vs the golden fixtures and the oracle."""
 
     @pytest.fixture(scope="class")
-    def run(self):
+    def run(self, tmp_path_factory):
         return viprof_profile(
-            by_name("fop"), period=90_000, time_scale=0.1, seed=7
+            by_name("fop"), period=90_000, time_scale=0.1, seed=7,
+            session_dir=tmp_path_factory.mktemp("golden-columnar"),
         )
 
     def render(self, run, workers, memo=True):
@@ -176,6 +182,10 @@ def _assert_parity(samples, chain):
     reference, ref_stats = _run_samples(samples, chain, oracle=True)
     assert report.format_table() == reference.format_table()
     assert report.totals == reference.totals
+    # Row insertion order is the report's sort tie-break.
+    assert [(r.image, r.symbol) for r in report.rows] == [
+        (r.image, r.symbol) for r in reference.rows
+    ]
     assert without_cache(stats) == ref_stats
     return stats
 
@@ -233,6 +243,110 @@ class TestRandomizedParity:
         }
         assert rows[("JIT.App", "m0")] == 3
         assert rows[("JIT.App", "r4")] == 3
+
+
+#: Decode-chunk size of the record reader; the key-table tests span
+#: several chunks.
+DECODE_CHUNK = 4096
+
+
+def _multi_chunk_samples():
+    """12,388 samples spanning four decode chunks, drawn from 288 keys
+    (bodies × offsets × epochs × tasks) that recur in every chunk.  Body 5
+    is only drawn from record 5,000 on, so its ``own``-epoch row
+    (``JIT.App m5``) is first seen after the first decode chunk."""
+    rng = random.Random(1234)
+    pool = [
+        (HEAP_LO + body * 0x1000 + off, epoch, task)
+        for body in range(EPOCHS)
+        for off in (0, 8, 16, 24)
+        for epoch in range(EPOCHS)
+        for task in (TASK, OTHER_TASK)
+    ]
+    early = [k for k in pool if k[0] < HEAP_LO + 5 * 0x1000]
+    samples = []
+    for i in range(3 * DECODE_CHUNK + 100):
+        pc, epoch, task = rng.choice(early if i < 5000 else pool)
+        samples.append(
+            RawSample(
+                pc=pc, event_name="EV", task_id=task,
+                kernel_mode=False, cycle=i, epoch=epoch,
+            )
+        )
+    return samples
+
+
+def _distinct_keys(samples):
+    return {(s.pc, s.epoch, False, s.task_id, None) for s in samples}
+
+
+class TestKeyTable:
+    """One ``{key: count}`` table per chunk range: every distinct key is
+    resolved once per range (once per flush when the table outgrows its
+    bound), not once per decode chunk, and the output still equals the
+    per-sample oracle's."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        samples = _multi_chunk_samples()
+        first_m5 = next(
+            i for i, s in enumerate(samples)
+            if s.pc >= HEAP_LO + 5 * 0x1000 and s.epoch == 5
+            and s.task_id == TASK
+        )
+        assert first_m5 >= DECODE_CHUNK
+        assert len(_distinct_keys(samples)) == 288
+        return samples
+
+    def assert_parity(self, samples, chain):
+        stats = _assert_parity(samples, chain)
+        if stats["cache"] is not None:
+            # One memo miss per distinct key, a hit for every repeat.
+            distinct = len(_distinct_keys(samples))
+            assert stats["cache"]["misses"] == distinct
+            assert stats["cache"]["hits"] == len(samples) - distinct
+
+    @pytest.mark.parametrize("cache_size", [1 << 16, 0])
+    def test_multi_chunk_parity(self, world_dir, samples, cache_size):
+        self.assert_parity(
+            samples, _make_chain(world_dir, cache_size=cache_size)
+        )
+
+    @pytest.mark.parametrize("cache_size", [1 << 16, 0])
+    def test_flushed_table_parity(
+        self, world_dir, samples, cache_size, monkeypatch
+    ):
+        # A five-key bound flushes the table after every decode chunk.
+        from repro.pipeline import parallel
+
+        monkeypatch.setattr(parallel, "MAX_TABLE_KEYS", 5)
+        calls = []
+        original = ResolverChain.resolve_groups
+
+        def spy(chain, groups):
+            calls.append(len(groups))
+            return original(chain, groups)
+
+        monkeypatch.setattr(ResolverChain, "resolve_groups", spy)
+        self.assert_parity(
+            samples, _make_chain(world_dir, cache_size=cache_size)
+        )
+        assert len(calls) == -(-len(samples) // DECODE_CHUNK)
+
+    def test_each_distinct_key_walked_once(
+        self, world_dir, samples, monkeypatch
+    ):
+        walked: Counter = Counter()
+        original = ResolverChain.resolve_key_run
+
+        def spy(chain, keys, counts):
+            walked.update(keys)
+            return original(chain, keys, counts)
+
+        monkeypatch.setattr(ResolverChain, "resolve_key_run", spy)
+        _run_samples(samples, _make_chain(world_dir, cache_size=0))
+        assert set(walked) == _distinct_keys(samples)
+        assert set(walked.values()) == {1}
 
 
 class TestQuarantinedParity:

@@ -32,8 +32,6 @@ from repro.viprof.postprocess import ViprofReport
 from repro.workloads import by_name
 from tests.pipeline.oracle import without_cache
 
-GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" / "golden"
-
 #: Records per replicated sample file: enough that two and four workers
 #: split a file at an aligned record inside it.
 MULTI_SHARD_RECORDS = 3 * SPLIT_ALIGN_RECORDS
@@ -139,50 +137,6 @@ class TestPlanShards:
         )
 
 
-class TestParallelGoldenParity:
-    """``workers=N`` output must match the sequential golden fixtures."""
-
-    @pytest.fixture(scope="class")
-    def run(self):
-        return viprof_profile(
-            by_name("fop"), period=90_000, time_scale=0.1, seed=7
-        )
-
-    def render(self, run, workers):
-        vr = run.viprof_report(workers=workers)
-        s = vr.jit_stats
-        text = vr.report.format_table(limit=15) + "\n"
-        text += (
-            f"{s.jit_samples} JIT samples, "
-            f"{100 * s.resolution_rate:.1f}% resolved\n"
-        )
-        return text, vr.stage_stats
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_matches_golden_bytes(self, run, workers):
-        text, _ = self.render(run, workers)
-        assert text == (GOLDEN / "report_fop.txt").read_text()
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_statistics_match_sequential(self, run, workers):
-        _, seq = self.render(run, 1)
-        _, par = self.render(run, workers)
-        # Stage counters and detail merge exactly; cache hit/miss counts
-        # legitimately differ (each worker warms its own cache).
-        assert par["stages"] == seq["stages"]
-        assert par["total_samples"] == seq["total_samples"]
-
-    def test_opreport_parallel_matches_sequential(self, run):
-        seq = run.oprofile_report(workers=1)
-        par = run.oprofile_report(workers=2)
-        assert par.format_table() == seq.format_table()
-        assert par.totals == seq.totals
-
-    def test_excess_workers_still_exact(self, run):
-        text, _ = self.render(run, 32)
-        assert text == (GOLDEN / "report_fop.txt").read_text()
-
-
 class TestResolveWorkers:
     def test_auto_is_bounded_by_cores_and_cap(self):
         import os
@@ -267,7 +221,9 @@ def replicated(tmp_path_factory):
     """The golden fop run's sample files (13 + 2 records), each
     replicated past :data:`MULTI_SHARD_RECORDS`, and a function that
     resolves them with a fresh post-processor: ``workers -> (report,
-    chain)``."""
+    chain)``, VIProf's by default, stock opreport's with ``stock=True``."""
+    from repro.oprofile.opreport import OpReport
+
     root = tmp_path_factory.mktemp("multi-shard")
     run = viprof_profile(
         by_name("fop"), period=90_000, time_scale=0.1, seed=7,
@@ -277,17 +233,33 @@ def replicated(tmp_path_factory):
     replicate_sample_files(run.sample_dir, sample_dir, MULTI_SHARD_RECORDS)
     seed = run.viprof_report().post
 
-    def resolve(workers):
-        post = ViprofReport(
-            kernel=seed.kernel,
-            sample_dir=sample_dir,
-            codemaps=seed.codemaps,
-            rvm_map=seed.rvm_map,
-            registrations=seed.registrations,
-        )
+    def resolve(workers, stock=False):
+        if stock:
+            post = OpReport(seed.kernel, sample_dir)
+        else:
+            post = ViprofReport(
+                kernel=seed.kernel,
+                sample_dir=sample_dir,
+                codemaps=seed.codemaps,
+                rvm_map=seed.rvm_map,
+                registrations=seed.registrations,
+            )
         return post.generate(workers=workers), post.chain
 
     return sample_dir, resolve
+
+
+def assert_same_report(par, par_chain, seq, seq_chain) -> None:
+    """Table bytes, totals, row insertion order (the sort tie-break) and
+    statistics (memo blocks aside) are the sequential pass's."""
+    assert par.format_table(limit=10_000) == seq.format_table(limit=10_000)
+    assert par.totals == seq.totals
+    assert [(r.image, r.symbol) for r in par.rows] == [
+        (r.image, r.symbol) for r in seq.rows
+    ]
+    assert without_cache(par_chain.stats_dict()) == without_cache(
+        seq_chain.stats_dict()
+    )
 
 
 class TestMultiShardParity:
@@ -303,14 +275,23 @@ class TestMultiShardParity:
     @pytest.mark.parametrize("workers", [2, 4, "auto"])
     def test_matches_sequential(self, replicated, workers):
         _, resolve = replicated
-        seq, seq_chain = resolve(1)
-        par, par_chain = resolve(workers)
-        assert par.format_table(limit=10_000) == seq.format_table(
-            limit=10_000
+        assert_same_report(*resolve(workers), *resolve(1))
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_opreport_parallel_matches_sequential(self, replicated, workers):
+        sample_dir, resolve = replicated
+        assert_plans_split_files(DirectorySource(sample_dir), workers)
+        assert_same_report(
+            *resolve(workers, stock=True), *resolve(1, stock=True)
         )
-        assert without_cache(par_chain.stats_dict()) == without_cache(
-            seq_chain.stats_dict()
-        )
+
+    def test_excess_workers_still_exact(self, replicated):
+        # Aligned splits leave fewer shards than the 32 workers asked for.
+        sample_dir, resolve = replicated
+        source = DirectorySource(sample_dir)
+        assert_plans_split_files(source, 32)
+        assert len(plan_shards(source.paths(), 32)) < 32
+        assert_same_report(*resolve(32), *resolve(1))
 
 
 class TestWorkerCacheStats:
@@ -370,9 +351,10 @@ class TestParallelGuards:
                 iter([]), ResolverChain([]), events=None, workers=2
             )
 
-    def test_pid_filter_is_sequential_only(self):
+    def test_pid_filter_is_sequential_only(self, tmp_path):
         run = viprof_profile(
-            by_name("fop"), period=90_000, time_scale=0.1, seed=7
+            by_name("fop"), period=90_000, time_scale=0.1, seed=7,
+            session_dir=tmp_path / "session",
         )
         from repro.oprofile.opreport import OpReport
 

@@ -561,6 +561,26 @@ class TestSalvageRules:
         assert (sess / "salvage.json").is_file()
         assert (sess / "jit-maps" / "quarantine").is_dir()
 
+    def test_damaged_writer_regenerates_checked_in_fixture(self, tmp_path):
+        def tree(root):
+            return {
+                p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*"))
+                if p.is_file()
+            }
+
+        checked_in = (
+            Path(__file__).resolve().parents[1]
+            / "fixtures" / "lint-session-damaged"
+        )
+        dest = write_damaged_fixture_session(
+            tmp_path / "lint-session-damaged"
+        )
+        regenerated, expected = tree(dest), tree(checked_in)
+        assert sorted(regenerated) == sorted(expected)
+        for name, data in expected.items():
+            assert regenerated[name] == data, name
+
     def test_quarantine_without_manifest_is_vp107(self, salvaged):
         (salvaged / "salvage.json").unlink()
         report = lint_session(salvaged, rule_ids=["VP107"])
