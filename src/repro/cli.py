@@ -194,10 +194,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
           f"{100 * s.resolution_rate:.1f}% resolved")
     print("\nresolution stages:")
     print(_format_stage_stats(stats))
-    cache = stats.get("cache")
-    if cache is not None:
-        print(f"resolve cache: {cache['hits']}/{stats['total_samples']} "
-              f"hits ({100 * cache['hit_rate']:.1f}%)")
     return 0
 
 
@@ -593,8 +589,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("b", help="candidate (same flavors as the baseline)")
     p.add_argument("--config", default=None,
                    help="TOML/JSON analysis config (panels + regression "
-                        "thresholds); default gates symbol shares, cache "
-                        "hit rate, and layer shares")
+                        "thresholds); default gates symbol shares and "
+                        "layer shares")
     p.add_argument("--event", default=None,
                    help="event to compare symbol shares on (default: "
                         "first common event)")

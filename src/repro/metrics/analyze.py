@@ -10,11 +10,9 @@ deterministic: the same pair of inputs always produces the same JSON
 bytes (floats are rounded at serialization, keys sorted).
 
 Raw panels hold counters; comparison happens on **derived metrics**
-(:func:`derived_metrics`), which add rates generically:
-
-* a panel with a positive ``total`` gets ``<key>_pct`` for every other
-  counter (``layers.kernel_pct``, ...);
-* a panel with ``hits``/``misses`` gets ``hit_rate_pct``.
+(:func:`derived_metrics`), which add rates generically: a panel with a
+positive ``total`` gets ``<key>_pct`` for every other counter
+(``layers.kernel_pct``, ...).
 
 Symbol alignment mirrors :func:`repro.profiling.diff.diff_reports` — that
 function is now a thin wrapper over :func:`align_shares` — with
@@ -156,8 +154,7 @@ def derived_metrics(summary: SessionSummary) -> dict[str, dict[str, float]]:
     """Every panel's counters plus generically derived rates.
 
     Derivation is shape-driven, not panel-name-driven, so any producer's
-    panel gets rates for free: ``total`` yields per-key percentages,
-    ``hits``/``misses`` yield ``hit_rate_pct``.
+    panel gets rates for free: ``total`` yields per-key percentages.
     """
     out: dict[str, dict[str, float]] = {}
     for name, panel in summary.panels.items():
@@ -169,14 +166,6 @@ def derived_metrics(summary: SessionSummary) -> dict[str, dict[str, float]]:
             for k, v in panel.items():
                 if k != "total":
                     metrics[f"{k}_pct"] = 100.0 * v / total
-        hits = panel.get("hits")
-        misses = panel.get("misses")
-        if (
-            isinstance(hits, (int, float))
-            and isinstance(misses, (int, float))
-            and hits + misses > 0
-        ):
-            metrics["hit_rate_pct"] = 100.0 * hits / (hits + misses)
         out[name] = metrics
     return out
 

@@ -17,8 +17,6 @@ Panel vocabulary (all counters, mergeable by summation):
 ``jit``
     The JIT epoch-walk split (own epoch / earlier epoch / unresolved /
     blocked at quarantine).
-``cache``
-    Resolution-cache ``hits``/``misses``.
 ``degraded``
     Post-salvage degradation counters (samples blocked at quarantine
     barriers).
@@ -89,8 +87,8 @@ def resolution_panels(
     """Panels from :meth:`repro.pipeline.resolver.ResolverChain.stats_dict`.
 
     Builds ``layers`` (per-stage hit counts + ``total``), ``jit`` (the
-    epoch-walk detail), ``cache`` (hits/misses) and, for degraded
-    post-salvage chains, ``degraded``.
+    epoch-walk detail) and, for degraded post-salvage chains,
+    ``degraded``.
     """
     panels: dict[str, dict[str, int | float]] = {}
     layers: dict[str, int | float] = {}
@@ -122,11 +120,6 @@ def resolution_panels(
         panels["jit"] = jit
     if degraded:
         panels["degraded"] = degraded
-    cache = stats.get("cache")
-    if isinstance(cache, dict):
-        panels["cache"] = _int_counters(
-            {"hits": cache.get("hits", 0), "misses": cache.get("misses", 0)}
-        )
     return panels
 
 

@@ -5,7 +5,7 @@ guest domain plus a merged *rollup*.  Three rules make the rollup exact
 and order-independent:
 
 * every per-domain summary carries its panels twice — once under the
-  shared names (``layers``, ``jit``, ``cache``, ...) and once prefixed
+  shared names (``layers``, ``jit``, ``degraded``, ...) and once prefixed
   ``dom<N>.<panel>`` — so the merged summary keeps both the fleet-wide
   totals (shared panels sum across domains) and each domain's own
   counters (prefixed names are unique per domain, so merging passes them
@@ -89,8 +89,8 @@ def domain_summary(
     a plain VIProf chain's, or a multi-stack (hypervisor + dispatch)
     chain's, in which case this domain's *inner*-chain counters are
     flattened out of the dispatch stage's detail so the panels show the
-    real kernel/JIT/boot-image layer split (and the inner cache) instead
-    of one opaque ``domain_dispatch`` hit count.  Each shared panel also
+    real kernel/JIT/boot-image layer split instead of one opaque
+    ``domain_dispatch`` hit count.  Each shared panel also
     gets a ``dom<N>.``-prefixed copy, and a ``fleet`` panel counts this
     domain itself.
     """

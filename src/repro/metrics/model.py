@@ -5,7 +5,7 @@ Every metrics producer in the tree — the streaming pipeline
 salvage — emits the same versioned, mergeable shape:
 per-(image, symbol) sample counts plus named **layer panels** of raw
 counters (kernel/JIT/boot-image attribution, GC-epoch cost, daemon
-overhead, cache hits, salvage loss accounting).  One model means two runs
+overhead, salvage loss accounting).  One model means two runs
 can always be *compared*: ``viprof analyze`` (:mod:`repro.metrics.analyze`)
 aligns two summaries by (image, symbol) and by panel metric and computes
 share deltas — the paper's whole point is that vertically integrated
@@ -16,8 +16,8 @@ Design rules:
 
 * **Panels hold raw counters only** (hit counts, cycle counts, byte
   counts) — never derived rates.  Raw counters merge by summation, so
-  :meth:`SessionSummary.merge` is exact; rates (``kernel_pct``,
-  ``hit_rate_pct``) are derived at analysis time
+  :meth:`SessionSummary.merge` is exact; rates (``kernel_pct``, ...)
+  are derived at analysis time
   (:func:`repro.metrics.analyze.derived_metrics`).
 * **Serialization is canonical**: :meth:`SessionSummary.to_canonical_json`
   sorts keys and fixes separators, so the same summary always produces
@@ -158,10 +158,6 @@ class SessionSummary:
     def total_samples(self) -> int:
         """Samples across every event (the layer-share denominator)."""
         return sum(self.totals.values())
-
-    @property
-    def primary_event(self) -> str | None:
-        return self.events[0] if self.events else None
 
     def symbol_shares(self, event: str) -> dict[tuple[str, str], float]:
         """Percent share per (image, symbol) for one event (0..100)."""

@@ -15,9 +15,9 @@ Config document shape (TOML shown; the JSON shape is isomorphic)::
     max_appear_points = 1.0         # share at which a new symbol flags
 
     [[thresholds]]
-    metric = "cache.hit_rate_pct"   # "<panel>.<derived metric>"
-    direction = "down"              # bad direction: "up" | "down"
-    max_delta = 10.0                # |percentage-point| tolerance
+    metric = "layers.kernel_pct"    # "<panel>.<derived metric>"
+    direction = "up"                # bad direction: "up" | "down"
+    max_delta = 5.0                 # |percentage-point| tolerance
     # max_ratio = 1.5               # alternative: b/a ratio tolerance
 
 Thresholds only fire when both summaries actually carry the metric —
@@ -115,17 +115,11 @@ class AnalysisConfig:
     thresholds: tuple[Threshold, ...] = ()
 
 
-#: The gates applied when no config file is given: symbol share growth,
-#: resolution-cache effectiveness, and the kernel/unresolved layer shares
-#: (the paper's headline axes).
+#: The gates applied when no config file is given: symbol share growth
+#: and the kernel/unresolved layer shares (the paper's headline axes).
 DEFAULT_CONFIG = AnalysisConfig(
     symbols=SymbolRules(max_gain_points=5.0, max_appear_points=1.0),
     thresholds=(
-        Threshold(
-            metric="cache.hit_rate_pct",
-            direction=DIRECTION_DOWN,
-            max_delta=10.0,
-        ),
         Threshold(
             metric="layers.kernel_pct", direction=DIRECTION_UP, max_delta=5.0
         ),

@@ -28,11 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.pipeline.aggregate import run_pipeline
-from repro.pipeline.cache import (
-    DEFAULT_RESOLVE_CACHE_SIZE,
-    CachedResolution,
-    ResolutionCache,
-)
 from repro.pipeline.callgraph import (
     CallArc,
     CallGraphRecorder,
@@ -98,9 +93,6 @@ __all__ = [
     "ResolverChain",
     "StageStats",
     "run_pipeline",
-    "DEFAULT_RESOLVE_CACHE_SIZE",
-    "CachedResolution",
-    "ResolutionCache",
     "ShardChunk",
     "plan_shards",
     "consume_source",
@@ -155,11 +147,7 @@ def xen_chain(
     hypervisor: "Hypervisor", domain_chains: Mapping[int, ResolverChain]
 ) -> ResolverChain:
     """XenoProf multi-stack resolution: hypervisor addresses first, then
-    each bucket goes to its domain's own chain.  The domain chains
-    memoize and count; the outer chain has no memo (``cache_size=0``),
-    because a memo hit above the dispatch would skip the domain chain's
-    counting."""
+    each bucket goes to its domain's own chain, which counts its claims."""
     return ResolverChain(
-        [HypervisorStage(hypervisor), DomainDispatchStage(domain_chains)],
-        cache_size=0,
+        [HypervisorStage(hypervisor), DomainDispatchStage(domain_chains)]
     )

@@ -41,7 +41,6 @@ from typing import Iterable, Sequence
 import multiprocessing
 
 from repro.errors import ProfilerError
-from repro.pipeline.cache import DEFAULT_RESOLVE_CACHE_SIZE
 from repro.pipeline.resolver import ResolverChain
 from repro.pipeline.source import DirectorySource
 from repro.profiling.record_codec import RecordFileReader
@@ -63,8 +62,9 @@ SPLIT_ALIGN_RECORDS = 4096
 
 #: A chunk range's key table is resolved early once it holds this many
 #: distinct keys, so a range with a huge key population resolves in
-#: bounded memory (a full table is ~12 MB).
-MAX_TABLE_KEYS = DEFAULT_RESOLVE_CACHE_SIZE
+#: bounded memory (a full table is ~12 MB); each flushed table walks its
+#: own keys.
+MAX_TABLE_KEYS = 1 << 16
 
 #: ``workers="auto"`` never picks more than this many shards: resolution
 #: is CPU-bound, so workers beyond the core count only add fork + merge
@@ -277,8 +277,7 @@ def run_parallel_pipeline(
     Returns the merged aggregator; the parent ``chain`` has absorbed every
     worker's counter deltas, so ``chain.stats_dict()`` reports the whole
     run.  Falls back to the sequential loop when the plan yields a
-    single shard (tiny inputs) — same results either way.  Workers start
-    with empty memos (a pickled memo ships no entries).
+    single shard (tiny inputs) — same results either way.
     """
     if not isinstance(source, DirectorySource):
         raise ProfilerError(

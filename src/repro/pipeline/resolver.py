@@ -11,37 +11,31 @@ a bucket to a domain's chain — goes through :meth:`ResolverChain.resolve_group
 
 1. samples arrive grouped by resolution key
    (:func:`~repro.pipeline.source.sample_key`) with a count per key;
-2. the chain's bounded memo (:mod:`repro.pipeline.cache`) is probed once
-   per distinct key;
-3. the misses are sorted into buckets sharing ``(epoch, kernel_mode,
-   task_id, domain_id)`` — one ascending PC run each — and each bucket is
-   walked down the stages once (:meth:`ResolverChain.resolve_key_run`),
-   the JIT stage answering the whole run with one batched backward epoch
-   walk;
-4. every key's claim is counted ``count`` times in one
+2. the distinct keys are sorted into buckets sharing ``(epoch,
+   kernel_mode, task_id, domain_id)`` — one ascending PC run each — and
+   each bucket is walked down the stages once
+   (:meth:`ResolverChain.resolve_key_run`), the JIT stage answering the
+   whole run with one batched backward epoch walk;
+3. every key's claim is counted ``count`` times in one
    ``Counter[(claim_index, outcome)]``.
 
 Statistics are *derived* from that counter: a stage's hits are the claims
 at its index, its misses the claims further down, and stage detail (the
 JIT own/earlier-epoch split) comes from the outcomes counted at its index
-(:meth:`ResolverChain.stats_dict`).  Memo hits count exactly like walks,
-so memoized and unmemoized runs report the same statistics, and shard
-workers merge by adding counters (:meth:`ResolverChain.absorb_stats`).
+(:meth:`ResolverChain.stats_dict`).  How the samples were grouped never
+shows in them, and shard workers merge by adding counters
+(:meth:`ResolverChain.absorb_stats`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ProfilerError
-from repro.pipeline.cache import (
-    DEFAULT_RESOLVE_CACHE_SIZE,
-    CachedResolution,
-    ResolutionCache,
-)
 from repro.pipeline.source import (
     PipelineSample,
     iter_pipeline_samples,
@@ -50,10 +44,27 @@ from repro.pipeline.source import (
 from repro.pipeline.stages import FallbackStage, ResolverStage
 from repro.profiling.model import RawSample, ResolvedSample
 
-__all__ = ["StageStats", "ResolverChain"]
+__all__ = ["Resolution", "StageStats", "ResolverChain"]
 
 #: Samples :meth:`ResolverChain.resolve_stream` groups per walk.
 STREAM_CHUNK = 4096
+
+
+@dataclass(frozen=True, slots=True)
+class Resolution:
+    """The outcome of one stage walk for one key.
+
+    ``claim`` is ``(claim_index, outcome)``: the position of the claiming
+    stage in the chain (``len(stages)`` for the terminal fallback) and the
+    stage's outcome label (the JIT stage's ``own``/``earlier``/``blocked``
+    /``unresolved``; None for stages without one).  It is the key the
+    chain counts claims under.
+    """
+
+    image: str
+    symbol: str
+    offset: int
+    claim: tuple[int, str | None]
 
 
 @dataclass
@@ -93,15 +104,12 @@ class ResolverChain:
     The chain is the only place resolution order lives: ``opreport``,
     VIProf, and XenoProf reports differ solely in the stage list they are
     built from (see the composition helpers in :mod:`repro.pipeline`).
-
-    ``cache_size`` bounds the chain's resolution memo; 0 disables it.
     """
 
     def __init__(
         self,
         stages: Sequence[ResolverStage],
         fallback: ResolverStage | None = None,
-        cache_size: int = DEFAULT_RESOLVE_CACHE_SIZE,
     ) -> None:
         self.stages = list(stages)
         self.fallback = fallback if fallback is not None else FallbackStage()
@@ -115,9 +123,6 @@ class ResolverChain:
                 f"fallback stage name {self.fallback.name!r} collides "
                 f"with a chain stage"
             )
-        self.cache: ResolutionCache | None = (
-            ResolutionCache(cache_size) if cache_size > 0 else None
-        )
         #: Samples claimed, keyed ``(claim_index, outcome)``; the fallback's
         #: index is ``len(stages)``.  Every statistic is derived from it.
         self.outcomes: Counter = Counter()
@@ -139,34 +144,17 @@ class ResolverChain:
 
     def resolve_groups(
         self, groups: Mapping[tuple, int]
-    ) -> dict[tuple, CachedResolution]:
+    ) -> dict[tuple, Resolution]:
         """Resolve samples grouped by key (key → sample count) and count
         every sample's claim; returns each key's resolution.
 
-        The one resolution path: a memo probe per distinct key, then one
-        :meth:`resolve_key_run` per bucket of missing keys.
+        The one resolution path: one :meth:`resolve_key_run` per bucket
+        of distinct keys.
         """
-        cache = self.cache
-        if cache is not None:
-            entries, missing = cache.lookup(groups)
-        else:
-            entries, missing = {}, list(groups)
-        if missing:
-            missing.sort(key=_bucket_sort_key)
-            walked: dict[tuple, CachedResolution] = {}
-            start, n = 0, len(missing)
-            while start < n:
-                bucket_id = missing[start][1:]
-                end = start + 1
-                while end < n and missing[end][1:] == bucket_id:
-                    end += 1
-                walked.update(
-                    self.resolve_key_run(missing[start:end], groups)
-                )
-                start = end
-            if cache is not None:
-                cache.store(walked)
-            entries.update(walked)
+        entries: dict[tuple, Resolution] = {}
+        keys = sorted(groups, key=_bucket_sort_key)
+        for _, bucket in groupby(keys, key=itemgetter(slice(1, None))):
+            entries.update(self.resolve_key_run(list(bucket), groups))
         outcomes = self.outcomes
         for key, count in groups.items():
             outcomes[entries[key].claim] += count
@@ -174,7 +162,7 @@ class ResolverChain:
 
     def resolve_key_run(
         self, keys: Sequence[tuple], counts: Mapping[tuple, int]
-    ) -> dict[tuple, CachedResolution]:
+    ) -> dict[tuple, Resolution]:
         """Walk the stages once for one bucket of **distinct** keys
         sharing ``(epoch, kernel_mode, task_id, domain_id)``, PCs
         ascending.  Each stage answers the keys still pending with one
@@ -193,7 +181,7 @@ class ResolverChain:
             )
             for key in keys
         ]
-        entries: dict[tuple, CachedResolution] = {}
+        entries: dict[tuple, Resolution] = {}
         pending = list(range(len(keys)))
         last = len(self.stages)
         for idx, stage in enumerate(self._all_stages):
@@ -209,7 +197,7 @@ class ResolverChain:
                     still.append(i)
                     continue
                 resolved, outcome = res
-                entries[keys[i]] = CachedResolution(
+                entries[keys[i]] = Resolution(
                     image=resolved.image,
                     symbol=resolved.symbol,
                     offset=resolved.offset,
@@ -236,7 +224,7 @@ class ResolverChain:
     ) -> Iterator[ResolvedSample]:
         """Stream resolution: raw, domain-tagged, or pipeline samples in;
         resolved samples out, in order, resolved :data:`STREAM_CHUNK` at
-        a time."""
+        a time (each batch walks its own distinct keys)."""
         it = iter_pipeline_samples(samples)
         while batch := list(islice(it, STREAM_CHUNK)):
             keys = [sample_key(s) for s in batch]
@@ -288,9 +276,8 @@ class ResolverChain:
     def stats_dict(self) -> dict[str, object]:
         """JSON-able snapshot of the chain's counters, including any
         stage-specific detail (e.g. the JIT epoch split), degradation
-        counters for stages running in degraded (post-salvage) mode, the
-        resolution memo's hit rate, and ``total_samples`` as the
-        denominator."""
+        counters for stages running in degraded (post-salvage) mode, and
+        ``total_samples`` as the denominator."""
         stages: list[dict[str, object]] = []
         degraded_any = False
         for st, stage, outcomes in zip(
@@ -315,9 +302,6 @@ class ResolverChain:
             "stages": stages,
             "total_samples": self.total_samples,
             "degraded": degraded_any,
-            "cache": (
-                self.cache.stats_dict() if self.cache is not None else None
-            ),
         }
 
     # ------------------------------------------------------------------
@@ -325,27 +309,18 @@ class ResolverChain:
     # ------------------------------------------------------------------
 
     def reset_stats(self) -> None:
-        """Zero every counter and empty the memo, inner chains included —
-        a shard worker resets its chain copy so the exported counters
-        are pure deltas."""
+        """Zero every counter, inner chains included — a shard worker
+        resets its chain copy so the exported counters are pure deltas."""
         self.outcomes.clear()
-        if self.cache is not None:
-            self.cache.clear()
         for stage in self.stages:
             for inner in stage.chains.values():
                 inner.reset_stats()
 
     def export_stats(self) -> dict[str, object]:
         """Picklable counter snapshot for cross-process merging."""
-        cache = self.cache
         return {
             "stages": [s.name for s in self._all_stages],
             "outcomes": dict(self.outcomes),
-            "cache": (
-                (cache.hits, cache.misses, len(cache))
-                if cache is not None
-                else None
-            ),
             "inner": {
                 s.name: {d: c.export_stats() for d, c in s.chains.items()}
                 for s in self.stages
@@ -365,9 +340,6 @@ class ResolverChain:
                 f"into chain {names}: worker/parent chain shapes diverged"
             )
         self.outcomes.update(snapshot["outcomes"])
-        cache_counts = snapshot["cache"]
-        if cache_counts is not None and self.cache is not None:
-            self.cache.absorb(*cache_counts)
         for name, chains in snapshot["inner"].items():
             stage = self.stage(name)
             for domain, inner in chains.items():

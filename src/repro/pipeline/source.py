@@ -65,10 +65,23 @@ def as_pipeline_sample(obj: object) -> PipelineSample:
 
 def sample_key(sample: PipelineSample) -> tuple:
     """The sample's resolution key, ``(pc, epoch, kernel_mode, task_id,
-    domain_id)``: everything any stage reads from a sample (see
-    :mod:`repro.pipeline.cache` for why it is sound to memoize on it).
-    ``cycle`` and ``event_name`` are not in it, because no stage reads
-    them."""
+    domain_id)``: everything any stage reads from a sample.  ``cycle``
+    and ``event_name`` are not in it, because no stage reads them.
+
+    **Why grouping by key is sound.**  The pipeline resolves each
+    distinct key once and counts the result for every sample that shares
+    it (:meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups`).
+    That is exact because every input a stage consults is immutable
+    during a post-processing pass: symbol tables, VMA sets and boot-image
+    maps are the session's final snapshot, and the epoch code maps are
+    immutable *per epoch* — the backward epoch walk for ``(epoch, pc)``
+    can never change once the session's maps are on disk.  The one
+    time-varying input the profiler tracks (which JIT method occupied an
+    address) is exactly what the epoch stamp captures, so with ``epoch``
+    in the key even an ``(unresolved jit)`` verdict is final: map *e* and
+    everything below it will never gain the address.  ``domain_id`` keeps
+    multi-stack (Xen) streams from aliasing across guests.
+    """
     raw = sample.raw
     return (raw.pc, raw.epoch, raw.kernel_mode, raw.task_id, sample.domain_id)
 

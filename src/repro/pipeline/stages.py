@@ -380,10 +380,7 @@ class DomainDispatchStage(ResolverStage):
     A bucket shares its domain id (it is part of the bucket key), so the
     whole bucket — with its sample counts — goes to that domain's chain
     in one :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups`
-    call, which probes the domain chain's memo and counts the claims
-    there.  An outer chain must therefore not memoize above this stage
-    (a memo hit would skip the domain chain's counting): :func:`~repro.
-    pipeline.xen_chain` builds it with ``cache_size=0``.
+    call, which counts the claims there.
 
     Terminal: a sample tagged with an unknown domain is a corrupt stream,
     reported as a :class:`~repro.errors.ProfilerError` rather than
@@ -418,7 +415,7 @@ class DomainDispatchStage(ResolverStage):
 
     def detail_dict(self, outcomes: Counter) -> dict[str, object]:
         """The inner chains' full counters, keyed ``dom{id}``, so the
-        per-domain JIT split, memo hit rates and degraded counters are
+        per-domain JIT split and degraded counters are
         visible in the outer chain's ``stats_dict()``."""
         return {
             f"dom{dom}": chain.stats_dict()

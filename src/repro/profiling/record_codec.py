@@ -29,10 +29,10 @@ fixed-size chunks, so memory stays constant in the number of samples.
 Chunk decode is batched — one :meth:`struct.Struct.iter_unpack` call per
 chunk (:meth:`RecordFileReader.iter_field_chunks`), so the per-record
 Python work is object construction only, and the streaming pipeline's
-fast path (:mod:`repro.pipeline.parallel`) can skip even that on
-resolution-cache hits.  A reader holds one open handle for its lifetime
-(it is a context manager); shard workers read disjoint record ranges of
-the same file via ``start_record``/``n_records``.
+fast path (:mod:`repro.pipeline.parallel`) skips even that: it counts
+the raw field tuples by resolution key.  A reader holds one open handle
+for its lifetime (it is a context manager); shard workers read disjoint
+record ranges of the same file via ``start_record``/``n_records``.
 
 The write path mirrors the batched decode: :meth:`RecordCodec.pack_many`
 bulk-encodes a whole batch in one grow-and-append pack loop over a single

@@ -154,8 +154,8 @@ class StreamingAggregator:
         self, event: str, image: str, symbol: str, n: int = 1
     ) -> None:
         """Fold ``n`` samples attributed to (image, symbol) under one
-        event — the object-free fast path the pipeline uses on
-        resolution-cache hits, and the primitive :meth:`add` and
+        event — the object-free fast path the pipeline uses once per
+        distinct resolution key, and the primitive :meth:`add` and
         :meth:`merge` are built on."""
         self.samples_seen += n
         if self._fixed_events is not None and event not in self._totals:

@@ -372,9 +372,6 @@ class CodeMapArena:
             for name, size, sha in self.header.get("sources", [])
         )
 
-    def record_count(self, epoch: int) -> int:
-        return self._epoch_dir[epoch][0]
-
     def epoch_map(self, epoch: int) -> "ArenaCodeMap":
         cm = self._maps.get(epoch)
         if cm is None:

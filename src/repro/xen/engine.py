@@ -170,7 +170,7 @@ class MultiStackResult:
         strict: bool = True,
     ) -> ResolverChain:
         """A fresh VIProf chain for one guest (kernel → JIT epoch maps →
-        boot image → task VMAs), with its own counters and memo.
+        boot image → task VMAs), with its own counters.
 
         ``quarantined`` epochs become barriers in the domain's code-map
         index (exactly what its salvage report prescribes); pair with

@@ -54,8 +54,8 @@ class FleetSession:
     """One many-guest session: artifacts on disk plus live guest state.
 
     Every resolution builds fresh chains through the result's
-    :meth:`~MultiStackResult.domain_chain`, each with its own counters
-    and cache, so a caller can resolve the same session twice (say,
+    :meth:`~MultiStackResult.domain_chain`, each with its own counters,
+    so a caller can resolve the same session twice (say,
     strict baseline vs degraded post-salvage) without one run's
     statistics bleeding into the other's.
     """

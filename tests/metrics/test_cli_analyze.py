@@ -41,8 +41,10 @@ class TestAnalyzeCli:
         assert outputs[0] == outputs[1]
         doc = json.loads(outputs[0])
         assert doc["ok"] is False
-        assert {r["subject"] for r in doc["regressions"]} >= {
-            "cache.hit_rate_pct", "layers.kernel_pct"
+        assert {r["subject"] for r in doc["regressions"]} == {
+            "JIT.App:fixture.app.Alpha.run",
+            "JIT.App:fixture.app.Hot.spin",
+            "layers.kernel_pct",
         }
 
     def test_session_dirs_compare(self, capsys):

@@ -13,11 +13,19 @@ SCALE = 0.08
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
     root = tmp_path_factory.mktemp("sessions")
+    runs = tmp_path_factory.mktemp("runs")
     store = SessionStore(root)
-    v = viprof_profile(by_name("fop"), period=45_000, time_scale=SCALE)
-    o = oprofile_profile(by_name("fop"), period=45_000, time_scale=SCALE)
+    v = viprof_profile(
+        by_name("fop"), period=45_000, time_scale=SCALE,
+        session_dir=runs / "v",
+    )
+    o = oprofile_profile(
+        by_name("fop"), period=45_000, time_scale=SCALE,
+        session_dir=runs / "o",
+    )
     v2 = viprof_profile(
-        by_name("fop"), period=45_000, time_scale=SCALE, seed=99
+        by_name("fop"), period=45_000, time_scale=SCALE, seed=99,
+        session_dir=runs / "v2",
     )
     store.archive(v, "fop-viprof")
     store.archive(o, "fop-oprofile")
@@ -39,8 +47,10 @@ class TestArchive:
         assert s.period == 45_000
         assert s.meta["registration"] is not None
 
-    def test_duplicate_label_rejected(self, store):
-        v = viprof_profile(by_name("fop"), time_scale=SCALE)
+    def test_duplicate_label_rejected(self, store, tmp_path):
+        v = viprof_profile(
+            by_name("fop"), time_scale=SCALE, session_dir=tmp_path
+        )
         with pytest.raises(ProfilerError, match="already exists"):
             store.archive(v, "fop-viprof")
 

@@ -1,15 +1,14 @@
 """The reference resolver: one sample at a time, straight down the stages.
 
 Production resolution (:meth:`repro.pipeline.ResolverChain.resolve_groups`)
-groups samples by key, memoizes, walks bucket by bucket and derives its
+groups samples by key, walks bucket by bucket and derives its
 statistics from one claim counter.  This oracle does none of that: it
 offers every sample to every stage in order, resolves the JIT step with
 its own per-address backward walk (:func:`walk`, a linear scan of each
 map's records — it shares neither the production walk nor its interval
 table), recurses into the domain chain for the Xen dispatch, and counts
 hits, misses and the JIT split by hand as it goes.  Parity tests compare
-production reports and ``stats_dict()`` (less the memo's ``cache`` block)
-against it.
+production reports and the whole ``stats_dict()`` against it.
 
 It reads a chain's stages but never its counters, so a chain can be
 handed to the oracle and to production alike.
@@ -33,7 +32,7 @@ from repro.profiling.model import ResolvedSample
 from repro.profiling.report import ProfileReport, StreamingAggregator
 from repro.viprof.codemap import RESOLVE_BLOCKED
 
-__all__ = ["Oracle", "oracle_report", "walk", "without_cache"]
+__all__ = ["Oracle", "oracle_report", "walk"]
 
 
 def walk(codemaps, epoch: int, pc: int, backward: bool = True):
@@ -131,7 +130,7 @@ class Oracle:
         return None
 
     def stats_dict(self) -> dict[str, object]:
-        """The ``stats_dict()`` shape, without the ``cache`` blocks."""
+        """The ``stats_dict()`` shape."""
         entries = []
         degraded_any = False
         for idx, stage in enumerate(self.stages):
@@ -194,18 +193,3 @@ def oracle_report(
         agg.add(oracle.resolve(sample))
     return agg.report(), oracle.stats_dict()
 
-
-def without_cache(stats: dict[str, object]) -> dict[str, object]:
-    """A chain's ``stats_dict()`` less its memo blocks, inner chains'
-    included — the part the oracle reproduces."""
-    out = {k: v for k, v in stats.items() if k != "cache"}
-    out["stages"] = [
-        {
-            **entry,
-            "detail": {k: without_cache(v) for k, v in entry["detail"].items()},
-        }
-        if entry["stage"] == "domain-dispatch"
-        else entry
-        for entry in stats["stages"]
-    ]
-    return out

@@ -1,6 +1,6 @@
 """Tests for the shared record codec: roundtrips through both registered
-formats, magic sniffing, legacy layout stability, and the path + byte
-offset contract on corruption errors."""
+formats, magic sniffing, legacy layout stability, the path + byte
+offset contract on corruption errors, and the reader's file handles."""
 
 import struct
 
@@ -156,3 +156,39 @@ class TestCorruptionErrors:
             w.write(raw(), domain_id=0)
         with pytest.raises(SampleFormatError, match="bad magic"):
             RecordFileReader(path, codec=CORE_CODEC)
+
+
+class TestReaderHandleHygiene:
+    def make(self, tmp_path, n=10):
+        from tests.pipeline.test_parallel import write_sample_file
+
+        return write_sample_file(tmp_path / "h.samples", n)
+
+    def test_context_manager_releases_handle(self, tmp_path):
+        with RecordFileReader(self.make(tmp_path)) as reader:
+            assert reader._fh is not None
+            n = sum(1 for _ in reader)
+        assert n == 10
+        assert reader._fh is None
+
+    def test_closed_reader_can_still_iterate(self, tmp_path):
+        reader = RecordFileReader(self.make(tmp_path))
+        reader.close()
+        assert sum(1 for _ in reader) == 10  # opens a private handle
+
+    def test_concurrent_iterations_do_not_collide(self, tmp_path):
+        with RecordFileReader(self.make(tmp_path)) as reader:
+            outer = reader.iter_records()
+            first = next(outer)
+            inner = list(reader.iter_records())  # private handle
+            rest = list(outer)
+        assert len(inner) == 10
+        assert [first, *rest] == inner
+
+    def test_range_validation(self, tmp_path):
+        with RecordFileReader(self.make(tmp_path)) as reader:
+            with pytest.raises(SampleFormatError):
+                list(reader.iter_field_chunks(start_record=11))
+            with pytest.raises(SampleFormatError):
+                list(reader.iter_field_chunks(0, 11))
+            assert sum(len(c) for c in reader.iter_field_chunks(4, 6)) == 6

@@ -2,17 +2,16 @@
 
 Production resolution counts each sample file range into one
 ``{key: count}`` table across its decode chunks, resolves the table
-once (early, when it outgrows its bound), probes the memo once per key
-and walks the misses bucket by bucket
-(:meth:`repro.pipeline.ResolverChain.resolve_groups`).  It must produce
-byte-identical reports *and* identical resolution statistics to the
-per-sample oracle (``tests/pipeline/oracle.py``), for every worker
-count, with the memo on or off, in strict and degraded
-(quarantined-epoch) mode.  These tests pin that contract against the
-golden fixtures, against randomized shuffled/duplicated sample streams,
-against a multi-chunk stream whose keys recur across decode chunks
-(with the table whole and flushed, and one walk per distinct key), and
-against a salvaged world with a quarantine barrier.
+once (early, when it outgrows its bound) and walks its distinct keys
+bucket by bucket (:meth:`repro.pipeline.ResolverChain.resolve_groups`).
+It must produce byte-identical reports *and* identical resolution
+statistics to the per-sample oracle (``tests/pipeline/oracle.py``), in
+strict and degraded (quarantined-epoch) mode.  These tests pin that
+contract against the golden fixtures, against randomized
+shuffled/duplicated sample streams, against a multi-chunk stream whose
+keys recur across decode chunks (with the table whole and flushed, and
+one walk per distinct key), and against a salvaged world with a
+quarantine barrier.
 """
 
 import random
@@ -36,7 +35,7 @@ from repro.system.api import viprof_profile
 from repro.viprof.codemap import CodeMapIndex, CodeMapRecord, CodeMapWriter
 from repro.viprof.runtime_profiler import VmRegistration
 from repro.workloads import by_name
-from tests.pipeline.oracle import oracle_report, without_cache
+from tests.pipeline.oracle import oracle_report
 
 GOLDEN = Path(__file__).resolve().parents[1] / "fixtures" / "golden"
 
@@ -51,12 +50,8 @@ class TestGoldenColumnarParity:
             session_dir=tmp_path_factory.mktemp("golden-columnar"),
         )
 
-    def render(self, run, workers, memo=True):
-        vr = run.viprof_report(workers=workers)
-        if not memo:
-            post = vr.post
-            post.chain = ResolverChain(post.chain.stages, cache_size=0)
-            vr.report = post.generate(workers=workers)
+    def render(self, run):
+        vr = run.viprof_report()
         s = vr.jit_stats
         text = vr.report.format_table(limit=15) + "\n"
         text += (
@@ -71,29 +66,14 @@ class TestGoldenColumnarParity:
             post._build_chain(), post.source, events=post.event_names()
         )
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_matches_golden_bytes(self, run, workers):
-        text, _ = self.render(run, workers)
+    def test_matches_golden_bytes(self, run):
+        text, _ = self.render(run)
         assert text == (GOLDEN / "report_fop.txt").read_text()
 
-    def test_stats_match_scalar_cache_on(self, run):
-        # Every counter but the memo's matches the per-sample oracle; the
-        # memo saw one miss per distinct key and a hit for every repeat.
-        _, stats = self.render(run, 1)
+    def test_stats_match_oracle(self, run):
+        _, stats = self.render(run)
         _, reference = self.oracle(run)
-        assert without_cache(stats) == reference
-        cache = stats["cache"]
-        assert cache["hits"] + cache["misses"] == stats["total_samples"]
-
-    def test_stats_match_scalar_cache_off(self, run):
-        _, stats = self.render(run, 1, memo=False)
-        _, reference = self.oracle(run)
-        assert stats["cache"] is None
-        assert without_cache(stats) == reference
-
-    def test_cache_off_matches_golden_bytes(self, run):
-        text, _ = self.render(run, 1, memo=False)
-        assert text == (GOLDEN / "report_fop.txt").read_text()
+        assert stats == reference
 
     def test_opreport_columnar_matches_scalar(self, run):
         from repro.oprofile.opreport import OpReport
@@ -148,10 +128,7 @@ def world_dir(tmp_path_factory):
 
 
 def _make_chain(
-    map_dir: Path,
-    cache_size: int = 1 << 16,
-    strict: bool = True,
-    quarantined=frozenset(),
+    map_dir: Path, strict: bool = True, quarantined=frozenset()
 ) -> ResolverChain:
     index = CodeMapIndex.load_dir(map_dir, quarantined=quarantined)
     stage = JitEpochStage(
@@ -159,7 +136,7 @@ def _make_chain(
         [VmRegistration(TASK, HEAP_LO, HEAP_HI)],
         strict=strict,
     )
-    return ResolverChain([stage], cache_size=cache_size)
+    return ResolverChain([stage])
 
 
 def _run_samples(samples, chain, oracle=False):
@@ -186,7 +163,7 @@ def _assert_parity(samples, chain):
     assert [(r.image, r.symbol) for r in report.rows] == [
         (r.image, r.symbol) for r in reference.rows
     ]
-    assert without_cache(stats) == ref_stats
+    assert stats == ref_stats
     return stats
 
 
@@ -207,12 +184,9 @@ class TestRandomizedParity:
             max_size=40,
         ),
         shuffle_seed=st.integers(0, 2**32 - 1),
-        cache_on=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_scalar_columnar_agree(
-        self, world_dir, specs, shuffle_seed, cache_on
-    ):
+    def test_scalar_columnar_agree(self, world_dir, specs, shuffle_seed):
         samples = []
         for body, offset, epoch, task, dups in specs:
             pc = HEAP_LO + body * 0x1000 + offset
@@ -224,8 +198,7 @@ class TestRandomizedParity:
                     )
                 )
         random.Random(shuffle_seed).shuffle(samples)
-        cache_size = (1 << 16) if cache_on else 0
-        _assert_parity(samples, _make_chain(world_dir, cache_size=cache_size))
+        _assert_parity(samples, _make_chain(world_dir))
 
     def test_recycled_address_attributed_per_epoch(self, world_dir):
         # Deterministic pin of the cross-epoch case: HEAP_LO is m0 before
@@ -298,24 +271,10 @@ class TestKeyTable:
         assert len(_distinct_keys(samples)) == 288
         return samples
 
-    def assert_parity(self, samples, chain):
-        stats = _assert_parity(samples, chain)
-        if stats["cache"] is not None:
-            # One memo miss per distinct key, a hit for every repeat.
-            distinct = len(_distinct_keys(samples))
-            assert stats["cache"]["misses"] == distinct
-            assert stats["cache"]["hits"] == len(samples) - distinct
+    def test_multi_chunk_parity(self, world_dir, samples):
+        _assert_parity(samples, _make_chain(world_dir))
 
-    @pytest.mark.parametrize("cache_size", [1 << 16, 0])
-    def test_multi_chunk_parity(self, world_dir, samples, cache_size):
-        self.assert_parity(
-            samples, _make_chain(world_dir, cache_size=cache_size)
-        )
-
-    @pytest.mark.parametrize("cache_size", [1 << 16, 0])
-    def test_flushed_table_parity(
-        self, world_dir, samples, cache_size, monkeypatch
-    ):
+    def test_flushed_table_parity(self, world_dir, samples, monkeypatch):
         # A five-key bound flushes the table after every decode chunk.
         from repro.pipeline import parallel
 
@@ -328,9 +287,7 @@ class TestKeyTable:
             return original(chain, groups)
 
         monkeypatch.setattr(ResolverChain, "resolve_groups", spy)
-        self.assert_parity(
-            samples, _make_chain(world_dir, cache_size=cache_size)
-        )
+        _assert_parity(samples, _make_chain(world_dir))
         assert len(calls) == -(-len(samples) // DECODE_CHUNK)
 
     def test_each_distinct_key_walked_once(
@@ -344,7 +301,7 @@ class TestKeyTable:
             return original(chain, keys, counts)
 
         monkeypatch.setattr(ResolverChain, "resolve_key_run", spy)
-        _run_samples(samples, _make_chain(world_dir, cache_size=0))
+        _run_samples(samples, _make_chain(world_dir))
         assert set(walked) == _distinct_keys(samples)
         assert set(walked.values()) == {1}
 
@@ -376,15 +333,9 @@ class TestQuarantinedParity:
             for i, (epoch, off) in enumerate(spec)
         ]
 
-    @pytest.mark.parametrize("cache_size", [1 << 16, 0])
-    def test_degraded_accounting_matches_scalar(
-        self, guarded_dir, cache_size
-    ):
+    def test_degraded_accounting_matches_scalar(self, guarded_dir):
         chain = _make_chain(
-            guarded_dir,
-            cache_size=cache_size,
-            strict=False,
-            quarantined=frozenset({3}),
+            guarded_dir, strict=False, quarantined=frozenset({3})
         )
         col_stats = _assert_parity(self.blocked_samples(), chain)
         jit = next(

@@ -18,7 +18,6 @@ from repro.errors import ProfilerError
 from repro.pipeline.stages import JitStageStats
 from repro.profiling.model import RawSample, ResolvedSample
 from repro.profiling.report import StreamingAggregator, build_report
-from tests.pipeline.oracle import without_cache
 
 EVENTS = ("GLOBAL_POWER_EVENTS", "BSQ_CACHE_REFERENCE", "ITLB_MISS")
 IMAGES = ("vmlinux", "JIT.App", "RVM.map", "libc.so", "(unknown)")
@@ -173,19 +172,17 @@ class TestJitStatsMergeProperty:
 class TestChainShardMergeProperty:
     """End-to-end: resolving random splits of a real session on chain
     copies and absorbing their exported counters equals one sequential
-    pass — the whole ``stats_dict()`` but the memo's own counters."""
+    pass — the whole ``stats_dict()``."""
 
     @pytest.fixture(scope="class")
-    def post(self):
+    def post(self, tmp_path_factory):
         from repro.system.api import viprof_profile
         from repro.workloads import by_name
 
         return viprof_profile(
-            by_name("fop"), period=90_000, time_scale=0.12, seed=11
+            by_name("fop"), period=90_000, time_scale=0.12, seed=11,
+            session_dir=tmp_path_factory.mktemp("shard-merge"),
         ).viprof_report().post
-
-    def stats_key(self, chain):
-        return without_cache(chain.stats_dict())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_absorbed_shards_equal_sequential(self, seed, post):
@@ -201,7 +198,7 @@ class TestChainShardMergeProperty:
             worker = post._build_chain()
             list(worker.resolve_stream(samples[lo:hi]))
             parent.absorb_stats(worker.export_stats())
-        assert self.stats_key(parent) == self.stats_key(sequential)
+        assert parent.stats_dict() == sequential.stats_dict()
 
     def test_export_stats_survives_pickle(self, post):
         import pickle
@@ -212,7 +209,7 @@ class TestChainShardMergeProperty:
         snapshot = pickle.loads(pickle.dumps(chain.export_stats()))
         parent = post._build_chain()
         parent.absorb_stats(snapshot)
-        assert self.stats_key(parent) == self.stats_key(chain)
+        assert parent.stats_dict() == chain.stats_dict()
 
     def test_absorb_rejects_unknown_stage(self, post):
         chain = post._build_chain()

@@ -30,7 +30,6 @@ from repro.profiling.record_codec import (
 from repro.system.api import viprof_profile
 from repro.viprof.postprocess import ViprofReport
 from repro.workloads import by_name
-from tests.pipeline.oracle import without_cache
 
 #: Records per replicated sample file: enough that two and four workers
 #: split a file at an aligned record inside it.
@@ -220,8 +219,8 @@ class TestShardResult:
 def replicated(tmp_path_factory):
     """The golden fop run's sample files (13 + 2 records), each
     replicated past :data:`MULTI_SHARD_RECORDS`, and a function that
-    resolves them with a fresh post-processor: ``workers -> (report,
-    chain)``, VIProf's by default, stock opreport's with ``stock=True``."""
+    builds a fresh post-processor over them: VIProf's by default, stock
+    opreport's with ``stock=True``."""
     from repro.oprofile.opreport import OpReport
 
     root = tmp_path_factory.mktemp("multi-shard")
@@ -233,39 +232,40 @@ def replicated(tmp_path_factory):
     replicate_sample_files(run.sample_dir, sample_dir, MULTI_SHARD_RECORDS)
     seed = run.viprof_report().post
 
-    def resolve(workers, stock=False):
+    def post_for(stock=False):
         if stock:
-            post = OpReport(seed.kernel, sample_dir)
-        else:
-            post = ViprofReport(
-                kernel=seed.kernel,
-                sample_dir=sample_dir,
-                codemaps=seed.codemaps,
-                rvm_map=seed.rvm_map,
-                registrations=seed.registrations,
-            )
-        return post.generate(workers=workers), post.chain
+            return OpReport(seed.kernel, sample_dir)
+        return ViprofReport(
+            kernel=seed.kernel,
+            sample_dir=sample_dir,
+            codemaps=seed.codemaps,
+            rvm_map=seed.rvm_map,
+            registrations=seed.registrations,
+        )
 
-    return sample_dir, resolve
+    return sample_dir, post_for
+
+
+def resolve(post, workers):
+    """``(report, chain)`` of one ``generate(workers=...)`` pass."""
+    return post.generate(workers=workers), post.chain
 
 
 def assert_same_report(par, par_chain, seq, seq_chain) -> None:
     """Table bytes, totals, row insertion order (the sort tie-break) and
-    statistics (memo blocks aside) are the sequential pass's."""
+    statistics are the sequential pass's."""
     assert par.format_table(limit=10_000) == seq.format_table(limit=10_000)
     assert par.totals == seq.totals
     assert [(r.image, r.symbol) for r in par.rows] == [
         (r.image, r.symbol) for r in seq.rows
     ]
-    assert without_cache(par_chain.stats_dict()) == without_cache(
-        seq_chain.stats_dict()
-    )
+    assert par_chain.stats_dict() == seq_chain.stats_dict()
 
 
 class TestMultiShardParity:
     """``workers=N`` over files large enough to split: the shards start
-    inside files, yet the report bytes and the statistics (memo blocks
-    aside) equal the sequential pass."""
+    inside files, yet the report bytes and the statistics equal the
+    sequential pass."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_plan_splits_inside_files(self, replicated, workers):
@@ -274,44 +274,48 @@ class TestMultiShardParity:
 
     @pytest.mark.parametrize("workers", [2, 4, "auto"])
     def test_matches_sequential(self, replicated, workers):
-        _, resolve = replicated
-        assert_same_report(*resolve(workers), *resolve(1))
+        _, post_for = replicated
+        assert_same_report(
+            *resolve(post_for(), workers), *resolve(post_for(), 1)
+        )
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_opreport_parallel_matches_sequential(self, replicated, workers):
-        sample_dir, resolve = replicated
+        sample_dir, post_for = replicated
         assert_plans_split_files(DirectorySource(sample_dir), workers)
         assert_same_report(
-            *resolve(workers, stock=True), *resolve(1, stock=True)
+            *resolve(post_for(stock=True), workers),
+            *resolve(post_for(stock=True), 1),
         )
 
     def test_excess_workers_still_exact(self, replicated):
         # Aligned splits leave fewer shards than the 32 workers asked for.
-        sample_dir, resolve = replicated
+        sample_dir, post_for = replicated
         source = DirectorySource(sample_dir)
         assert_plans_split_files(source, 32)
         assert len(plan_shards(source.paths(), 32)) < 32
-        assert_same_report(*resolve(32), *resolve(1))
+        assert_same_report(
+            *resolve(post_for(), 32), *resolve(post_for(), 1)
+        )
 
-
-class TestWorkerCacheStats:
-    """Sharded runs must report merged cache statistics — in particular a
-    non-zero size (the old transport dropped worker cache sizes)."""
-
-    def test_parallel_cache_size_is_reported(self, replicated):
-        _, resolve = replicated
-        seq = resolve(1)[1].stats_dict()["cache"]
-        for workers in (2, 4):
-            par = resolve(workers)[1].stats_dict()["cache"]
-            # Max-merge policy: worker caches hold disjoint-shard working
-            # sets that overlap on hot keys, so the merged size is the
-            # largest worker cache — positive, never above the sequential
-            # distinct-key count.
-            assert 0 < par["size"] <= seq["size"]
-            assert par["hits"] + par["misses"] == seq["hits"] + seq["misses"]
-            # Each worker starts with an empty memo and misses its own
-            # first sight of a key, so the summed misses grow.
-            assert par["misses"] > seq["misses"]
+    def test_warm_workers_match_sequential_bytes_and_stats(self, replicated):
+        # A chain that has resolved one pass ships its counters to the
+        # workers, which zero their copies: a sharded re-run reproduces
+        # the sequential bytes and adds exactly one pass's counts.
+        sample_dir, post_for = replicated
+        assert_plans_split_files(DirectorySource(sample_dir), 2)
+        post = post_for()
+        seq = post.generate(workers=1)
+        first = post.chain.stats_dict()
+        warm = post.generate(workers=2)
+        second = post.chain.stats_dict()
+        assert warm.format_table(limit=10_000) == seq.format_table(
+            limit=10_000
+        )
+        assert warm.totals == seq.totals
+        assert second["total_samples"] == 2 * first["total_samples"]
+        for a, b in zip(first["stages"], second["stages"]):
+            assert (b["hits"], b["misses"]) == (2 * a["hits"], 2 * a["misses"])
 
 
 class TestParallelGuards:

@@ -26,9 +26,10 @@ def golden(name: str) -> str:
 
 
 class TestGoldenParity:
-    def test_viprof_report_matches_legacy_bytes(self):
+    def test_viprof_report_matches_legacy_bytes(self, tmp_path):
         r = viprof_profile(
-            by_name("fop"), period=90_000, time_scale=0.1, seed=7
+            by_name("fop"), period=90_000, time_scale=0.1, seed=7,
+            session_dir=tmp_path,
         )
         vr = r.viprof_report()
         s = vr.jit_stats
@@ -63,9 +64,10 @@ class TestBatchStreamEquivalence:
     and aggregating by hand must equal the streaming ``generate()``."""
 
     @pytest.fixture(scope="class")
-    def run(self):
+    def run(self, tmp_path_factory):
         return viprof_profile(
-            by_name("fop"), period=90_000, time_scale=0.12, seed=11
+            by_name("fop"), period=90_000, time_scale=0.12, seed=11,
+            session_dir=tmp_path_factory.mktemp("batch-stream"),
         )
 
     def test_reports_identical(self, run):

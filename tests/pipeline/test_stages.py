@@ -1,5 +1,6 @@
 """Tests for the resolver chain: stage order, per-stage hit/miss
-counters, stage-specific detail, and the chain-composition helpers."""
+counters and their invariants, stage-specific detail, and the
+chain-composition helpers."""
 
 import pytest
 
@@ -17,10 +18,16 @@ from repro.pipeline import (
     opreport_chain,
     viprof_chain,
 )
-from repro.pipeline.stages import JitEpochStage, KernelSymbolStage
+from repro.pipeline.stages import (
+    FallbackStage,
+    JitEpochStage,
+    KernelSymbolStage,
+)
 from repro.profiling.model import RawSample
+from repro.system.api import viprof_profile
 from repro.viprof.codemap import CodeMapIndex, CodeMapRecord, CodeMapWriter
 from repro.viprof.runtime_profiler import VmRegistration
+from repro.workloads import by_name
 
 EV = "GLOBAL_POWER_EVENTS"
 
@@ -173,3 +180,75 @@ class TestChainConstruction:
         assert not any(
             isinstance(s, JitEpochStage) for s in chain.stages
         )
+
+
+class TestStageStatsInvariants:
+    def samples(self, n=3):
+        return [
+            PipelineSample(raw=RawSample(
+                pc=0x1000 + i, event_name="EV", task_id=1,
+                kernel_mode=False, cycle=i,
+            ))
+            for i in range(n)
+        ]
+
+    def test_terminal_stage_with_misses_fails_check(self):
+        # A fallback that declined a sample would leave the terminal
+        # stage with misses; the chain refuses it instead of counting.
+        class Declining(FallbackStage):
+            def resolve(self, sample):
+                return None
+
+        chain = ResolverChain([], fallback=Declining())
+        with pytest.raises(ProfilerError, match="declined"):
+            chain.resolve(self.samples(1)[0])
+
+    def test_terminal_stage_offered_equals_hits(self):
+        chain = ResolverChain([])
+        list(chain.resolve_stream(self.samples()))
+        (st,) = chain.stats()
+        assert st.terminal
+        assert st.offered == st.hits == 3
+
+    def test_merge_rejects_mismatched_stages(self):
+        worker = ResolverChain([])
+        list(worker.resolve_stream(self.samples()))
+        with pytest.raises(ProfilerError, match="diverged"):
+            opreport_chain(Kernel()).absorb_stats(worker.export_stats())
+
+
+class TestChainCounters:
+    """Counters over a real session: a chain counts every sample it
+    resolves, pass after pass."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        return viprof_profile(
+            by_name("fop"), period=90_000, time_scale=0.12, seed=11,
+            session_dir=tmp_path_factory.mktemp("chain-counters"),
+        )
+
+    def test_warm_chain_replays_counters_exactly(self, run):
+        post = run.viprof_report().post
+        first = post.chain.stats_dict()
+        # Second pass over the same stream: every counter doubles,
+        # detail included.
+        for resolved in post.resolved_samples():
+            pass
+        second = post.chain.stats_dict()
+        assert second["total_samples"] == 2 * first["total_samples"]
+        for a, b in zip(first["stages"], second["stages"]):
+            assert (b["hits"], b["misses"]) == (2 * a["hits"], 2 * a["misses"])
+        jit_first, jit_second = (
+            next(e for e in d["stages"] if e["stage"] == "jit-epoch")["detail"]
+            for d in (first, second)
+        )
+        for key in (
+            "jit_samples", "resolved_in_own_epoch",
+            "resolved_in_earlier_epoch", "unresolved",
+        ):
+            assert jit_second[key] == 2 * jit_first[key]
+
+    def test_total_samples_is_stream_length(self, run):
+        vr = run.viprof_report()
+        assert vr.post.chain.total_samples == len(vr.post.read_samples())

@@ -298,7 +298,7 @@ class TestSessionIntegration:
         finally:
             arena_path.write_bytes(blob)
         assert packed[0] == text[0]  # report bytes
-        assert packed[1] == text[1]  # stage stats (incl. cache counters)
+        assert packed[1] == text[1]  # stage stats
 
     def test_salvage_drops_the_stale_arena(self, vrun, tmp_path):
         import shutil

@@ -192,6 +192,32 @@ class TestCodeMapIndex:
         assert idx.epochs == (0,)
 
 
+class TestWalkPurity:
+    """The backward walk keeps no state between calls: repeated and
+    ablated walks are pure functions of ``(epoch, addr, backward)``."""
+
+    def index(self) -> CodeMapIndex:
+        return CodeMapIndex({
+            0: CodeMap(0, [rec(0x1000, 0x10, "m.zero", "O1")]),
+            1: CodeMap(1, [rec(0x2000, 0x10, "m.one", "O1")]),
+            3: CodeMap(3, [rec(0x3000, 0x10, "m.three", "O1")]),
+        })
+
+    def test_repeated_walks_match_fresh_index(self):
+        warm = self.index()
+        for _ in range(2):  # the second round repeats every walk
+            for epoch in (0, 1, 2, 3, 9):
+                for addr in (0x1008, 0x2008, 0x3008, 0x9999):
+                    fresh = self.index().resolve(epoch, addr)
+                    assert warm.resolve(epoch, addr) == fresh
+
+    def test_ablation_keys_separately(self):
+        idx = self.index()
+        assert idx.resolve(3, 0x1008, backward=True) is not None
+        # Same (top, addr) with backward=False is a different walk.
+        assert idx.resolve(3, 0x1008, backward=False) is None
+
+
 class TestParseMap:
     """The one map parser: tolerant, and strict through CodeMap.load."""
 

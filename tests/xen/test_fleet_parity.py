@@ -1,8 +1,7 @@
 """Golden parity for multi-domain ``XPRS`` sessions: the per-sample
-oracle (``tests/pipeline/oracle.py``) is the reference, and every
-execution strategy — sharded workers (1/2/4), domain chains with and
-without a memo — must reproduce its report bytes *and* its statistics
-exactly.  Shards that start inside a root file are checked on a
+oracle (``tests/pipeline/oracle.py``) is the reference, and sharded
+resolution over 1, 2 and 4 workers must reproduce its report bytes
+*and* its statistics exactly.  Shards that start inside a root file are checked on a
 replicated session, and the per-domain sub-sessions must partition the
 root stream.
 
@@ -16,10 +15,10 @@ from collections import Counter
 
 import pytest
 
-from repro.pipeline import ResolverChain, run_pipeline, xen_chain
+from repro.pipeline import ResolverChain
 from repro.workloads.fleet import FLEET_PROFILES, fleet_workloads
 from repro.xen.fleet import run_fleet
-from tests.pipeline.oracle import oracle_report, without_cache
+from tests.pipeline.oracle import oracle_report
 from tests.pipeline.test_parallel import (
     MULTI_SHARD_RECORDS,
     assert_plans_split_files,
@@ -41,7 +40,7 @@ def session(tmp_path_factory):
 
 
 def _stats(chain):
-    return json.dumps(without_cache(chain.stats_dict()), sort_keys=True)
+    return json.dumps(chain.stats_dict(), sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -71,31 +70,11 @@ def test_fleet_resolution_never_resolves_per_sample(session, monkeypatch):
     for did in session.domain_ids:
         session.domain_resolve(did)
     assert calls == []
-    # The outer chain has no memo; the domain chains keep theirs.
-    assert chain.cache is None
-    for inner in chain.stage("domain-dispatch").chains.values():
-        assert inner.cache is not None
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("memo", [False, True])
-def test_fleet_parity_root_stream(session, reference, workers, memo):
-    if memo:
-        report, chain = session.resolve(workers=workers)
-    else:
-        fleet = session.result.fleet_chain()
-        domains = fleet.stage("domain-dispatch").chains
-        chain = xen_chain(
-            session.result.hypervisor,
-            {
-                d: ResolverChain(c.stages, cache_size=0)
-                for d, c in domains.items()
-            },
-        )
-        report = run_pipeline(
-            session.source(), chain, events=session.events(),
-            workers=workers,
-        )
+def test_fleet_parity_root_stream(session, reference, workers):
+    report, chain = session.resolve(workers=workers)
     assert report.format_table(limit=10_000) == reference["table"]
     assert _stats(chain) == reference["stats"]
 
