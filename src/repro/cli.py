@@ -377,7 +377,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     from repro.viprof.arena import (
         ArenaError,
         CodeMapArena,
-        arena_path_for,
         build_arena,
     )
 

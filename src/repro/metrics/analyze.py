@@ -30,7 +30,6 @@ from repro.metrics.build import derive_summary
 from repro.metrics.model import SessionSummary
 from repro.metrics.panels import (
     DEFAULT_CONFIG,
-    DIRECTION_DOWN,
     DIRECTION_UP,
     AnalysisConfig,
 )

@@ -22,11 +22,11 @@ Exactness is the design constraint, not best-effort parallelism:
   (golden-parity tested for N in {2, 4}).
 
 The per-shard resolve loop is also the pipeline's sequential path
-(:func:`consume_source`): records are decoded in batched field chunks
-(one ``iter_unpack`` C call per chunk) and counted into one key table
-per chunk range, which is resolved once, a distinct key at a time, when
-the range ends (or early, at :data:`MAX_TABLE_KEYS` keys) — no sample
-objects are built for the stream.
+(:func:`consume_source`): records are decoded as numpy record arrays,
+one per decode chunk, each chunk is grouped by key in numpy, and its
+distinct keys are counted into one key table per chunk range, which is
+resolved once, a distinct key at a time, when the range ends (or early,
+at :data:`MAX_TABLE_KEYS` keys) — no Python object is built per sample.
 """
 
 from __future__ import annotations
@@ -35,10 +35,13 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import multiprocessing
+
+import numpy as np
 
 from repro.errors import ProfilerError
 from repro.pipeline.resolver import ResolverChain
@@ -55,14 +58,18 @@ __all__ = [
     "run_parallel_pipeline",
 ]
 
-#: Shard split points within a file are rounded to this many records so a
-#: split never lands mid decode chunk (pure I/O efficiency; correctness
-#: does not depend on it).
+#: Shard split points within a file are rounded to this many records, so
+#: a range that ends inside a file is a whole number of these granules
+#: and no shard takes a sliver of a file (each range pays for opening the
+#: file, a key table and a ``resolve_groups`` call).  It is a split
+#: granule only: the reader's decode chunk is larger, and correctness
+#: depends on neither.
 SPLIT_ALIGN_RECORDS = 4096
 
 #: A chunk range's key table is resolved early once it holds this many
-#: distinct keys, so a range with a huge key population resolves in
-#: bounded memory (a full table is ~12 MB); each flushed table walks its
+#: distinct keys (checked after each decode chunk, so a table can reach
+#: this plus a decode chunk less one), so a range with a huge key
+#: population resolves in bounded memory; each flushed table walks its
 #: own keys.
 MAX_TABLE_KEYS = 1 << 16
 
@@ -140,10 +147,10 @@ def plan_shards(
             take = min(n - taken, room)
             remaining_after = n - taken - take
             if 0 < remaining_after and take % SPLIT_ALIGN_RECORDS:
-                # Keep every intra-file split on a decode-chunk boundary:
-                # round the take down to one, or — when the shard's budget
-                # is smaller than a chunk — up to a whole chunk (alignment
-                # wins over perfectly even shard sizes).
+                # Keep every intra-file split on a granule boundary: round
+                # the take down to one, or — when the shard's budget is
+                # smaller than a granule — up to a whole granule
+                # (alignment wins over perfectly even shard sizes).
                 aligned = take - (take % SPLIT_ALIGN_RECORDS)
                 take = (
                     aligned
@@ -168,12 +175,12 @@ def consume_chunks(
 ) -> None:
     """Resolve every record in the given chunk ranges into ``agg``.
 
-    This is the pipeline's hot loop.  Each chunk range's raw field
-    tuples ``(pc, task_id, kernel_mode, cycle, epoch[, domain_id])``,
-    decoded a batch at a time, are folded into one first-seen-order
-    ``{key: count}`` table — one dict op per sample, nothing else on the
-    per-sample path — that lives across the range's decode chunks.  When
-    the range ends, or once the table holds :data:`MAX_TABLE_KEYS`
+    This is the pipeline's hot loop, and no Python runs per sample in
+    it.  Each decode chunk of a range arrives as a numpy record array
+    and collapses to its distinct keys in numpy (:func:`_chunk_keys`);
+    those keys, with their counts, are folded into one first-seen-order
+    ``{key: count}`` table that lives across the range's decode chunks.
+    When the range ends, or once the table holds :data:`MAX_TABLE_KEYS`
     distinct keys (checked after each decode chunk), the table is
     resolved by one
     :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups` call
@@ -181,30 +188,57 @@ def consume_chunks(
     first-seen order.  Flushes follow stream order, so row insertion
     order (the report's sort tie-break) is the stream's.  The key layout
     matches :func:`~repro.pipeline.source.sample_key`; ``kernel_mode``
-    may be an int here (``1 == True`` hashes identically, so the keys
-    unify).
+    is the record's int byte here (``1 == True`` hashes identically, so
+    the keys unify).
     """
     for chunk in chunks:
         with RecordFileReader(chunk.path) as reader:
             event_name = reader.event_name
-            has_domain = reader.codec.has_domain
             groups: dict[tuple, int] = {}
             get = groups.get
-            for fields_chunk in reader.iter_field_chunks(
+            for records in reader.iter_field_chunks(
                 chunk.start_record, chunk.n_records
             ):
-                if has_domain:
-                    for f in fields_chunk:
-                        key = (f[0], f[4], f[2], f[1], f[5])
-                        groups[key] = get(key, 0) + 1
-                else:
-                    for f in fields_chunk:
-                        key = (f[0], f[4], f[2], f[1], None)
-                        groups[key] = get(key, 0) + 1
+                for key, count in _chunk_keys(records):
+                    groups[key] = get(key, 0) + count
                 if len(groups) >= MAX_TABLE_KEYS:
                     _resolve_table(groups, event_name, chain, agg)
                     groups.clear()
             _resolve_table(groups, event_name, chain, agg)
+
+
+def _chunk_keys(records: np.ndarray) -> Iterator[tuple[tuple, int]]:
+    """One non-empty decode chunk's distinct keys and their sample
+    counts, in the order each key first occurs.
+
+    One stable ``np.lexsort`` over ``pc``, ``epoch`` and one exact u64 of
+    ``task_id | kernel_mode << 32 | domain_id << 40`` (32 + 8 + 16 bits)
+    lines equal keys up in runs; stability makes each run's head its
+    key's first record.  Only the heads, put back in record order,
+    become Python tuples.
+    """
+    has_domain = "domain_id" in records.dtype.names
+    pc, epoch = records["pc"], records["epoch"]
+    rest = records["task_id"].astype(np.uint64)
+    rest |= records["kernel_mode"].astype(np.uint64) << 32
+    if has_domain:
+        rest |= records["domain_id"].astype(np.uint64) << 40
+    order = np.lexsort((rest, epoch, pc))
+    same = np.ones(len(order) - 1, dtype=bool)
+    for column in (pc, epoch, rest):
+        ranked = column[order]
+        same &= ranked[1:] == ranked[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    counts = np.diff(starts, append=len(order))
+    firsts = order[starts]
+    seen = np.argsort(firsts)
+    heads = records[firsts[seen]]
+    domains = heads["domain_id"].tolist() if has_domain else repeat(None)
+    keys = zip(
+        heads["pc"].tolist(), heads["epoch"].tolist(),
+        heads["kernel_mode"].tolist(), heads["task_id"].tolist(), domains,
+    )
+    return zip(keys, counts[seen].tolist())
 
 
 def _resolve_table(

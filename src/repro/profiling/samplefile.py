@@ -17,7 +17,7 @@ report corruption with the file path and byte offset.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.profiling.model import RawSample
 from repro.profiling.record_codec import (
@@ -45,10 +45,6 @@ class SampleFileWriter(RecordFileWriter):
         super().__init__(
             path, CORE_CODEC, event_name, period, buffer_bytes=buffer_bytes
         )
-
-    def write_many(self, samples: Iterable[RawSample]) -> int:
-        """Write every sample of any iterable (bulk-encoded in one batch)."""
-        return self.write_batch(samples)
 
     def __enter__(self) -> "SampleFileWriter":
         return self

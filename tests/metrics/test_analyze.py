@@ -17,7 +17,6 @@ from repro.metrics.model import (
     KIND_COLLECTION,
     KIND_PROFILE,
     SessionSummary,
-    SymbolEntry,
 )
 from repro.metrics.panels import (
     AnalysisConfig,

@@ -13,15 +13,25 @@ exactly three outcomes —
 
 What must *never* happen is a silent misparse — a parse that succeeds but
 disagrees with the original stream anywhere the damage didn't touch.
+
+The column decode is pinned the same way: for any record range and any
+decode-chunk size, the numpy chunks ``iter_field_chunks`` yields, joined,
+list exactly the fields ``struct.iter_unpack`` reads from the same bytes,
+with every field drawn over its full on-disk range.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SampleFormatError
+from repro.profiling import record_codec
 from repro.profiling.model import RawSample
 from repro.profiling.record_codec import (
     CORE_CODEC,
+    CORE_RECORD_SIZE,
     DOMAIN_CODEC,
+    DOMAIN_RECORD_SIZE,
+    RecordFileReader,
     RecordFileWriter,
     open_sample_record_file,
     probe_sample_file,
@@ -154,3 +164,50 @@ def test_probe_agrees_with_reader_on_clean_files(
     assert probe.event_name == _EVENT
     assert probe.period == _PERIOD
     assert probe.truncate_to == path.stat().st_size
+
+
+#: Raw record fields over their full on-disk ranges, in file order:
+#: pc, task_id, the kernel_mode byte, cycle, epoch, domain_id.
+RECORDS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.integers(min_value=0, max_value=255),
+        st.integers(min_value=0, max_value=(1 << 64) - 1),
+        st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1),
+        st.integers(min_value=0, max_value=65_535),
+    ),
+    max_size=40,
+)
+
+
+def test_dtype_itemsize_is_the_record_size():
+    assert CORE_CODEC.dtype.itemsize == CORE_RECORD_SIZE
+    assert DOMAIN_CODEC.dtype.itemsize == DOMAIN_RECORD_SIZE
+
+
+@given(records=RECORDS, codec=CODECS, data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_field_chunks_equal_struct_unpack(
+    tmp_path_factory, records, codec, data
+):
+    width = 6 if codec.has_domain else 5
+    blob = b"".join(codec.record_struct.pack(*r[:width]) for r in records)
+    path = tmp_path_factory.mktemp("columns") / "t.samples"
+    with RecordFileWriter(path, codec, _EVENT, _PERIOD) as w:
+        w.write_packed(blob, len(records))
+
+    start = data.draw(st.integers(0, len(records)), label="start_record")
+    n = data.draw(st.integers(0, len(records) - start), label="n_records")
+    chunk = data.draw(st.integers(1, 8), label="decode chunk")
+    size = codec.record_size
+    expected = list(
+        codec.record_struct.iter_unpack(blob[start * size:(start + n) * size])
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(record_codec, "_CHUNK_RECORDS", chunk)
+        with RecordFileReader(path) as reader:
+            chunks = list(reader.iter_field_chunks(start, n))
+    assert all(c.dtype == codec.dtype for c in chunks)
+    assert all(0 < len(c) <= chunk for c in chunks)
+    assert [t for c in chunks for t in c.tolist()] == expected

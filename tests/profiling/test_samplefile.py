@@ -41,20 +41,20 @@ class TestRoundTrip:
         back = list(SampleFileReader(p))
         assert back == originals
 
-    def test_write_many(self, tmp_path):
+    def test_write_batch(self, tmp_path):
         p = tmp_path / "s.samples"
         with SampleFileWriter(p, "BSQ_CACHE_REFERENCE", 1000) as w:
-            n = w.write_many(iter([sample(), sample()]))
+            n = w.write_batch(iter([sample(), sample()]))
         assert n == 2
         assert len(SampleFileReader(p)) == 2
 
-    def test_write_many_accepts_any_iterable(self, tmp_path):
+    def test_write_batch_accepts_any_iterable(self, tmp_path):
         originals = [sample(pc=0x1000 + i) for i in range(8)]
         a, b = tmp_path / "list.samples", tmp_path / "gen.samples"
         with SampleFileWriter(a, "GLOBAL_POWER_EVENTS", 1000) as w:
-            assert w.write_many(originals) == len(originals)
+            assert w.write_batch(originals) == len(originals)
         with SampleFileWriter(b, "GLOBAL_POWER_EVENTS", 1000) as w:
-            assert w.write_many(s for s in originals) == len(originals)
+            assert w.write_batch(s for s in originals) == len(originals)
         assert a.read_bytes() == b.read_bytes()
         assert list(SampleFileReader(a)) == originals
 
