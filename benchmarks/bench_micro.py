@@ -1,17 +1,11 @@
 """Micro-benchmarks of the hot substrate paths.
 
 These are conventional pytest-benchmark timings (many rounds) of the inner
-loops everything else stands on: cache simulation, counter accounting,
+loops everything else stands on: the cache model, counter accounting,
 quantum execution, code-map resolution, and sample-file I/O.
 """
 
-import numpy as np
-
-from repro.hardware.cache import (
-    CacheGeometry,
-    SetAssociativeCache,
-    StatisticalCacheModel,
-)
+from repro.hardware.cache import CacheGeometry, StatisticalCacheModel
 from repro.hardware.counters import CounterBank, CounterConfig
 from repro.hardware.cpu import CPU
 from repro.hardware.events import EventCounts, GLOBAL_POWER_EVENTS
@@ -20,13 +14,6 @@ from repro.profiling.model import RawSample
 from repro.profiling.samplefile import SampleFileReader, SampleFileWriter
 from repro.viprof.codemap import CodeMapIndex, CodeMapRecord, CodeMapWriter
 from tests.conftest import make_tiny_workload
-
-
-def test_cache_detailed_stream(benchmark):
-    cache = SetAssociativeCache(CacheGeometry(64 * 1024, 64, 8))
-    ws = WorkingSet(base=0, size=1 << 20, locality=0.7, seed=3)
-    stream = ws.stream(2000)
-    benchmark(cache.access_stream, stream)
 
 
 def test_cache_statistical_model(benchmark):
@@ -104,19 +91,6 @@ def test_samplefile_read_throughput(benchmark, tmp_path):
                 )
             )
     benchmark(lambda: list(SampleFileReader(path)))
-
-
-def test_tlb_access(benchmark):
-    from repro.hardware.tlb import DirectMappedTlb
-
-    tlb = DirectMappedTlb(entries=64)
-    addrs = [(i * 0x1040) & 0xFFFFFF for i in range(512)]
-
-    def touch_all():
-        for a in addrs:
-            tlb.access(a)
-
-    benchmark(touch_all)
 
 
 def test_report_aggregation(benchmark):

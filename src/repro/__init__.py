@@ -5,8 +5,8 @@ The package provides:
 
 ``repro.hardware``
     A simulated CPU with hardware performance counters (HPCs) that raise
-    non-maskable interrupts (NMIs) on overflow, plus a set-associative cache
-    simulator used to generate L2-miss events.
+    non-maskable interrupts (NMIs) on overflow, plus statistical L2-cache
+    and ITLB models that generate miss events.
 ``repro.os``
     A miniature operating-system substrate: ELF-like binary images with
     symbol tables, per-process address spaces built from virtual memory

@@ -7,8 +7,8 @@ profiler interacts with:
   (the sampling period) that raise a non-maskable interrupt (NMI) when the
   configured number of events has occurred (:mod:`repro.hardware.counters`),
 * the NMI line itself (:mod:`repro.hardware.interrupts`),
-* a set-associative cache used to generate L2-miss events
-  (:mod:`repro.hardware.cache`) fed by per-workload address streams
+* a statistical L2 cache model that draws L2-miss events
+  (:mod:`repro.hardware.cache`) for per-workload working sets
   (:mod:`repro.hardware.memory`), and
 * a CPU that executes *quanta* of work and splits them at the exact point a
   counter overflows, yielding a precise program-counter value for each
@@ -25,12 +25,8 @@ from repro.hardware.events import (
 )
 from repro.hardware.counters import CounterBank, CounterConfig, HardwareCounter
 from repro.hardware.interrupts import InterruptFrame, NMILine
-from repro.hardware.cache import (
-    CacheGeometry,
-    SetAssociativeCache,
-    StatisticalCacheModel,
-)
-from repro.hardware.memory import AddressStream, WorkingSet
+from repro.hardware.cache import CacheGeometry, StatisticalCacheModel
+from repro.hardware.memory import WorkingSet
 from repro.hardware.cpu import CPU, CpuMode
 
 __all__ = [
@@ -44,9 +40,7 @@ __all__ = [
     "InterruptFrame",
     "NMILine",
     "CacheGeometry",
-    "SetAssociativeCache",
     "StatisticalCacheModel",
-    "AddressStream",
     "WorkingSet",
     "CPU",
     "CpuMode",

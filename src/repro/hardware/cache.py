@@ -1,18 +1,11 @@
-"""L2 cache models.
+"""The L2 cache model.
 
-Two interchangeable models produce the L2-miss deltas that feed the
-``BSQ_CACHE_REFERENCE`` counter:
-
-:class:`SetAssociativeCache`
-    A real set-associative LRU cache simulator (numpy-backed tag array).
-    Used by the engine's ``detailed_cache=True`` mode and heavily exercised
-    by unit and property tests.
-
-:class:`StatisticalCacheModel`
-    The fast default: per-working-set analytic miss rates with binomially
-    distributed draws from a seeded generator.  Two orders of magnitude
-    faster and calibrated against the detailed model (see
-    ``tests/hardware/test_cache_calibration.py``).
+:class:`StatisticalCacheModel` produces the L2-miss deltas that feed the
+``BSQ_CACHE_REFERENCE`` counter: per-working-set analytic miss rates with
+binomially distributed draws from seeded generators.  Its rates are
+calibrated against a set-associative LRU simulator that lives in the tests
+as the reference (``tests/hardware/reference_cache.py``,
+``tests/hardware/test_cache_calibration.py``).
 """
 
 from __future__ import annotations
@@ -22,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.hardware.memory import AddressStream, WorkingSet
+from repro.hardware.memory import WorkingSet
 
-__all__ = ["CacheGeometry", "SetAssociativeCache", "StatisticalCacheModel"]
+__all__ = ["CacheGeometry", "StatisticalCacheModel"]
 
 
 def _is_pow2(n: int) -> bool:
@@ -62,75 +55,6 @@ class CacheGeometry:
     @classmethod
     def paper_l2(cls) -> "CacheGeometry":
         return cls(size_bytes=1 << 20, line_bytes=64, associativity=8)
-
-
-class SetAssociativeCache:
-    """Set-associative cache with true-LRU replacement.
-
-    Tags are held in an ``(num_sets, associativity)`` int64 array; a parallel
-    array holds last-use timestamps, so LRU selection is a single argmin per
-    access.  ``-1`` marks an invalid way.
-    """
-
-    def __init__(self, geometry: CacheGeometry) -> None:
-        self.geometry = geometry
-        sets, ways = geometry.num_sets, geometry.associativity
-        self._tags = np.full((sets, ways), -1, dtype=np.int64)
-        self._stamps = np.zeros((sets, ways), dtype=np.int64)
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
-        # Precomputed shifts for address decomposition.
-        self._line_shift = geometry.line_bytes.bit_length() - 1
-        self._set_mask = sets - 1
-
-    def reset(self) -> None:
-        """Invalidate every line and zero the statistics."""
-        self._tags.fill(-1)
-        self._stamps.fill(0)
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def access(self, address: int) -> bool:
-        """Access one byte address; returns True on hit."""
-        block = address >> self._line_shift
-        set_idx = block & self._set_mask
-        tag = block >> (self._set_mask.bit_length())
-        self._clock += 1
-        row = self._tags[set_idx]
-        ways = np.nonzero(row == tag)[0]
-        if ways.size:
-            self.hits += 1
-            self._stamps[set_idx, ways[0]] = self._clock
-            return True
-        self.misses += 1
-        victim = int(np.argmin(self._stamps[set_idx]))
-        empty = np.nonzero(row == -1)[0]
-        if empty.size:
-            victim = int(empty[0])
-        self._tags[set_idx, victim] = tag
-        self._stamps[set_idx, victim] = self._clock
-        return False
-
-    def access_stream(self, stream: AddressStream) -> tuple[int, int]:
-        """Run a whole address stream; returns ``(hits, misses)`` for it."""
-        h0, m0 = self.hits, self.misses
-        for a in stream.addresses:
-            self.access(int(a))
-        return self.hits - h0, self.misses - m0
-
-    def resident(self, address: int) -> bool:
-        """True if the line containing ``address`` is currently cached
-        (no LRU update; used by tests)."""
-        block = address >> self._line_shift
-        set_idx = block & self._set_mask
-        tag = block >> (self._set_mask.bit_length())
-        return bool((self._tags[set_idx] == tag).any())
 
 
 class StatisticalCacheModel:

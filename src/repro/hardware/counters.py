@@ -14,12 +14,17 @@ real NMI handler would read from the exception frame.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, CounterError
 from repro.hardware.events import EventCounts, HardwareEvent
 
 __all__ = ["CounterConfig", "HardwareCounter", "CounterBank"]
+
+#: position of each :class:`EventCounts` field in field order
+_COUNT_INDEX = {f.name: i for i, f in enumerate(dataclasses.fields(EventCounts))}
 
 #: Number of general counters we expose.  The Pentium 4 has 18; OProfile on
 #: that hardware typically programs a handful.  Eight is plenty for every
@@ -126,6 +131,9 @@ class CounterBank:
         #: counter live in that CPU mode, in programming order; rebuilt
         #: whenever the bank is reprogrammed.
         self.armed: tuple[list[tuple[HardwareCounter, str]], ...] = ([], [])
+        #: the same counters as ``(counter, position of its counts field
+        #: in EventCounts field order)``
+        self.armed_at: tuple[list[tuple[HardwareCounter, int]], ...] = ([], [])
 
     def program(self, config: CounterConfig) -> HardwareCounter:
         """Arm a counter.  Raises :class:`CounterError` when the bank is full
@@ -153,10 +161,26 @@ class CounterBank:
             ]
             for kernel_mode in (False, True)
         )
+        self.armed_at = tuple(
+            [(c, _COUNT_INDEX[name]) for c, name in armed]
+            for armed in self.armed
+        )
 
     @property
     def counters(self) -> tuple[HardwareCounter, ...]:
         return tuple(self._counters)
+
+    def quiet_limits(self, kernel_mode: bool) -> list[float]:
+        """One limit per :class:`EventCounts` field, in field order: the
+        smallest remaining count of a counter armed on that field in the
+        given mode (``inf`` where none is).  Quanta executed one after
+        another overflow no counter exactly when the running total of
+        every field stays below that field's limit."""
+        limits = [math.inf] * len(_COUNT_INDEX)
+        for ctr, i in self.armed_at[kernel_mode]:
+            if ctr.remaining < limits[i]:
+                limits[i] = ctr.remaining
+        return limits
 
     def __len__(self) -> int:
         return len(self._counters)

@@ -13,7 +13,10 @@ thousand cycles), so this matches the interpolation error of real
 skid-prone P4 sampling rather well.
 
 Most quanta overflow no counter; :meth:`CPU.execute` settles those in one
-pass over the armed counters and splits only the quanta that do.
+pass over the armed counters and splits only the quanta that do.  A
+caller that has already checked a whole stretch of user-mode quanta
+against the armed counters settles the stretch with one
+:meth:`CPU.settle_quiet` call.
 
 NMI-handler execution itself consumes cycles.  Those cycles are charged to
 the CPU clock (they are the dominant component of profiling overhead) and
@@ -105,6 +108,25 @@ class CPU:
             stats.kernel_cycles += cycles
         else:
             stats.user_cycles += cycles
+
+    def settle_quiet(self, quanta: int, totals: tuple[int, ...]) -> None:
+        """Consume ``quanta`` user-mode quanta in one step.
+
+        ``totals`` sums their event deltas, one total per
+        :class:`EventCounts` field in field order (cycles first).  The
+        caller has checked that the quanta, executed one after another,
+        overflow no counter: every running total stayed below its field's
+        :meth:`CounterBank.quiet_limits`.  The clock, the counters and
+        :class:`CpuStats` end as they would after :meth:`execute` of each
+        quantum.
+        """
+        for ctr, i in self.counters.armed_at[False]:
+            ctr.remaining -= totals[i]
+        cycles = totals[0]
+        self.cycle += cycles
+        stats = self.stats
+        stats.user_cycles += cycles
+        stats.quanta += quanta
 
     def _execute_split(
         self,

@@ -1,37 +1,24 @@
-"""Synthetic memory-reference streams.
+"""Working sets: the data regions the simulated code touches.
 
-Each workload method owns a :class:`WorkingSet` describing the region of the
-(simulated) data heap it touches and how it touches it.  The engine asks a
-working set for short address streams which it either runs through the
-detailed cache simulator (:class:`repro.hardware.cache.SetAssociativeCache`)
-or feeds to the fast statistical model — both produce the L2-miss event
-deltas that ultimately drive ``BSQ_CACHE_REFERENCE`` sampling.
-
-Streams are generated with a dedicated ``numpy`` generator seeded from the
-working set's own seed, so a given workload produces the same miss pattern
-run after run regardless of what else the simulator does.
+Each workload method owns a :class:`WorkingSet` describing the region of
+the (simulated) data heap it touches and how it touches it.  The
+statistical cache model (:class:`repro.hardware.cache.StatisticalCacheModel`)
+turns a working set's expected miss rate into the L2-miss event deltas
+that ultimately drive ``BSQ_CACHE_REFERENCE`` sampling, drawing from a
+stream seeded with the working set's own identity, so a given workload
+produces the same miss pattern run after run regardless of what else the
+simulator does.  (Address streams over a working set, for the
+set-associative reference cache, live in the tests:
+``tests/hardware/reference_cache.py``.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigError
 
-__all__ = ["WorkingSet", "AddressStream"]
-
-
-@dataclass(frozen=True, slots=True)
-class AddressStream:
-    """A batch of byte addresses plus the working set that produced them."""
-
-    addresses: np.ndarray
-    working_set_id: int
-
-    def __len__(self) -> int:
-        return int(self.addresses.shape[0])
+__all__ = ["WorkingSet"]
 
 
 @dataclass
@@ -45,7 +32,7 @@ class WorkingSet:
             sub-region (sequential-ish), the rest being uniform over the full
             working set.  Higher locality => fewer cache misses.
         hot_fraction: size of the hot sub-region relative to ``size``.
-        seed: RNG seed for this working set's streams.
+        seed: seed of this working set's draw streams.
     """
 
     base: int
@@ -53,9 +40,8 @@ class WorkingSet:
     locality: float = 0.8
     hot_fraction: float = 0.1
     seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-    _cursor: int = field(init=False, default=0, repr=False)
-    _ws_id: int = field(init=False, default=0, repr=False)
+    #: unique per working set, in creation order
+    ws_id: int = field(init=False, default=0, repr=False)
 
     _next_id = 0
 
@@ -68,39 +54,8 @@ class WorkingSet:
             raise ConfigError(
                 f"hot_fraction must be in (0,1], got {self.hot_fraction}"
             )
-        self._rng = np.random.default_rng(self.seed)
-        self._cursor = 0
-        self._ws_id = WorkingSet._next_id
+        self.ws_id = WorkingSet._next_id
         WorkingSet._next_id += 1
-
-    @property
-    def ws_id(self) -> int:
-        return self._ws_id
-
-    def stream(self, n: int, line: int = 64) -> AddressStream:
-        """Generate ``n`` addresses.
-
-        A ``locality`` fraction walk sequentially (stride = cache line)
-        through the hot sub-region; the remainder land uniformly in the whole
-        working set.  The sequential cursor persists across calls so
-        successive streams re-traverse the same hot lines (temporal reuse).
-        """
-        if n <= 0:
-            raise ConfigError(f"stream length must be positive, got {n}")
-        hot_size = max(line, int(self.size * self.hot_fraction))
-        n_hot = int(round(n * self.locality))
-        n_cold = n - n_hot
-
-        parts = []
-        if n_hot:
-            offs = (self._cursor + np.arange(n_hot, dtype=np.int64) * line) % hot_size
-            self._cursor = int((self._cursor + n_hot * line) % hot_size)
-            parts.append(self.base + offs)
-        if n_cold:
-            cold = self._rng.integers(0, self.size, size=n_cold, dtype=np.int64)
-            parts.append(self.base + cold)
-        addrs = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        return AddressStream(addresses=addrs, working_set_id=self._ws_id)
 
     def expected_miss_rate(self, cache_bytes: int) -> float:
         """Analytic L2 miss-rate estimate used by the statistical model.

@@ -26,7 +26,7 @@ from repro.jvm.heap import Heap, Space
 from repro.jvm.gc import CopyingCollector, GcStats
 from repro.jvm.adaptive import AdaptiveSystem, RecompilationLadder
 from repro.jvm.bootimage import BootImage, RvmMap, RvmMapEntry, build_boot_image
-from repro.jvm.machine import JikesVM, VmHooks, VmStep, StepKind
+from repro.jvm.machine import JikesVM, StepKind, VmHooks, VmRun, VmStep, vm_steps
 
 __all__ = [
     "JavaMethod",
@@ -46,6 +46,8 @@ __all__ = [
     "build_boot_image",
     "JikesVM",
     "VmHooks",
+    "VmRun",
     "VmStep",
+    "vm_steps",
     "StepKind",
 ]

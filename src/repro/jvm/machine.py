@@ -1,16 +1,19 @@
-"""The JikesVM facade: executes a workload as a stream of execution steps.
+"""The JikesVM facade: executes a workload as a stream of activity runs.
 
 :class:`JikesVM` owns the heap, the collector, the JIT compilers and the
 adaptive system, and exposes the **agent hooks** VIProf attaches to (the
 paper's §3: instructions added to the compile/recompile methods, a flag set
 in the GC move path, a map write just before each collection).
 
-Execution is a generator of :class:`VmStep` records.  Each step says *where
-the program counter dwelt* (a concrete address range), *how much* it cost
-(cycles/instructions/data accesses), and — for scoring only — the simulator's
-ground-truth attribution.  The system engine converts steps into hardware
-quanta, runs them through the cache model and the CPU, and lets the armed
-profiler take samples.
+Execution is a generator of :class:`VmRun` records, one per *activity*:
+a stretch of execution at one code site (a method burst, a GC phase, an
+agent hook).  A run says *where the program counter dwells* (a concrete
+address range), *how much* it costs (cycles/instructions/data accesses),
+and — for scoring only — the simulator's ground-truth attribution.  The
+system engine takes each run as chunks of at most ``MAX_STEP_CYCLES``
+cycles, runs them through the cache model and the CPU as hardware quanta,
+and lets the armed profiler take samples.  :func:`vm_steps` is the
+per-chunk view of a run stream, one :class:`VmStep` per chunk.
 
 Determinism: all internal choices flow from the seed given at construction.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from random import Random
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from repro.errors import JvmError
 from repro.hardware.memory import WorkingSet
@@ -35,7 +38,9 @@ from repro.profiling.model import Layer, TruthLabel
 
 __all__ = [
     "StepKind",
+    "VmRun",
     "VmStep",
+    "vm_steps",
     "VmHooks",
     "WorkloadProgram",
     "JikesVM",
@@ -50,7 +55,7 @@ JIT_APP_IMAGE_LABEL = "JIT.App"
 AGENT_IMAGE_NAME = "viprof_agent.so"
 
 # --- cycle-cost calibration -------------------------------------------------
-#: longest single step the machine emits, in cycles
+#: longest chunk an activity is taken in, in cycles
 MAX_STEP_CYCLES = 2000
 #: GC fixed cost plus per-byte trace/copy and zeroing costs
 GC_BASE_CYCLES = 2500
@@ -78,7 +83,8 @@ class StepKind(Enum):
 
 @dataclass(slots=True)
 class VmStep:
-    """One slice of VM-process execution.
+    """One chunk of VM-process execution (the per-chunk view of a
+    :class:`VmRun`).
 
     Attributes:
         kind: which code category the PC is in.
@@ -161,6 +167,100 @@ class VmRunStats:
     steps: int = 0
 
 
+class VmRun:
+    """One VM activity: ``cycles`` of execution at one code site.
+
+    Every chunk of an activity shares the swept pc range, the truth label,
+    the caller, the working set and the CPI.  Data accesses spread over
+    the chunks in proportion to their cycles; every chunk but the last is
+    ``MAX_STEP_CYCLES`` long.
+
+    Iterating a run *takes* its chunks as ``(cycles, instructions,
+    accesses)`` triples.  The iteration belongs to the run, so a second
+    loop resumes where the first stopped: the engine can leave a run at a
+    timer tick and come back to it.  The VM's ``steps`` and per-kind cycle
+    statistics count each chunk as it is taken, so a run that the budget
+    ends part-way counts exactly the chunks that executed.
+    """
+
+    __slots__ = (
+        "kind", "pc", "code_len", "cycles", "accesses", "working_set",
+        "truth", "caller", "n_chunks", "_chunks",
+    )
+
+    def __init__(
+        self,
+        kind: StepKind,
+        pc: int,
+        code_len: int,
+        cycles: int,
+        accesses: int,
+        working_set: WorkingSet | None,
+        truth: TruthLabel,
+        caller: TruthLabel | None,
+        cpi: float,
+        stats: VmRunStats,
+        stat: str,
+    ) -> None:
+        self.kind = kind
+        self.pc = pc
+        self.code_len = code_len
+        self.cycles = cycles
+        self.accesses = accesses
+        self.working_set = working_set
+        self.truth = truth
+        self.caller = caller
+        self.n_chunks = -(-cycles // MAX_STEP_CYCLES)
+        self._chunks = self._take(cpi, stats, stat)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        return self._chunks
+
+    def chunks_within(self, cycles: int) -> int:
+        """How many of the run's chunks start before ``cycles`` of it have
+        executed (all of them once ``cycles`` reaches its last chunk)."""
+        if cycles <= 0:
+            return 0
+        return min(self.n_chunks, -(-cycles // MAX_STEP_CYCLES))
+
+    def steps(self) -> Iterator[VmStep]:
+        """Take the run's remaining chunks, one :class:`VmStep` each."""
+        for cycles, instructions, accesses in self:
+            yield VmStep(
+                kind=self.kind, pc=self.pc, code_len=self.code_len,
+                cycles=cycles, instructions=instructions, accesses=accesses,
+                working_set=self.working_set, truth=self.truth,
+                caller=self.caller,
+            )
+
+    def _take(
+        self, cpi: float, stats: VmRunStats, stat: str
+    ) -> Iterator[tuple[int, int, int]]:
+        cycles = self.cycles
+        accesses = self.accesses
+        full_instructions = max(1, int(MAX_STEP_CYCLES / cpi))
+        while cycles > MAX_STEP_CYCLES:
+            a = accesses * MAX_STEP_CYCLES // cycles
+            cycles -= MAX_STEP_CYCLES
+            accesses -= a
+            stats.steps += 1
+            setattr(stats, stat, getattr(stats, stat) + MAX_STEP_CYCLES)
+            yield MAX_STEP_CYCLES, full_instructions, a
+        if cycles > 0:
+            # The last chunk takes what is left, accesses included.
+            stats.steps += 1
+            setattr(stats, stat, getattr(stats, stat) + cycles)
+            yield cycles, max(1, int(cycles / cpi)), accesses
+
+
+def vm_steps(runs: Iterable[VmRun]) -> Iterator[VmStep]:
+    """The per-chunk view of a run stream: every run's chunks as
+    :class:`VmStep` records, in order.  The next run is drawn from
+    ``runs`` only once the current one has no chunk left."""
+    for run in runs:
+        yield from run.steps()
+
+
 class JikesVM:
     """A Jikes-RVM-like virtual machine bound to one workload."""
 
@@ -193,6 +293,10 @@ class JikesVM:
         self._body_of: dict[int, CodeBody] = {}
         self._all_bodies: list[CodeBody] = []
         self._finished = False
+        # Built once per VM: truth labels by (image, symbol) (an image
+        # belongs to one layer), and resolved native (address, size).
+        self._truths: dict[tuple[str, str], TruthLabel] = {}
+        self._native_sites: dict[tuple[str, str], tuple[int, int]] = {}
         # Call-stack witness for call-graph sampling: the VM thread root,
         # and the most recent application frame (the caller of VM/native
         # work triggered from application code).
@@ -250,33 +354,35 @@ class JikesVM:
     def body_for(self, method_index: int) -> CodeBody | None:
         return self._body_of.get(method_index)
 
-    def run(self) -> Iterator[VmStep]:
-        """Execute the workload forever (the engine stops at its budget)."""
+    def run(self) -> Iterator[VmRun]:
+        """Execute the workload forever, one run per activity (the engine
+        stops at its budget).  The generator advances past an activity
+        only when the next run is asked for."""
         yield from self._startup()
         for midx, burst in self.workload.schedule(self._rng):
             yield from self._invoke(midx, burst)
 
-    def finish(self) -> list[VmStep]:
-        """Fire the exit hook (final code-map flush) and return its steps.
+    def finish(self) -> list[VmRun]:
+        """Fire the exit hook (final code-map flush) and return its runs.
         Idempotent."""
         if self._finished:
             return []
         self._finished = True
         cost = self.hooks.on_exit(self.collector.epoch)
-        return list(self._agent_steps("agent_write_code_map", cost))
+        return list(self._agent_run("agent_write_code_map", cost))
 
     # ------------------------------------------------------------------
     # internal machinery
     # ------------------------------------------------------------------
 
-    def _startup(self) -> Iterator[VmStep]:
+    def _startup(self) -> Iterator[VmRun]:
         cost = self.hooks.on_startup(self.heap.bounds)
-        yield from self._agent_steps("agent_register_heap", cost)
+        yield from self._agent_run("agent_register_heap", cost)
         load_cycles = STARTUP_CYCLES_PER_METHOD * max(4, len(self.workload.methods) // 4)
-        yield from self._vm_steps(VmActivity.CLASSLOADER, load_cycles)
-        yield from self._vm_steps(VmActivity.RUNTIME, load_cycles // 6)
+        yield from self._vm_run(VmActivity.CLASSLOADER, load_cycles)
+        yield from self._vm_run(VmActivity.RUNTIME, load_cycles // 6)
 
-    def _invoke(self, midx: int, burst: int) -> Iterator[VmStep]:
+    def _invoke(self, midx: int, burst: int) -> Iterator[VmRun]:
         m = self.workload.methods[midx]
         tier = self.adaptive.record_invocations(midx, burst)
         osr_from: CodeBody | None = None
@@ -318,17 +424,17 @@ class JikesVM:
         app = max(1, total - glue - javalib - native)
         accesses = m.accesses_per_invocation * burst
 
-        yield from self._app_steps(body, app, accesses)
+        yield from self._app_run(body, app, accesses)
         if glue:
-            yield from self._vm_steps(VmActivity.RUNTIME, glue)
+            yield from self._vm_run(VmActivity.RUNTIME, glue)
         if javalib:
-            yield from self._vm_steps(VmActivity.JAVALIB, javalib)
+            yield from self._vm_run(VmActivity.JAVALIB, javalib)
         if native:
-            yield from self._native_mix_steps(native)
+            yield from self._native_mix_run(native)
 
     def _osr_burst_prefix(
         self, old_body: CodeBody, m: JavaMethod, burst: int
-    ) -> Iterator[VmStep]:
+    ) -> Iterator[VmRun]:
         """Execute the pre-transfer part of an OSR'd burst in the old body,
         plus the OSR bookkeeping frames (the exact methods visible in the
         paper's Figure 1)."""
@@ -337,11 +443,11 @@ class JikesVM:
             int(0.4 * burst * m.cycles_per_invocation * old_body.tier.cpi_factor),
         )
         accesses = int(0.4 * m.accesses_per_invocation * burst)
-        yield from self._app_steps(old_body, prefix, accesses)
+        yield from self._app_run(old_body, prefix, accesses)
 
     def _compile(
         self, midx: int, m: JavaMethod, tier: CompilerTier, osr: bool = False
-    ) -> Iterator[VmStep]:
+    ) -> Iterator[VmRun]:
         job = self.compiler.plan(m, tier)
         self.stats.compilations += 1
         if osr:
@@ -350,14 +456,14 @@ class JikesVM:
             # VM_NormalMethod methods (classloader group, entries 0-2).
             osr_cycles = int(job.cycles * OSR_EXTRA_FRACTION)
             for entry in self._osr_entries:
-                yield from self._entry_steps(entry, max(1, osr_cycles // 3))
+                yield from self._entry_run(entry, max(1, osr_cycles // 3))
         if tier.is_opt:
             self.stats.opt_compilations += 1
-            yield from self._vm_steps(VmActivity.CLASSLOADER, int(job.cycles * 0.15))
-            yield from self._vm_steps(VmActivity.OPT_COMPILER, int(job.cycles * 0.85))
+            yield from self._vm_run(VmActivity.CLASSLOADER, int(job.cycles * 0.15))
+            yield from self._vm_run(VmActivity.OPT_COMPILER, int(job.cycles * 0.85))
         else:
-            yield from self._vm_steps(VmActivity.CLASSLOADER, int(job.cycles * 0.35))
-            yield from self._vm_steps(VmActivity.COMPILER, int(job.cycles * 0.65))
+            yield from self._vm_run(VmActivity.CLASSLOADER, int(job.cycles * 0.35))
+            yield from self._vm_run(VmActivity.COMPILER, int(job.cycles * 0.65))
 
         if job.code_size > self.heap.nursery.size:
             # A body that can never fit the nursery goes straight to mature.
@@ -379,12 +485,12 @@ class JikesVM:
         self.adaptive.note_compiled(midx, tier)
 
         cost = self.hooks.on_compile(body)
-        yield from self._agent_steps("agent_log_compile", cost)
+        yield from self._agent_run("agent_log_compile", cost)
 
-    def _collect(self) -> Iterator[VmStep]:
+    def _collect(self) -> Iterator[VmRun]:
         closing = self.collector.epoch
         pre = self.hooks.pre_gc(closing)
-        yield from self._agent_steps("agent_write_code_map", pre)
+        yield from self._agent_run("agent_write_code_map", pre)
 
         move_cost = 0
 
@@ -397,34 +503,35 @@ class JikesVM:
         self._all_bodies = [b for b in self._all_bodies if not b.obsolete]
 
         scan_cycles = GC_BASE_CYCLES + int(work.scanned_bytes * GC_SCAN_CYCLES_PER_BYTE)
-        yield from self._vm_steps(
+        yield from self._vm_run(
             VmActivity.GC, scan_cycles,
             working_set=self._gc_ws, accesses=work.scanned_bytes // 24,
         )
         zero_cycles = max(1, int(work.zeroed_bytes * GC_ZERO_CYCLES_PER_BYTE))
-        yield from self._native_steps(
+        yield from self._native_run(
             "libc-2.3.2.so", "memset", zero_cycles,
             working_set=self._zero_ws, accesses=work.zeroed_bytes // 256,
         )
         # GC-move flags cost almost nothing each but are charged faithfully.
-        yield from self._agent_steps("agent_flag_moves", move_cost)
+        yield from self._agent_run("agent_flag_moves", move_cost)
         post = self.hooks.post_gc(self.collector.epoch)
-        yield from self._agent_steps("agent_process_flags", post)
+        yield from self._agent_run("agent_process_flags", post)
 
-    # -- step constructors ------------------------------------------------
+    # -- run constructors -------------------------------------------------
 
-    def _app_steps(
+    def _app_run(
         self, body: CodeBody, cycles: int, accesses: int
-    ) -> Iterator[VmStep]:
-        truth = TruthLabel(Layer.APP_JIT, JIT_APP_IMAGE_LABEL, body.method.full_name)
+    ) -> Iterator[VmRun]:
+        truth = self._truth(
+            Layer.APP_JIT, JIT_APP_IMAGE_LABEL, body.method.full_name
+        )
         ws = body.method.working_set
         cpi = 1.1 + 0.5 * body.tier.cpi_factor
         caller = self._last_app_truth if self._caller_for(body) else self._root_truth
         self._last_app_truth = truth
-        yield from self._chunked(
-            kind=StepKind.APP, pc=body.address, code_len=body.size,
-            cycles=cycles, accesses=accesses, working_set=ws, truth=truth,
-            cpi=cpi, stat="app_cycles", caller=caller,
+        yield VmRun(
+            StepKind.APP, body.address, body.size, cycles, accesses, ws,
+            truth, caller, cpi, self.stats, "app_cycles",
         )
 
     def _caller_for(self, body: CodeBody) -> bool:
@@ -441,112 +548,90 @@ class JikesVM:
             or this_idx in self.workload.methods[prev_idx].callees
         )
 
-    def _vm_steps(
+    def _vm_run(
         self,
         activity: VmActivity,
         cycles: int,
         working_set: WorkingSet | None = None,
         accesses: int | None = None,
-    ) -> Iterator[VmStep]:
+    ) -> Iterator[VmRun]:
         if cycles <= 0:
             return
-        yield from self._entry_steps(
+        yield from self._entry_run(
             self._pick_entry(activity), cycles,
             working_set=working_set, accesses=accesses,
         )
 
-    def _entry_steps(
+    def _entry_run(
         self,
         entry: RvmMapEntry,
         cycles: int,
         working_set: WorkingSet | None = None,
         accesses: int | None = None,
-    ) -> Iterator[VmStep]:
+    ) -> Iterator[VmRun]:
         """VM execution pinned to one specific boot-image method."""
         if cycles <= 0:
             return
-        truth = TruthLabel(Layer.VM, RVM_MAP_IMAGE_LABEL, entry.name)
+        truth = self._truth(Layer.VM, RVM_MAP_IMAGE_LABEL, entry.name)
         ws = working_set if working_set is not None else self._vm_ws
         acc = accesses if accesses is not None else cycles // 6
-        yield from self._chunked(
-            kind=StepKind.VM, pc=self.boot_base + entry.offset,
-            code_len=entry.size, cycles=cycles, accesses=acc,
-            working_set=ws, truth=truth, cpi=1.6, stat="vm_cycles",
-            caller=self._last_app_truth or self._root_truth,
+        yield VmRun(
+            StepKind.VM, self.boot_base + entry.offset, entry.size, cycles,
+            acc, ws, truth, self._last_app_truth or self._root_truth, 1.6,
+            self.stats, "vm_cycles",
         )
 
-    def _native_steps(
+    def _native_run(
         self,
         image: str,
         symbol: str,
         cycles: int,
         working_set: WorkingSet | None = None,
         accesses: int | None = None,
-    ) -> Iterator[VmStep]:
+    ) -> Iterator[VmRun]:
         if cycles <= 0:
             return
-        addr, size = self._resolve_native(image, symbol)
-        truth = TruthLabel(Layer.NATIVE, image, symbol)
+        addr, size = self._native_site(image, symbol)
+        truth = self._truth(Layer.NATIVE, image, symbol)
         acc = accesses if accesses is not None else cycles // 4
-        yield from self._chunked(
-            kind=StepKind.NATIVE, pc=addr, code_len=size, cycles=cycles,
-            accesses=acc, working_set=working_set, truth=truth, cpi=1.2,
-            stat="native_cycles", caller=self._last_app_truth or self._root_truth,
+        yield VmRun(
+            StepKind.NATIVE, addr, size, cycles, acc, working_set, truth,
+            self._last_app_truth or self._root_truth, 1.2, self.stats,
+            "native_cycles",
         )
 
-    def _native_mix_steps(self, cycles: int) -> Iterator[VmStep]:
+    def _native_mix_run(self, cycles: int) -> Iterator[VmRun]:
         mix = self.workload.native_mix
         if not mix:
             return
         image, symbol, _ = self._rng.choices(
             mix, cum_weights=self._native_cum_weights
         )[0]
-        yield from self._native_steps(image, symbol, cycles)
+        yield from self._native_run(image, symbol, cycles)
 
-    def _agent_steps(self, symbol: str, cycles: int) -> Iterator[VmStep]:
+    def _agent_run(self, symbol: str, cycles: int) -> Iterator[VmRun]:
         if cycles <= 0:
             return
-        addr, size = self._resolve_native(AGENT_IMAGE_NAME, symbol)
-        truth = TruthLabel(Layer.AGENT, AGENT_IMAGE_NAME, symbol)
-        yield from self._chunked(
-            kind=StepKind.AGENT, pc=addr, code_len=size, cycles=cycles,
-            accesses=cycles // 8, working_set=None, truth=truth, cpi=1.3,
-            stat="agent_cycles", caller=self._root_truth,
+        addr, size = self._native_site(AGENT_IMAGE_NAME, symbol)
+        truth = self._truth(Layer.AGENT, AGENT_IMAGE_NAME, symbol)
+        yield VmRun(
+            StepKind.AGENT, addr, size, cycles, cycles // 8, None, truth,
+            self._root_truth, 1.3, self.stats, "agent_cycles",
         )
 
-    def _chunked(
-        self,
-        kind: StepKind,
-        pc: int,
-        code_len: int,
-        cycles: int,
-        accesses: int,
-        working_set: WorkingSet | None,
-        truth: TruthLabel,
-        cpi: float,
-        stat: str,
-        caller: TruthLabel | None = None,
-    ) -> Iterator[VmStep]:
-        """Split a long activity into <= MAX_STEP_CYCLES steps, spreading
-        data accesses proportionally."""
-        remaining_cycles = cycles
-        remaining_accesses = accesses
-        while remaining_cycles > 0:
-            c = min(remaining_cycles, MAX_STEP_CYCLES)
-            a = (
-                remaining_accesses * c // remaining_cycles
-                if remaining_cycles
-                else remaining_accesses
-            )
-            remaining_cycles -= c
-            remaining_accesses -= a
-            self.stats.steps += 1
-            setattr(self.stats, stat, getattr(self.stats, stat) + c)
-            yield VmStep(
-                kind=kind, pc=pc, code_len=code_len, cycles=c,
-                instructions=max(1, int(c / cpi)), accesses=a,
-                working_set=working_set, truth=truth, caller=caller,
-            )
+    def _truth(self, layer: Layer, image: str, symbol: str) -> TruthLabel:
+        key = (image, symbol)
+        truth = self._truths.get(key)
+        if truth is None:
+            truth = self._truths[key] = TruthLabel(layer, image, symbol)
+        return truth
+
+    def _native_site(self, image: str, symbol: str) -> tuple[int, int]:
+        key = (image, symbol)
+        site = self._native_sites.get(key)
+        if site is None:
+            site = self._native_sites[key] = self._resolve_native(image, symbol)
+        return site
 
     def _pick_entry(self, activity: VmActivity) -> RvmMapEntry:
         group = self.boot.entries_for(activity)

@@ -30,10 +30,10 @@ Chunk decode copies nothing: :meth:`RecordFileReader.iter_field_chunks`
 yields each chunk as an ``np.frombuffer`` record array of
 :attr:`RecordCodec.dtype`, a numpy dtype derived from the codec's own
 struct format, so the layout has one definition.
-:meth:`RecordFileReader.iter_records` builds its records from a chunk's
-``tolist()``; the streaming pipeline's hot loop
-(:mod:`repro.pipeline.parallel`) builds none: it groups each chunk's
-records by resolution key in numpy.  A reader holds one open handle
+:meth:`RecordFileReader.iter_records` builds its records from
+``tolist()`` of 4,096-record slices of a chunk; the streaming pipeline's
+hot loop (:mod:`repro.pipeline.parallel`) builds none: it groups each
+chunk's records by resolution key in numpy.  A reader holds one open handle
 for its lifetime (it is a context manager); shard workers read disjoint
 record ranges of the same file via ``start_record``/``n_records``.
 
@@ -113,6 +113,10 @@ DOMAIN_RECORD_SIZE = 31
 #: that a chunk collapses to far fewer distinct resolution keys than
 #: records, small enough that one chunk's bytes stay under 1 MiB.
 _CHUNK_RECORDS = 32768
+
+#: Records a per-record reader turns into Python objects at a time, so
+#: its peak memory stays near one chunk's bytes.
+_RECORD_SLICE = 4096
 
 #: Default writer high-water mark in bytes: encoded records accumulate in
 #: the writer's pending buffer and spill to the file once it crosses this.
@@ -640,8 +644,10 @@ class RecordFileReader:
         unpack_fields = codec.unpack_fields
         event_name = self.event_name
         for records in self.iter_field_chunks(start_record, n_records):
-            for fields in records.tolist():
-                yield unpack_fields(fields, event_name)
+            # Python objects for one bounded slice of the chunk at a time.
+            for lo in range(0, len(records), _RECORD_SLICE):
+                for fields in records[lo : lo + _RECORD_SLICE].tolist():
+                    yield unpack_fields(fields, event_name)
 
     def __iter__(self) -> Iterator[SampleRecord]:
         """Stream every record; a reader can be iterated more than once."""

@@ -25,6 +25,7 @@ is measured exactly the way the paper measures it.
 
 from __future__ import annotations
 
+import math
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -32,11 +33,12 @@ from enum import Enum
 from pathlib import Path
 from random import Random
 
-from repro.errors import ConfigError
-from repro.hardware.cache import CacheGeometry, SetAssociativeCache, StatisticalCacheModel
+from repro.errors import ConfigError, HardwareError
+from repro.hardware.cache import CacheGeometry, StatisticalCacheModel
 from repro.hardware.cpu import CPU, CpuMode
 from repro.hardware.events import EventCounts
 from repro.hardware.memory import WorkingSet
+from repro.hardware.tlb import StatisticalTlbModel
 from repro.jvm.bootimage import BootImage, build_boot_image
 from repro.jvm.heap import Heap
 from repro.jvm.machine import (
@@ -44,7 +46,7 @@ from repro.jvm.machine import (
     JikesVM,
     StepKind,
     VmHooks,
-    VmStep,
+    VmRun,
 )
 from repro.oprofile.daemon import DaemonWork, OprofileDaemon, build_daemon_image
 from repro.oprofile.kmodule import OprofileKernelModule
@@ -99,8 +101,6 @@ class EngineConfig:
             directory when None.
         seed: engine-level determinism root.
         time_scale: scales the workload budget (1.0 = paper-scale run).
-        detailed_cache: use the set-associative simulator instead of the
-            statistical model (slow; for validation).
         background: include the X-server background process.
         noise: jitter background volume per (workload, mode, period) — the
             "system noise and the uncertainty involved in full system
@@ -116,7 +116,6 @@ class EngineConfig:
     session_dir: Path | None = None
     seed: int = 7
     time_scale: float = 1.0
-    detailed_cache: bool = False
     background: bool = True
     noise: bool = True
     record_callgraph: bool = False
@@ -385,11 +384,9 @@ class SystemEngine:
         )
 
         # --- cache model -------------------------------------------------
-        geometry = CacheGeometry.paper_l2()
-        if cfg.detailed_cache:
-            self._cache = _DetailedCacheAdapter(SetAssociativeCache(geometry))
-        else:
-            self._cache = StatisticalCacheModel(geometry, seed=cfg.seed)
+        self._cache = StatisticalCacheModel(
+            CacheGeometry.paper_l2(), seed=cfg.seed
+        )
 
         # --- scheduler -----------------------------------------------
         self.sched = Scheduler()
@@ -426,8 +423,6 @@ class SystemEngine:
         self.callgraph = (
             CrossLayerCallGraph() if cfg.record_callgraph else None
         )
-        from repro.hardware.tlb import StatisticalTlbModel
-
         self._tlb = StatisticalTlbModel(seed=cfg.seed)
         self._nmi_truth = TruthLabel(
             Layer.KERNEL, self.kernel.image.name, "oprofile_nmi_handler"
@@ -528,7 +523,8 @@ class SystemEngine:
         if self.kmodule is not None and attach_at <= 0:
             self._attach_profiler()
 
-        vm_iter = self.machine.run()
+        self._vm_runs = self.machine.run()
+        self._run: VmRun | None = None
         next_tick = TICK_PERIOD
 
         while self.workload_cycles < self.budget:
@@ -566,8 +562,7 @@ class SystemEngine:
                         self._exec_kernel("timer_interrupt", TIMER_COST, task.pid)
                         next_tick += TICK_PERIOD
                         continue
-                    step = next(vm_iter)
-                    self._exec_step(step)
+                    self._exec_vm(min(slice_end, next_tick))
                 self._exec_kernel_misc(task.pid)
             elif task is self.daemon_task:
                 self._run_daemon_wakeup()
@@ -578,8 +573,7 @@ class SystemEngine:
 
         # Drain: VM exit hook (final code-map flush), final daemon pass,
         # profiler teardown (unless a narrow window already detached it).
-        for step in self.machine.finish():
-            self._exec_step(step)
+        self._finish_vm()
         buffer_lost = 0
         if self.kmodule is not None:
             buffer_lost = self.kmodule.buffer.lost
@@ -680,30 +674,163 @@ class SystemEngine:
             if n:
                 self.callgraph.record(caller_node, callee, event_name, count=n)
 
-    def _exec_step(self, step: VmStep) -> None:
-        ws = step.working_set
-        accesses = step.accesses
-        misses = (
-            self._cache.misses_for(ws, accesses)
-            if ws is not None and accesses > 0
-            else 0
-        )
+    # -- the VM ------------------------------------------------------------
+
+    def _exec_vm(self, limit: int) -> None:
+        """Execute VM work, activity after activity, until the clock
+        reaches ``limit`` (the next tick or the slice end) or the budget
+        is spent."""
+        while True:
+            if self._run is None:
+                self._start_run(next(self._vm_runs))
+            if not self._take_chunks(limit):
+                return
+
+    def _finish_vm(self) -> None:
+        """Execute the VM's exit work whole: no tick, slice end or budget
+        cuts it."""
+        for run in self.machine.finish():
+            self._start_run(run)
+            self._take_chunks(math.inf)
+
+    def _start_run(self, run: VmRun) -> None:
+        """Make ``run`` the current activity.
+
+        Makes, once for the run, the checks :meth:`CPU.execute` and
+        :class:`EventCounts` make for every quantum, and draws the ITLB
+        misses of each chunk of it that will execute: all of them, unless
+        the budget ends the run first (agent work does not count against
+        the budget).
+        """
+        if run.kind is StepKind.AGENT:
+            n = run.n_chunks
+        else:
+            n = run.chunks_within(self.budget - self.workload_cycles)
         # Code footprint: the hot boot-image paths plus every live
         # compiled body; when it exceeds the ITLB's 256 KB reach, page
-        # touches miss.
+        # touches miss.  It changes only at a compile, between runs.
         footprint = _BOOT_HOT_CODE_BYTES + self.machine.stats.live_code_bytes
-        itlb = self._tlb.misses_for_step(step.code_len, footprint)
-        instructions = step.instructions
-        counts = EventCounts(
-            step.cycles, instructions, accesses, misses,
-            instructions // 6, instructions // 120, itlb,
+        itlb = self._tlb.misses_for_chunks(run.code_len, footprint, n)
+        if run.accesses < 0:
+            raise ConfigError(
+                f"negative event count l2_references={run.accesses}"
+            )
+        if run.pc < 0:
+            raise HardwareError(f"negative pc_start {run.pc:#x}")
+        self._run = run
+        self._itlb = itlb
+        self._taken = 0
+
+    def _take_chunks(self, limit: float) -> bool:
+        """Execute chunks of the current run until it has none left that
+        will execute, or the clock reaches ``limit``, or the budget is
+        spent.  Returns True when the run is used up and the next one may
+        start at once.
+
+        Consecutive chunks that overflow no armed counter form a quiet
+        run, settled in one accounting step (:meth:`_settle`) when a
+        chunk overflows or the loop stops.  An overflowing chunk executes
+        alone through :meth:`_execute`, so the CPU splits it at the
+        overflow and its sample PC is the one per-chunk execution gives.
+        Cache misses are still drawn per chunk, in chunk order.
+        """
+        run = self._run
+        cpu = self.cpu
+        ws = run.working_set
+        misses_for = self._cache.misses_for
+        budget = self.budget if run.kind is not StepKind.AGENT else math.inf
+        draws = self._itlb
+        n = len(draws)
+        taken = self._taken
+        # The quiet run so far: its chunk count and its total per
+        # EventCounts field (``t_*``), each kept below the field's limit
+        # (``l_*``) so that no armed counter overflows; ``stop``: the
+        # cycles that may run before the tick, the slice end or the
+        # budget ends the loop.
+        quanta = t_cyc = t_ins = t_ref = t_miss = t_br = t_mis = t_itlb = 0
+        l_cyc, l_ins, l_ref, l_miss, l_br, l_mis, l_itlb = (
+            cpu.counters.quiet_limits(False)
         )
-        self._execute(
-            step.pc, step.code_len, counts, CpuMode.USER, self.bench.pid,
-            step.truth, step.caller,
-        )
-        if step.kind is not StepKind.AGENT:
-            self.workload_cycles += step.cycles
+        stop = min(limit - cpu.cycle, budget - self.workload_cycles)
+        for cycles, instructions, accesses in run:
+            itlb = draws[taken]
+            taken += 1
+            misses = (
+                misses_for(ws, accesses)
+                if accesses > 0 and ws is not None
+                else 0
+            )
+            branches = instructions // 6
+            mispredicts = instructions // 120
+            t_cyc += cycles
+            t_ins += instructions
+            t_ref += accesses
+            t_miss += misses
+            t_br += branches
+            t_mis += mispredicts
+            t_itlb += itlb
+            if (
+                t_cyc < l_cyc
+                and t_miss < l_miss
+                and t_ins < l_ins
+                and t_ref < l_ref
+                and t_br < l_br
+                and t_mis < l_mis
+                and t_itlb < l_itlb
+            ):
+                quanta += 1
+            else:
+                # This chunk overflows a counter: settle the quiet run
+                # before it, then execute it alone.
+                if quanta:
+                    self._settle(run, quanta, (
+                        t_cyc - cycles, t_ins - instructions,
+                        t_ref - accesses, t_miss - misses, t_br - branches,
+                        t_mis - mispredicts, t_itlb - itlb,
+                    ))
+                self._execute(
+                    run.pc, run.code_len,
+                    EventCounts(
+                        cycles, instructions, accesses, misses, branches,
+                        mispredicts, itlb,
+                    ),
+                    CpuMode.USER, self.bench.pid, run.truth, run.caller,
+                )
+                if run.kind is not StepKind.AGENT:
+                    self.workload_cycles += cycles
+                quanta = t_cyc = t_ins = t_ref = t_miss = t_br = t_mis = 0
+                t_itlb = 0
+                l_cyc, l_ins, l_ref, l_miss, l_br, l_mis, l_itlb = (
+                    cpu.counters.quiet_limits(False)
+                )
+                stop = min(limit - cpu.cycle, budget - self.workload_cycles)
+            if taken == n or t_cyc >= stop:
+                break
+        self._taken = taken
+        if quanta:
+            self._settle(run, quanta, (
+                t_cyc, t_ins, t_ref, t_miss, t_br, t_mis, t_itlb
+            ))
+        if taken < n:
+            return False
+        self._run = None
+        return t_cyc < stop
+
+    def _settle(
+        self, run: VmRun, quanta: int, totals: tuple[int, ...]
+    ) -> None:
+        """Account a quiet run of ``quanta`` chunks of ``run`` in one step
+        (``totals``: their summed event deltas, in :class:`EventCounts`
+        field order): the clock, the counters, :class:`CpuStats`, the
+        ledger and the workload cycles end as if each chunk had executed
+        alone."""
+        cpu = self.cpu
+        cpu.current_task_id = self.bench.pid
+        cpu.settle_quiet(quanta, totals)
+        cycles, misses = totals[0], totals[3]
+        self.ledger.record(run.truth, cycles, misses)
+        if run.kind is not StepKind.AGENT:
+            self.workload_cycles += cycles
 
     def _exec_kernel(self, symbol: str, cycles: int, task_id: int) -> None:
         pc, size, truth = self._kernel_sites[symbol]
@@ -766,16 +893,3 @@ class SystemEngine:
                     sym = vma.image.find_symbol(symbol)
                     return vma.start + sym.offset, sym.size
         raise ConfigError(f"image {image_name!r} not mapped in background process")
-
-
-class _DetailedCacheAdapter:
-    """Adapts the set-associative simulator to the statistical model's
-    ``misses_for`` interface by generating a real address stream."""
-
-    def __init__(self, cache: SetAssociativeCache) -> None:
-        self.cache = cache
-
-    def misses_for(self, ws: WorkingSet, n_accesses: int) -> int:
-        stream = ws.stream(n_accesses, line=self.cache.geometry.line_bytes)
-        _, misses = self.cache.access_stream(stream)
-        return misses

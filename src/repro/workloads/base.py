@@ -12,6 +12,7 @@ amortize per benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
 from typing import Callable, Iterator
 
@@ -113,15 +114,22 @@ class Workload:
         if tail:
             phase_groups[-1] = phase_groups[-1] + tail
         picks_per_phase = 400
+        # Cumulative weights, computed once: the same draws as passing
+        # the weights to every ``choices`` call.
+        cum_weights = list(accumulate(self._weights))
+        group_cum_weights = [
+            list(accumulate(self._weights[i] for i in group))
+            for group in phase_groups
+        ]
         phase = 0
         while True:
             group = phase_groups[phase % self.phases]
-            group_weights = [self._weights[i] for i in group]
+            group_cum = group_cum_weights[phase % self.phases]
             for _ in range(picks_per_phase):
                 if group and rng.random() < 0.8:
-                    idx = rng.choices(group, weights=group_weights)[0]
+                    idx = rng.choices(group, cum_weights=group_cum)[0]
                 else:
-                    idx = rng.choices(indices, weights=self._weights)[0]
+                    idx = rng.choices(indices, cum_weights=cum_weights)[0]
                 burst = rng.randint(*self.burst)
                 yield idx, burst
             phase += 1

@@ -27,7 +27,7 @@ from repro.hardware.events import EventCounts
 from repro.hardware.interrupts import InterruptFrame
 from repro.jvm.bootimage import BootImage, build_boot_image
 from repro.jvm.heap import Heap
-from repro.jvm.machine import JikesVM, StepKind, VmStep
+from repro.jvm.machine import JikesVM, StepKind, VmStep, vm_steps
 from repro.oprofile.opcontrol import OprofileConfig
 from repro.os.address_space import PAGE_SIZE, VmaKind
 from repro.os.kernel import Kernel
@@ -77,7 +77,7 @@ class _Guest:
     budget: int
     ledger: TruthLedger = field(default_factory=TruthLedger)
     workload_cycles: int = 0
-    steps: "object" = None  # the machine.run() iterator
+    steps: "object" = None  # per-chunk view of the machine.run() runs
     killed: InjectedFault | None = None
 
 
@@ -339,7 +339,9 @@ class MultiStackEngine:
             ),
             budget=wl.budget_cycles(time_scale),
         )
-        guest.steps = machine.run()
+        # Guests execute chunk by chunk: the GUEST_KILL and GUEST_MAP_TEAR
+        # fault points fire between chunks.
+        guest.steps = vm_steps(machine.run())
         return guest
 
     # ------------------------------------------------------------------
@@ -456,7 +458,7 @@ class MultiStackEngine:
 
             if guest.workload_cycles >= guest.budget and not domain.finished:
                 try:
-                    for step in guest.machine.finish():
+                    for step in vm_steps(guest.machine.finish()):
                         self._exec_guest_step(guest, step)
                 except InjectedFault as fault:
                     self._kill_guest(guest, fault)

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.hardware.cache import (
-    CacheGeometry,
-    SetAssociativeCache,
-    StatisticalCacheModel,
-)
-from repro.hardware.memory import AddressStream, WorkingSet
+from repro.hardware.cache import CacheGeometry, StatisticalCacheModel
+from repro.hardware.memory import WorkingSet
+from tests.hardware.reference_cache import AddressStream, SetAssociativeCache
 
 
 def small_geometry():

@@ -10,12 +10,9 @@ and by a comparable magnitude.
 
 import pytest
 
-from repro.hardware.cache import (
-    CacheGeometry,
-    SetAssociativeCache,
-    StatisticalCacheModel,
-)
+from repro.hardware.cache import CacheGeometry, StatisticalCacheModel
 from repro.hardware.memory import WorkingSet
+from tests.hardware.reference_cache import AddressStreamer, SetAssociativeCache
 
 GEOMETRY = CacheGeometry(size_bytes=1 << 16, line_bytes=64, associativity=8)
 N_ACCESSES = 30_000
@@ -24,9 +21,10 @@ WARMUP = 10_000
 
 def detailed_rate(ws: WorkingSet) -> float:
     cache = SetAssociativeCache(GEOMETRY)
-    cache.access_stream(ws.stream(WARMUP))  # warm the cache
+    streamer = AddressStreamer(ws)
+    cache.access_stream(streamer.stream(WARMUP))  # warm the cache
     h0, m0 = cache.hits, cache.misses
-    cache.access_stream(ws.stream(N_ACCESSES))
+    cache.access_stream(streamer.stream(N_ACCESSES))
     return (cache.misses - m0) / N_ACCESSES
 
 

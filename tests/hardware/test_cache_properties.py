@@ -3,8 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware.cache import CacheGeometry, SetAssociativeCache
-from repro.hardware.memory import AddressStream
+from repro.hardware.cache import CacheGeometry
+from tests.hardware.reference_cache import AddressStream, SetAssociativeCache
 
 GEOMETRIES = st.sampled_from(
     [

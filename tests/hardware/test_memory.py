@@ -1,10 +1,12 @@
-"""Unit tests for working sets and address streams."""
+"""Unit tests for working sets and the reference address streams over
+them."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.hardware.memory import WorkingSet
+from tests.hardware.reference_cache import AddressStreamer
 
 
 class TestWorkingSet:
@@ -18,35 +20,36 @@ class TestWorkingSet:
 
     def test_stream_length(self):
         ws = WorkingSet(base=0x1000, size=1 << 16, seed=1)
-        s = ws.stream(100)
+        s = AddressStreamer(ws).stream(100)
         assert len(s) == 100
 
     def test_stream_addresses_within_bounds(self):
         ws = WorkingSet(base=0x1000, size=1 << 16, seed=1)
-        s = ws.stream(500)
+        s = AddressStreamer(ws).stream(500)
         assert (s.addresses >= 0x1000).all()
         assert (s.addresses < 0x1000 + (1 << 16) + 64).all()
 
     def test_stream_positive_count_required(self):
         ws = WorkingSet(base=0, size=1024, seed=1)
         with pytest.raises(ConfigError):
-            ws.stream(0)
+            AddressStreamer(ws).stream(0)
 
     def test_full_locality_is_sequential_over_hot_region(self):
         ws = WorkingSet(base=0, size=1 << 16, locality=1.0, hot_fraction=0.5, seed=1)
-        s = ws.stream(8, line=64)
+        s = AddressStreamer(ws).stream(8, line=64)
         diffs = np.diff(s.addresses)
         assert (diffs == 64).all()
 
     def test_sequential_cursor_persists_across_streams(self):
         ws = WorkingSet(base=0, size=1 << 16, locality=1.0, seed=1)
-        a = ws.stream(4, line=64).addresses
-        b = ws.stream(4, line=64).addresses
+        streamer = AddressStreamer(ws)
+        a = streamer.stream(4, line=64).addresses
+        b = streamer.stream(4, line=64).addresses
         assert b[0] == a[-1] + 64
 
     def test_zero_locality_is_uniform(self):
         ws = WorkingSet(base=0, size=1 << 20, locality=0.0, seed=1)
-        s = ws.stream(2000)
+        s = AddressStreamer(ws).stream(2000)
         # Uniform draws should span most of the region.
         assert s.addresses.max() - s.addresses.min() > (1 << 19)
 
@@ -58,7 +61,10 @@ class TestWorkingSet:
     def test_deterministic_streams_for_same_seed(self):
         a = WorkingSet(base=0, size=1 << 18, locality=0.5, seed=42)
         b = WorkingSet(base=0, size=1 << 18, locality=0.5, seed=42)
-        assert (a.stream(64).addresses == b.stream(64).addresses).all()
+        assert (
+            AddressStreamer(a).stream(64).addresses
+            == AddressStreamer(b).stream(64).addresses
+        ).all()
 
 
 class TestExpectedMissRate:

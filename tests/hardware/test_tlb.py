@@ -1,9 +1,11 @@
-"""Tests for the ITLB models."""
+"""Tests for the ITLB models: the engine's statistical model and the
+reference direct-mapped TLB."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.hardware.tlb import DirectMappedTlb, StatisticalTlbModel
+from repro.hardware.tlb import StatisticalTlbModel
+from tests.hardware.reference_cache import DirectMappedTlb
 
 
 class TestDirectMappedTlb:
@@ -52,14 +54,11 @@ class TestDirectMappedTlb:
 class TestStatisticalTlbModel:
     def test_fitting_footprint_never_misses(self):
         m = StatisticalTlbModel(entries=64, seed=1)
-        assert m.misses_for_step(8192, footprint_bytes=200 * 1024) == 0
+        assert m.misses_for_chunks(8192, 200 * 1024, 5) == [0] * 5
 
     def test_oversized_footprint_misses(self):
         m = StatisticalTlbModel(entries=64, seed=1)
-        total = sum(
-            m.misses_for_step(16 * 4096, footprint_bytes=4 * 1024 * 1024)
-            for _ in range(200)
-        )
+        total = sum(m.misses_for_chunks(16 * 4096, 4 * 1024 * 1024, 200))
         assert total > 0
         # Rate bounded by pages touched.
         assert total <= 200 * 16
@@ -67,22 +66,34 @@ class TestStatisticalTlbModel:
     def test_misses_scale_with_pressure(self):
         lo = StatisticalTlbModel(entries=64, seed=2)
         hi = StatisticalTlbModel(entries=64, seed=2)
-        n_lo = sum(
-            lo.misses_for_step(8 * 4096, footprint_bytes=512 * 1024)
-            for _ in range(300)
-        )
-        n_hi = sum(
-            hi.misses_for_step(8 * 4096, footprint_bytes=8 * 1024 * 1024)
-            for _ in range(300)
-        )
+        n_lo = sum(lo.misses_for_chunks(8 * 4096, 512 * 1024, 300))
+        n_hi = sum(hi.misses_for_chunks(8 * 4096, 8 * 1024 * 1024, 300))
         assert n_hi > n_lo
 
     def test_validation(self):
         m = StatisticalTlbModel()
         with pytest.raises(ConfigError):
-            m.misses_for_step(-1, 100)
+            m.misses_for_chunks(-1, 100, 1)
         with pytest.raises(ConfigError):
             StatisticalTlbModel(entries=0)
+
+    @pytest.mark.parametrize("footprint", [200 * 1024, 3 * 1024 * 1024])
+    def test_one_call_equals_one_call_per_chunk(self, footprint):
+        """An activity's chunks drawn in one call read the stream the same
+        as one call per chunk, and leave it where those calls would."""
+        batched = StatisticalTlbModel(seed=4)
+        chunked = StatisticalTlbModel(seed=4)
+        sizes = [1, 7, 2, 31]
+        got = [batched.misses_for_chunks(0x3000, footprint, k) for k in sizes]
+        want = [
+            [chunked.misses_for_chunks(0x3000, footprint, 1)[0] for _ in range(k)]
+            for k in sizes
+        ]
+        assert got == want
+        assert batched.misses == chunked.misses == sum(map(sum, want))
+        assert batched.misses_for_chunks(0x800, footprint, 3) == [
+            chunked.misses_for_chunks(0x800, footprint, 1)[0] for _ in range(3)
+        ]
 
     def test_engine_produces_itlb_events(self, tmp_path):
         """End to end: a code footprint beyond 256 KB yields ITLB misses

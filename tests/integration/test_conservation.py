@@ -9,13 +9,20 @@ direction would silently bias Figure 2.
 
 import pytest
 
+from repro.hardware.cache import CacheGeometry
 from repro.oprofile.opcontrol import OprofileConfig
 from repro.profiling.samplefile import SampleFileReader
 from repro.system.engine import EngineConfig, ProfilerMode, SystemEngine
 from tests.conftest import make_tiny_workload
+from tests.hardware.reference_cache import (
+    DetailedCacheAdapter,
+    SetAssociativeCache,
+)
 
 
-def run(mode=ProfilerMode.NONE, tmp_path=None, **kw):
+def run(mode=ProfilerMode.NONE, tmp_path=None, detailed_cache=False, **kw):
+    """One tiny run; ``detailed_cache`` puts the set-associative reference
+    cache in the engine in place of its statistical model."""
     cfg_kw = dict(mode=mode, seed=9, noise=False)
     if mode is not ProfilerMode.NONE:
         cfg_kw["profile_config"] = kw.pop(
@@ -23,9 +30,14 @@ def run(mode=ProfilerMode.NONE, tmp_path=None, **kw):
         )
         cfg_kw["session_dir"] = tmp_path
     cfg_kw.update(kw)
-    return SystemEngine(
+    engine = SystemEngine(
         make_tiny_workload(base_time_s=0.2), EngineConfig(**cfg_kw)
-    ).run()
+    )
+    if detailed_cache:
+        engine._cache = DetailedCacheAdapter(
+            SetAssociativeCache(CacheGeometry.paper_l2())
+        )
+    return engine.run()
 
 
 class TestCycleConservation:

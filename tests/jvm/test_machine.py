@@ -1,9 +1,11 @@
 """Integration-y unit tests for the JikesVM facade: compilation flow, step
-streams, GC orchestration, hook firing."""
+streams, GC orchestration, hook firing.  The tests read ``JikesVM.run()``
+chunk by chunk, through its per-chunk view ``vm_steps``."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.jvm.bootimage import build_boot_image
 from repro.jvm.compiler import CodeBody, CompilerTier
@@ -12,10 +14,14 @@ from repro.jvm.machine import (
     AGENT_IMAGE_NAME,
     JIT_APP_IMAGE_LABEL,
     JikesVM,
+    MAX_STEP_CYCLES,
     StepKind,
     VmHooks,
+    VmRun,
+    VmRunStats,
+    vm_steps,
 )
-from repro.profiling.model import Layer
+from repro.profiling.model import Layer, TruthLabel
 from tests.conftest import make_tiny_workload
 
 BOOT_BASE = 0x6000_0000
@@ -47,7 +53,7 @@ def make_vm(workload=None, hooks=None, nursery=64 * 1024):
 
 
 def take_steps(vm, n):
-    return list(itertools.islice(vm.run(), n))
+    return list(itertools.islice(vm_steps(vm.run()), n))
 
 
 class RecordingHooks(VmHooks):
@@ -97,7 +103,7 @@ class TestStepStream:
         stale)."""
         vm = make_vm()
         checked = 0
-        for step in itertools.islice(vm.run(), 300):
+        for step in itertools.islice(vm_steps(vm.run()), 300):
             if step.kind is StepKind.APP:
                 body = next(
                     b for b in vm.code_bodies() if b.contains(step.pc)
@@ -122,7 +128,7 @@ class TestStepStream:
         wl = make_tiny_workload(n=2, burst=(20, 40))
         vm = make_vm(workload=wl)
         tiers_seen: dict[int, set[CompilerTier]] = {}
-        for _ in itertools.islice(vm.run(), 4000):
+        for _ in itertools.islice(vm_steps(vm.run()), 4000):
             for i in range(2):
                 b = vm.body_for(i)
                 if b is not None:
@@ -254,9 +260,9 @@ class TestHooks:
         hooks = RecordingHooks()
         vm = make_vm(hooks=hooks)
         take_steps(vm, 100)
-        steps = vm.finish()
+        runs = vm.finish()
         assert hooks.exits == [vm.epoch]
-        assert steps and steps[0].kind is StepKind.AGENT
+        assert runs and runs[0].kind is StepKind.AGENT
         assert vm.finish() == []
 
     def test_default_hooks_cost_nothing(self):
@@ -264,3 +270,80 @@ class TestHooks:
         assert not any(
             s.kind is StepKind.AGENT for s in take_steps(vm, 1500)
         )
+
+
+def chunked(cycles, accesses, cpi):
+    """The per-chunk split a run's chunks must reproduce: at most
+    MAX_STEP_CYCLES each, accesses in proportion to the cycles left."""
+    while cycles > 0:
+        c = min(cycles, MAX_STEP_CYCLES)
+        a = accesses * c // cycles
+        cycles -= c
+        accesses -= a
+        yield c, max(1, int(c / cpi)), a
+
+
+def make_run(cycles, accesses=0, cpi=1.6, stats=None, kind=StepKind.VM):
+    return VmRun(
+        kind, 0x1000, 0x200, cycles, accesses, None,
+        TruthLabel(Layer.VM, "RVM.map", "m"), None, cpi,
+        stats if stats is not None else VmRunStats(), "vm_cycles",
+    )
+
+
+class TestVmRun:
+    @given(
+        cycles=st.integers(1, 20_000),
+        accesses=st.integers(0, 12_000),
+        cpi=st.floats(1.0, 3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chunks_match_per_chunk_split(self, cycles, accesses, cpi):
+        run = make_run(cycles, accesses, cpi)
+        chunks = list(run)
+        assert chunks == list(chunked(cycles, accesses, cpi))
+        assert len(chunks) == run.n_chunks
+        assert sum(c for c, _, _ in chunks) == cycles
+        assert sum(a for _, _, a in chunks) == accesses
+
+    @given(cycles=st.integers(1, 20_000), within=st.integers(-5, 25_000))
+    def test_chunks_within_counts_chunks_starting_inside(self, cycles, within):
+        sizes = [c for c, _, _ in chunked(cycles, 0, 1.6)]
+        starts = list(itertools.accumulate(sizes, initial=0))[:-1]
+        assert make_run(cycles).chunks_within(within) == sum(
+            start < within for start in starts
+        )
+
+    def test_iteration_resumes_and_stats_count_taken_chunks(self):
+        stats = VmRunStats()
+        run = make_run(5 * MAX_STEP_CYCLES + 123, 900, stats=stats)
+        first = list(itertools.islice(run, 2))
+        assert stats.steps == 2
+        assert stats.vm_cycles == 2 * MAX_STEP_CYCLES
+        rest = list(run)
+        assert first + rest == list(chunked(5 * MAX_STEP_CYCLES + 123, 900, 1.6))
+        assert stats.steps == 6
+        assert stats.vm_cycles == 5 * MAX_STEP_CYCLES + 123
+        assert list(run) == []
+
+    def test_steps_view_shares_the_run(self):
+        run = make_run(3 * MAX_STEP_CYCLES, 30)
+        next(iter(run))
+        steps = list(run.steps())
+        assert [s.cycles for s in steps] == [MAX_STEP_CYCLES] * 2
+        assert all(s.pc == run.pc and s.truth is run.truth for s in steps)
+
+    def test_vm_steps_draws_next_run_only_when_current_is_used_up(self):
+        drawn = []
+
+        def runs():
+            for cycles in (3 * MAX_STEP_CYCLES, 10):
+                drawn.append(cycles)
+                yield make_run(cycles)
+
+        steps = vm_steps(runs())
+        for _ in range(3):
+            next(steps)
+        assert drawn == [3 * MAX_STEP_CYCLES]
+        assert next(steps).cycles == 10
+        assert drawn == [3 * MAX_STEP_CYCLES, 10]

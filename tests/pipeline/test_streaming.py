@@ -6,7 +6,7 @@ import tracemalloc
 from repro.os.kernel import Kernel
 from repro.pipeline import DirectorySource, opreport_chain, run_pipeline
 from repro.profiling.model import RawSample
-from repro.profiling.samplefile import SampleFileWriter
+from repro.profiling.samplefile import SampleFileReader, SampleFileWriter
 
 EV = "GLOBAL_POWER_EVENTS"
 N_SAMPLES = 100_000
@@ -15,6 +15,11 @@ N_SAMPLES = 100_000
 #: The materialized equivalent (100k RawSample dataclasses plus the list)
 #: is well over 10 MB; the stream should stay around one decode chunk.
 PEAK_BYTES_LIMIT = 4 * 1024 * 1024
+
+#: Ceiling for iterating one reader record by record: one decode chunk's
+#: bytes (~0.9 MiB) plus the Python records of one slice of it.
+#: Materializing a whole chunk's records peaks near 6 MB.
+PER_RECORD_PEAK_LIMIT = 3 * 1024 * 1024
 
 
 def write_big_file(sample_dir, kernel):
@@ -55,6 +60,28 @@ class TestConstantMemoryStreaming:
         assert peak < PEAK_BYTES_LIMIT, (
             f"streaming pass peaked at {peak} bytes "
             f"(limit {PEAK_BYTES_LIMIT})"
+        )
+
+    def test_per_record_reader_holds_one_slice_of_records(self, tmp_path):
+        """Iterating a reader record by record builds Python objects for
+        one bounded slice of a decode chunk at a time, not for the whole
+        32,768-record chunk."""
+        kernel = Kernel()
+        sample_dir = tmp_path / "samples"
+        write_big_file(sample_dir, kernel)
+        path = sample_dir / f"{EV}.samples"
+
+        tracemalloc.start()
+        try:
+            n = sum(1 for _ in SampleFileReader(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        assert n == N_SAMPLES
+        assert peak < PER_RECORD_PEAK_LIMIT, (
+            f"per-record iteration peaked at {peak} bytes "
+            f"(limit {PER_RECORD_PEAK_LIMIT})"
         )
 
     def test_aggregator_state_is_per_symbol_not_per_sample(self, tmp_path):
