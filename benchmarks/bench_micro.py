@@ -112,7 +112,8 @@ def test_report_aggregation(benchmark):
 
 
 def test_profile_diff(benchmark):
-    from repro.profiling.diff import diff_reports
+    from repro.metrics.analyze import analyze
+    from repro.metrics.build import summary_from_report
     from repro.profiling.model import RawSample, ResolvedSample
     from repro.profiling.report import build_report
 
@@ -131,7 +132,11 @@ def test_profile_diff(benchmark):
         return build_report(samples)
 
     before, after = mk(0), mk(37)
-    benchmark(diff_reports, before, after)
+    benchmark(
+        lambda: analyze(
+            summary_from_report(before), summary_from_report(after)
+        )
+    )
 
 
 def test_timeline_build(benchmark):

@@ -47,7 +47,7 @@ def main() -> None:
     print(f"archived sessions: {[s.label for s in store.sessions()]} "
           f"under {store.root}\n")
 
-    # 2. Cross-session diff.
+    # 2. Cross-session diff: analyze over the two reports' summaries.
     diff = store.diff("dense", "sparse")
     print("=== top share movements (dense -> sparse) ===")
     print(diff.format_table(limit=8))

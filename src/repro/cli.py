@@ -4,12 +4,14 @@ Subcommands::
 
     viprof list                          # available benchmarks
     viprof report ps [--scale S] [...]   # run + print a VIProf profile
+    viprof report ps --json              # the run's SessionSummary document
     viprof case-study [--benchmark ps]   # Figure 1 side-by-side
     viprof overhead [--benchmarks ...]   # Figure 2/3 sweep
     viprof breakdown ps                  # overhead decomposition
     viprof annotate ps [--method NAME]   # within-method (bytecode) histogram
-    viprof diff ps --period 45000 90000  # profile diff across two configs
-    viprof diff A/ B/                    # diff two existing sessions
+    viprof diff ps --period 45000 90000  # analyze one benchmark at two
+                                         #   periods (never gates)
+    viprof diff A/ B/                    # analyze two existing sessions
     viprof analyze A B [--config F]      # session comparison + regression
                                          #   gates (--fail-on-regression)
     viprof pgo ps                        # profile-guided optimization demo
@@ -182,18 +184,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
             time_scale=args.scale, seed=args.seed, session_dir=session_dir,
         )
         vr = result.viprof_report(workers=args.workers)
-        stats = vr.stage_stats
     if args.json:
-        from repro.profiling.export import report_to_json
+        from repro.metrics.build import summary_from_run
 
-        print(report_to_json(vr.report, stats=stats))
+        print(summary_from_run(result, vr).to_canonical_json(), end="")
         return 0
     print(vr.report.format_table(limit=args.rows))
     s = vr.jit_stats
     print(f"\n{s.jit_samples} JIT samples, "
           f"{100 * s.resolution_rate:.1f}% resolved")
     print("\nresolution stages:")
-    print(_format_stage_stats(stats))
+    print(_format_stage_stats(vr.stage_stats))
     return 0
 
 
@@ -266,19 +267,22 @@ def _run_analyze(
     as_json: bool,
     rows: int,
     fail_on_regression: bool,
+    summaries: tuple | None = None,
 ) -> int:
-    """Shared engine of ``viprof analyze`` and the two-path ``diff`` mode.
+    """Shared engine of ``viprof analyze`` and both ``diff`` forms.
 
-    Exit codes: 0 clean, 2 on unusable inputs/config, 3 when
-    ``fail_on_regression`` and a gate tripped.
+    ``a`` and ``b`` are input paths, or only labels when ``summaries``
+    holds the pair already built.  Exit codes: 0 clean, 2 on unusable
+    inputs/config, 3 when ``fail_on_regression`` and a gate tripped.
     """
     from repro.errors import AnalysisError
     from repro.metrics import analyze, load_config, load_input
 
     try:
         config = load_config(config_path) if config_path else None
+        before, after = summaries or (load_input(a), load_input(b))
         result = analyze(
-            load_input(a), load_input(b),
+            before, after,
             config=config, event=event, a_label=a, b_label=b,
         )
     except AnalysisError as e:
@@ -301,14 +305,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.profiling.diff import diff_reports
+    """Compare two sessions/summaries, or one benchmark profiled at two
+    periods; either way ``analyze`` prints the comparison, ungated."""
+    from repro.metrics.build import summary_from_run
 
     if len(args.target) == 2:
-        # Two existing session dirs / summary files: delegate to the
-        # analyze machinery (informational — no regression gating here).
         a, b = args.target
         return _run_analyze(
-            a, b, getattr(args, "config", None), None, False, args.rows,
+            a, b, args.config, None, False, args.rows,
             fail_on_regression=False,
         )
     if len(args.target) != 1:
@@ -319,19 +323,19 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         )
         return 2
     benchmark = args.target[0]
-    p_before, p_after = args.period
-    reports = []
-    for period in (p_before, p_after):
+    summaries = []
+    for period in args.period:
         with _session_dir(benchmark) as session_dir:
             run = viprof_profile(
                 by_name(benchmark), period=period,
                 time_scale=args.scale, seed=args.seed, session_dir=session_dir,
             )
-            reports.append(run.viprof_report().report)
-    d = diff_reports(*reports)
-    print(f"profile diff: period {p_before} -> {p_after}")
-    print(d.format_table(limit=args.rows))
-    return 0
+            summaries.append(summary_from_run(run, run.viprof_report()))
+    p_before, p_after = args.period
+    return _run_analyze(
+        f"period {p_before}", f"period {p_after}", args.config, None, False,
+        args.rows, fail_on_regression=False, summaries=tuple(summaries),
+    )
 
 
 def _cmd_pgo(args: argparse.Namespace) -> int:
@@ -533,8 +537,9 @@ def main(argv: list[str] | None = None) -> int:
                         "the merged fleet rollup")
     p.add_argument("--rows", type=int, default=15)
     p.add_argument("--json", action="store_true",
-                   help="emit the report (plus per-stage resolution "
-                        "counters) as JSON")
+                   help="emit the run's summary (symbol counts plus "
+                        "resolution, collection, daemon and GC panels) "
+                        "as canonical JSON, an analyze input")
     p.add_argument("--workers", type=_worker_count, default="1",
                    help="shard sample resolution across N worker "
                         "processes, or 'auto' to size the pool from the "
@@ -565,8 +570,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "diff",
-        help="diff one benchmark across two periods, or two existing "
-        "sessions/summaries (delegates to analyze)",
+        help="analyze one benchmark across two periods, or two existing "
+        "sessions/summaries (never gates)",
     )
     p.add_argument("target", nargs="+", metavar="BENCHMARK|PATH",
                    help="one benchmark name, or two session directories / "
@@ -574,7 +579,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--period", nargs=2, type=int, metavar=("BEFORE", "AFTER"),
                    default=[45_000, 90_000])
     p.add_argument("--config", default=None,
-                   help="analysis config for the two-path mode (TOML/JSON)")
+                   help="analysis config (TOML/JSON); its gates are "
+                        "listed but never fail the diff")
     p.add_argument("--rows", type=int, default=12)
     p.add_argument("--scale", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=7)
@@ -583,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
         "analyze",
         help="compare two sessions/summaries and gate on regressions",
     )
-    p.add_argument("a", help="baseline: session dir, summary.json, "
+    p.add_argument("a", help="baseline: session dir, or summary.json "
                              "or report --json file")
     p.add_argument("b", help="candidate (same flavors as the baseline)")
     p.add_argument("--config", default=None,

@@ -25,7 +25,6 @@ from repro.metrics.analyze import (
 from repro.metrics.build import (
     collection_summary,
     derive_summary,
-    load_session_summary,
     summary_from_report,
     summary_from_run,
     write_session_summary,
@@ -66,7 +65,6 @@ __all__ = [
     "summary_from_run",
     "collection_summary",
     "derive_summary",
-    "load_session_summary",
     "write_session_summary",
     "domain_summary",
     "fleet_report_doc",

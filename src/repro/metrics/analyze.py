@@ -1,7 +1,7 @@
 """Session comparison: align two summaries, derive rates, judge deltas.
 
 ``viprof analyze A B`` loads two :class:`~repro.metrics.model.SessionSummary`
-inputs (summary files, legacy ``report --json`` documents, or session
+inputs (``summary.json`` and ``report --json`` files, or session
 directories — directories are re-derived from their artifacts on
 demand), aligns them by (image, symbol) and by panel metric,
 and evaluates the share deltas against an
@@ -9,14 +9,16 @@ and evaluates the share deltas against an
 deterministic: the same pair of inputs always produces the same JSON
 bytes (floats are rounded at serialization, keys sorted).
 
+:func:`analyze` is the tool's one comparison: ``viprof diff`` (both
+forms) and :meth:`repro.oprofile.archive.SessionStore.diff` call it too.
+
 Raw panels hold counters; comparison happens on **derived metrics**
 (:func:`derived_metrics`), which add rates generically: a panel with a
 positive ``total`` gets ``<key>_pct`` for every other counter
-(``layers.kernel_pct``, ...).
-
-Symbol alignment mirrors :func:`repro.profiling.diff.diff_reports` — that
-function is now a thin wrapper over :func:`align_shares` — with
-``appeared``/``vanished`` flags for methods present on only one side.
+(``layers.kernel_pct``, ...).  Symbol shares are likewise derived from
+counts over the event's total (:meth:`SessionSummary.symbol_shares`),
+with ``appeared``/``vanished`` flags for methods present on only one
+side.
 """
 
 from __future__ import annotations
@@ -401,10 +403,8 @@ def load_input(path: Path | str) -> SessionSummary:
       from its artifacts (deterministic regardless of whether a
       ``summary.json`` is embedded — point at the file to compare the
       embedded copy itself);
-    * a ``.json`` file holding ``schema_version`` and ``kind`` is parsed
-      as a serialized :class:`SessionSummary` (``summary.json``);
-    * a legacy ``report --json`` document (``events`` + ``symbols``) is
-      converted on the fly.
+    * a ``.json`` file is parsed as a serialized :class:`SessionSummary`
+      (``summary.json``, ``report --json`` or ``--summary-out`` output).
     """
     path = Path(path)
     if path.is_dir():
@@ -419,76 +419,12 @@ def load_input(path: Path | str) -> SessionSummary:
         raise AnalysisError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise AnalysisError(f"{path}: not a JSON object")
+    if "schema_version" not in doc or "kind" not in doc:
+        raise AnalysisError(
+            f"{path}: unrecognized input — expected a session directory, "
+            "a summary.json, or a report --json document"
+        )
     try:
-        if "schema_version" in doc and "kind" in doc:
-            return SessionSummary.from_dict(doc)
-        if "events" in doc and "symbols" in doc:
-            return _from_legacy_report_doc(doc)
+        return SessionSummary.from_dict(doc)
     except AnalysisError as e:
         raise AnalysisError(f"{path}: {e}") from None
-    raise AnalysisError(
-        f"{path}: unrecognized input — expected a session directory, a "
-        "summary.json, or a report --json document"
-    )
-
-
-def _from_legacy_report_doc(doc: dict[str, object]) -> SessionSummary:
-    """A pre-model ``report --json`` document as a summary (best effort:
-    counts and totals are exact; resolution stages become panels)."""
-    from repro.metrics.build import resolution_panels
-    from repro.metrics.model import SymbolEntry
-
-    events_raw = doc.get("events")
-    if not isinstance(events_raw, dict):
-        raise AnalysisError("legacy report document has no events object")
-    totals: dict[str, int] = {}
-    for ev, n in events_raw.items():
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise AnalysisError(
-                f"legacy report total for {ev!r} is not an integer: {n!r}"
-            )
-        totals[ev] = n
-    symbols: list[SymbolEntry] = []
-    rows = doc.get("symbols")
-    if not isinstance(rows, list):
-        raise AnalysisError("legacy report document has no symbols list")
-    for row in rows:
-        if not isinstance(row, dict):
-            continue
-        image, symbol = row.get("image"), row.get("symbol")
-        counts = row.get("counts")
-        if not (
-            isinstance(image, str)
-            and isinstance(symbol, str)
-            and isinstance(counts, dict)
-        ):
-            raise AnalysisError(f"bad legacy symbol row: {row!r}")
-        symbols.append(
-            SymbolEntry(
-                image=image,
-                symbol=symbol,
-                counts={
-                    ev: n
-                    for ev, n in counts.items()
-                    if isinstance(n, int) and not isinstance(n, bool) and n
-                },
-            )
-        )
-    stats = doc.get("resolution")
-    panels = resolution_panels(stats) if isinstance(stats, dict) else {}
-    existing = doc.get("panels")
-    if isinstance(existing, dict):
-        for name, metrics in existing.items():
-            if isinstance(metrics, dict):
-                panels[name] = {
-                    k: v
-                    for k, v in metrics.items()
-                    if isinstance(v, (int, float))
-                    and not isinstance(v, bool)
-                }
-    return SessionSummary(
-        events=tuple(events_raw),
-        totals=totals,
-        symbols=symbols,
-        panels=panels,
-    )

@@ -38,13 +38,13 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import AnalysisError, CodeMapError, SampleFormatError
 from repro.metrics.model import (
     KIND_ARTIFACTS,
     KIND_COLLECTION,
     KIND_PROFILE,
-    SCHEMA_VERSION,
     SUMMARY_NAME,
     SessionSummary,
     SymbolEntry,
@@ -53,6 +53,9 @@ from repro.profiling.model import RawSample
 from repro.profiling.record_codec import open_sample_record_file
 from repro.profiling.report import ProfileReport
 from repro.viprof.runtime_profiler import VmRegistration
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.system.engine import RunResult, ViprofReportResult
 
 __all__ = [
     "resolution_panels",
@@ -63,10 +66,8 @@ __all__ = [
     "summary_from_run",
     "collection_summary",
     "derive_summary",
-    "load_session_summary",
     "sample_layer",
     "session_registration",
-    "report_json_doc",
     "write_session_summary",
 ]
 
@@ -250,44 +251,33 @@ def summary_from_report(
     )
 
 
-def summary_from_run(run: object, vr: object | None = None) -> SessionSummary:
-    """The full-stack summary of one engine run
-    (:class:`repro.system.engine.RunResult`).
+def summary_from_run(run: RunResult, vr: ViprofReportResult) -> SessionSummary:
+    """The full-stack summary of one VIProf engine run and its resolved
+    report: the document ``viprof report --json`` prints.
 
-    Combines the resolution-side panels (when a
-    :class:`~repro.system.engine.ViprofReportResult` is given) with the
-    run's collection-side accounting: daemon classification counters,
-    daemon overhead cycles, and GC-epoch cost.
+    Combines the report's symbol rows and resolution-side panels with
+    the run's collection-side accounting: daemon classification
+    counters, daemon overhead cycles, and GC-epoch cost.
     """
     extra: dict[str, dict[str, int | float]] = {}
-    daemon_stats = getattr(run, "daemon_stats", None)
-    if daemon_stats is not None:
+    if run.daemon_stats is not None:
         extra["collection"] = collection_panel(
-            daemon_stats, buffer_lost=getattr(run, "buffer_lost", 0)
+            run.daemon_stats, buffer_lost=run.buffer_lost
         )
-    session = getattr(run, "viprof_session", None)
-    daemon = getattr(session, "daemon", None)
-    overhead = getattr(daemon, "overhead_panel", None)
-    if callable(overhead):
-        extra["daemon"] = overhead()
-    gc_stats = getattr(run, "gc_stats", None)
-    if gc_stats is not None:
-        panel = gc_panel(gc_stats)
-        if panel:
-            extra["gc"] = panel
+    if run.viprof_session is not None:
+        extra["daemon"] = run.viprof_session.daemon.overhead_panel()
+    gc = gc_panel(run.gc_stats)
+    if gc:
+        extra["gc"] = gc
     meta: dict[str, object] = {
-        "workload": getattr(run, "workload_name", None),
-        "mode": getattr(getattr(run, "mode", None), "value", None),
-        "wall_cycles": getattr(run, "wall_cycles", None),
-        "workload_cycles": getattr(run, "workload_cycles", None),
+        "workload": run.workload_name,
+        "mode": run.mode.value,
+        "wall_cycles": run.wall_cycles,
+        "workload_cycles": run.workload_cycles,
     }
-    meta = {k: v for k, v in meta.items() if v is not None}
-    if vr is not None:
-        return summary_from_report(
-            vr.report, stats=vr.stage_stats, meta=meta, extra_panels=extra
-        )
-    report = ProfileReport(events=(), rows=[], totals={})
-    return summary_from_report(report, meta=meta, extra_panels=extra)
+    return summary_from_report(
+        vr.report, stats=vr.stage_stats, meta=meta, extra_panels=extra
+    )
 
 
 def _event_totals(sample_dir: Path) -> dict[str, int]:
@@ -518,50 +508,6 @@ def derive_summary(session_dir: Path | str) -> SessionSummary:
         panels=panels,
         meta={"session_dir": session_dir.name},
     )
-
-
-def load_session_summary(session_dir: Path | str) -> SessionSummary:
-    """A session directory's summary: the embedded ``summary.json`` when
-    the session wrote one at teardown, else derived on demand from the
-    artifacts."""
-    session_dir = Path(session_dir)
-    embedded = session_dir / SUMMARY_NAME
-    if embedded.is_file():
-        return SessionSummary.load(embedded)
-    return derive_summary(session_dir)
-
-
-def report_json_doc(
-    report: ProfileReport, stats: dict[str, object] | None = None
-) -> dict[str, object]:
-    """The ``report --json`` document: the legacy shape (``events`` /
-    ``symbols`` with percents / ``resolution``) plus the unified model's
-    additive fields (``schema_version``, ``panels``).
-
-    :func:`repro.profiling.export.report_to_json` serializes this — the
-    legacy keys are untouched so existing consumers keep parsing.
-    """
-    summary = summary_from_report(report, stats=stats)
-    doc: dict[str, object] = {
-        "schema_version": SCHEMA_VERSION,
-        "events": {ev: report.totals.get(ev, 0) for ev in report.events},
-        "symbols": [
-            {
-                "image": row.image,
-                "symbol": row.symbol,
-                "counts": {ev: row.count(ev) for ev in report.events},
-                "percent": {
-                    ev: round(report.percent(row, ev), 4)
-                    for ev in report.events
-                },
-            }
-            for row in report.sorted_rows()
-        ],
-        "panels": {k: dict(v) for k, v in summary.panels.items()},
-    }
-    if stats is not None:
-        doc["resolution"] = stats
-    return doc
 
 
 def write_session_summary(session_dir: Path | str) -> Path:

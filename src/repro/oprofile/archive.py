@@ -10,21 +10,26 @@ the machine state (without running it) and resolves against the archived
 artifacts.
 
 This also unlocks cross-session workflows: archive two configurations of
-the same benchmark and :func:`~repro.profiling.diff.diff_reports` them.
+the same benchmark and compare them with :meth:`SessionStore.diff`, which
+hands both reports' summaries to :func:`~repro.metrics.analyze.analyze`.
+Reading an archive never writes into it: the rebuilt engine lives in a
+temporary directory for the length of one report.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ProfilerError
 from repro.jvm.bootimage import build_boot_image
+from repro.metrics.analyze import AnalysisResult, analyze
+from repro.metrics.build import summary_from_report
 from repro.oprofile.opcontrol import OprofileConfig
 from repro.oprofile.opreport import OpReport
-from repro.profiling.diff import ProfileDiff, diff_reports
 from repro.profiling.report import ProfileReport
 from repro.system.engine import EngineConfig, ProfilerMode, RunResult, SystemEngine
 from repro.viprof.codemap import CodeMapIndex
@@ -131,41 +136,47 @@ class SessionStore:
 
         The resolution context (kernel symbols, process mappings, boot
         image) is rebuilt deterministically by constructing — *not*
-        running — the same engine configuration.
+        running — the same engine configuration, in a temporary session
+        directory removed on return.
         """
         s = self.get(label)
-        engine = self._rebuild_engine(s)
-        if s.mode == ProfilerMode.VIPROF.value:
+        with tempfile.TemporaryDirectory(prefix="viprof-rebuild-") as tmp:
+            kernel = self._rebuild_engine(s, Path(tmp)).kernel
+            if s.mode != ProfilerMode.VIPROF.value:
+                return OpReport(kernel, s.path / "samples").generate()
             reg = VmRegistration.parse(s.meta.get("registration"))
             if reg is None:
                 raise ProfilerError(
                     f"archive {label!r} lacks a VM registration record"
                 )
             post = ViprofReport(
-                kernel=engine.kernel,
+                kernel=kernel,
                 sample_dir=s.path / "samples",
                 codemaps=CodeMapIndex.load_dir(s.path / "jit-maps"),
                 rvm_map=build_boot_image().rvm_map,
                 registrations=(reg,),
             )
             return post.generate()
-        return OpReport(engine.kernel, s.path / "samples").generate()
 
     def diff(
         self, label_before: str, label_after: str, event: str | None = None
-    ) -> ProfileDiff:
-        """Diff two archived sessions' reports."""
-        return diff_reports(
-            self.report(label_before), self.report(label_after), event=event
+    ) -> AnalysisResult:
+        """Compare two archived sessions' reports with ``analyze``."""
+        return analyze(
+            summary_from_report(self.report(label_before)),
+            summary_from_report(self.report(label_after)),
+            event=event,
+            a_label=label_before,
+            b_label=label_after,
         )
 
     # ------------------------------------------------------------------
 
-    def _rebuild_engine(self, s: ArchivedSession) -> SystemEngine:
+    def _rebuild_engine(self, s: ArchivedSession, tmp: Path) -> SystemEngine:
         cfg = EngineConfig(
             mode=ProfilerMode(s.mode),
             profile_config=OprofileConfig.paper_config(s.period),
-            session_dir=s.path / "_rebuild",
+            session_dir=tmp,
             seed=s.meta["seed"],
             time_scale=s.meta["time_scale"],
         )

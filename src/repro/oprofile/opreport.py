@@ -85,20 +85,6 @@ class OpReport:
 
     # ------------------------------------------------------------------
 
-    def process_summary(self) -> list[tuple[int, str, int]]:
-        """Samples per task: ``(pid, comm, sample_count)`` sorted by count
-        (opreport's ``--separate=proc`` flavour).  Kernel-mode samples are
-        charged to the interrupted task, as OProfile does."""
-        counts: dict[int, int] = {}
-        for s in self.iter_samples():
-            counts[s.task_id] = counts.get(s.task_id, 0) + 1
-        out = []
-        for pid, n in counts.items():
-            proc = self.kernel.process(pid)
-            out.append((pid, proc.name if proc else "(unknown)", n))
-        out.sort(key=lambda t: (-t[2], t[0]))
-        return out
-
     def annotate(
         self,
         image: str,

@@ -155,19 +155,3 @@ class AddressSpace:
             return None
         vma = self._vmas[i]
         return vma if vma.contains(addr) else None
-
-    def resolve_symbolic(self, addr: int) -> tuple[str, str] | None:
-        """One-shot PC → ``(image_label, symbol_name)`` resolution.
-
-        Convenience wrapper used in tests and reports; the profilers perform
-        the same steps piecemeal because they record intermediate state.
-        """
-        vma = self.resolve(addr)
-        if vma is None:
-            return None
-        if vma.kind is VmaKind.FILE:
-            assert vma.image is not None
-            return vma.image.name, vma.image.symbol_name_at(vma.to_image_offset(addr))
-        from repro.os.binary import NO_SYMBOLS
-
-        return vma.label(), NO_SYMBOLS

@@ -35,8 +35,7 @@ from repro.profiling.report import (
     build_report,
 )
 from repro.profiling.annotate import SymbolAnnotation, annotate_symbol
-from repro.profiling.diff import ProfileDiff, diff_reports
-from repro.profiling.export import report_to_csv, report_to_json, report_to_xml
+from repro.profiling.export import report_to_csv
 
 __all__ = [
     "Layer",
@@ -58,9 +57,5 @@ __all__ = [
     "build_report",
     "SymbolAnnotation",
     "annotate_symbol",
-    "ProfileDiff",
-    "diff_reports",
     "report_to_csv",
-    "report_to_json",
-    "report_to_xml",
 ]

@@ -1,82 +1,20 @@
-"""Machine-readable report exports.
+"""CSV report export.
 
-Real ``opreport`` grew ``--xml`` for downstream tooling; we provide XML in
-that spirit plus CSV for spreadsheets/pandas.  Exports are pure functions
-of a :class:`~repro.profiling.report.ProfileReport`, so they work for any
-profiler variant (stock, VIProf, XenoProf-unified).
+A pure function of a :class:`~repro.profiling.report.ProfileReport`, so it
+works for any profiler variant (stock, VIProf, XenoProf-unified) and
+feeds spreadsheets and pandas.  The machine-readable profile document is
+the :class:`~repro.metrics.model.SessionSummary` that
+``viprof report --json`` prints.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from xml.etree import ElementTree as ET
 
 from repro.profiling.report import ProfileReport
 
-__all__ = ["report_to_xml", "report_to_csv", "report_to_json"]
-
-
-def report_to_xml(report: ProfileReport) -> str:
-    """Serialize a report to an ``opreport --xml``-flavoured document::
-
-        <profile>
-          <events><event name="..." total="..."/></events>
-          <symbols>
-            <symbol image="..." name="...">
-              <count event="..." samples="..." percent="..."/>
-            </symbol>
-          </symbols>
-        </profile>
-    """
-    root = ET.Element("profile")
-    events_el = ET.SubElement(root, "events")
-    for ev in report.events:
-        ET.SubElement(
-            events_el, "event",
-            name=ev, total=str(report.totals.get(ev, 0)),
-        )
-    symbols_el = ET.SubElement(root, "symbols")
-    for row in report.sorted_rows():
-        sym_el = ET.SubElement(
-            symbols_el, "symbol", image=row.image, name=row.symbol
-        )
-        for ev in report.events:
-            n = row.count(ev)
-            if n:
-                ET.SubElement(
-                    sym_el, "count",
-                    event=ev, samples=str(n),
-                    percent=f"{report.percent(row, ev):.4f}",
-                )
-    return ET.tostring(root, encoding="unicode")
-
-
-def report_to_json(
-    report: ProfileReport, stats: dict[str, object] | None = None
-) -> str:
-    """Serialize a report (and optionally the resolver chain's per-stage
-    counters, as returned by
-    :meth:`~repro.pipeline.resolver.ResolverChain.stats_dict`) to JSON::
-
-        {"schema_version": 1,
-         "events": {...totals...},
-         "symbols": [{"image": ..., "symbol": ..., "counts": {...},
-                      "percent": {...}}, ...],
-         "panels": {"layers": {...}, ...},     # unified-model panels
-         "resolution": {"stages": [...]}}      # when stats given
-
-    The document is built by
-    :func:`repro.metrics.build.report_json_doc` — the historical keys
-    (``events``/``symbols``/``resolution``) are unchanged;
-    ``schema_version`` and ``panels`` are the unified session-metrics
-    model's additive fields, and ``viprof analyze`` accepts the document
-    directly.
-    """
-    from repro.metrics.build import report_json_doc
-
-    return json.dumps(report_json_doc(report, stats=stats), indent=2)
+__all__ = ["report_to_csv"]
 
 
 def report_to_csv(report: ProfileReport) -> str:

@@ -69,32 +69,6 @@ class ProfileReport:
             return 0.0
         return sum(r.count(ev) for r in self.rows if r.image == image) / total
 
-    def image_totals(self) -> list[tuple[str, dict[str, int]]]:
-        """Aggregate rows per image (opreport's default, symbol-less view),
-        sorted by the primary event, descending."""
-        per_image: dict[str, dict[str, int]] = {}
-        for r in self.rows:
-            acc = per_image.setdefault(r.image, {})
-            for ev, n in r.counts.items():
-                acc[ev] = acc.get(ev, 0) + n
-        primary = self.events[0]
-        return sorted(
-            per_image.items(), key=lambda kv: (-kv[1].get(primary, 0), kv[0])
-        )
-
-    def format_image_summary(self, limit: int | None = None) -> str:
-        """The image-level listing opreport prints without ``-l``."""
-        primary = self.events[0]
-        total = max(1, self.totals.get(primary, 0))
-        lines = [f"{'samples':>8} {'%':>9}  image name"]
-        items = self.image_totals()
-        if limit is not None:
-            items = items[:limit]
-        for image, counts in items:
-            n = counts.get(primary, 0)
-            lines.append(f"{n:8d} {100 * n / total:9.4f}  {image}")
-        return "\n".join(lines)
-
     def format_table(
         self, limit: int | None = None, column_labels: dict[str, str] | None = None
     ) -> str:

@@ -12,6 +12,7 @@ from repro.metrics.analyze import (
     derived_metrics,
     load_input,
 )
+from repro.metrics.build import summary_from_report
 from repro.metrics.model import (
     KIND_ARTIFACTS,
     KIND_COLLECTION,
@@ -24,11 +25,27 @@ from repro.metrics.panels import (
     Threshold,
     load_config,
 )
+from repro.profiling.model import RawSample, ResolvedSample
+from repro.profiling.report import build_report
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 REGRESSION_A = FIXTURES / "analyze" / "regression-a.json"
 REGRESSION_B = FIXTURES / "analyze" / "regression-b.json"
 EV = "GLOBAL_POWER_EVENTS"
+
+
+def report_summary(spec: dict[str, int], event: str = EV) -> SessionSummary:
+    """The summary of a one-event report holding ``spec[symbol]`` samples
+    of each ``JIT.App`` symbol."""
+    raw = RawSample(
+        pc=0x1000, event_name=event, task_id=1, kernel_mode=False, cycle=0
+    )
+    samples = [
+        ResolvedSample(raw=raw, image="JIT.App", symbol=symbol)
+        for symbol, n in spec.items()
+        for _ in range(n)
+    ]
+    return summary_from_report(build_report(samples, events=(event,)))
 
 
 class TestIdentity:
@@ -81,6 +98,54 @@ class TestSeededRegression:
         a = load_input(REGRESSION_A)
         with pytest.raises(AnalysisError, match="ITLB_MISS"):
             analyze(a, a, config=config)
+
+    @pytest.mark.parametrize("missing_on", ["a", "b"])
+    def test_explicit_event_missing_raises(self, missing_on):
+        has, lacks = report_summary({"m": 1}), report_summary(
+            {"m": 1}, event="BSQ_CACHE_REFERENCE"
+        )
+        pair = (lacks, has) if missing_on == "a" else (has, lacks)
+        with pytest.raises(AnalysisError, match="missing from one summary"):
+            analyze(*pair, event=EV)
+
+
+class TestReportSummaries:
+    """``analyze`` over ``summary_from_report`` summaries: the comparison
+    ``viprof diff`` and ``SessionStore.diff`` print."""
+
+    @pytest.mark.parametrize(
+        "before, after, deltas, appeared, vanished",
+        [
+            ({"a": 50, "b": 50}, {"a": 80, "b": 20},
+             {"a": 30.0, "b": -30.0}, [], []),
+            ({"a": 3, "b": 1}, {"a": 3, "b": 1},
+             {"a": 0.0, "b": 0.0}, [], []),
+            ({"a": 10}, {"b": 10}, {"a": -100.0, "b": 100.0}, ["b"], ["a"]),
+        ],
+        ids=["moved", "identical", "swapped"],
+    )
+    def test_share_deltas(self, before, after, deltas, appeared, vanished):
+        result = analyze(report_summary(before), report_summary(after))
+        assert result.event == EV
+        assert {s.symbol: s.delta for s in result.symbols} == pytest.approx(
+            deltas
+        )
+        assert [s.symbol for s in result.symbols if s.appeared] == appeared
+        assert [s.symbol for s in result.symbols if s.vanished] == vanished
+
+    def test_sorted_symbols_largest_move_first(self):
+        result = analyze(
+            report_summary({"a": 50, "b": 45, "c": 5}),
+            report_summary({"a": 5, "b": 55, "c": 40}),
+        )
+        assert [s.symbol for s in result.sorted_symbols()] == ["a", "c", "b"]
+
+    def test_no_common_event_compares_no_symbols(self):
+        result = analyze(
+            report_summary({"a": 1}),
+            report_summary({"a": 1}, event="BSQ_CACHE_REFERENCE"),
+        )
+        assert result.event is None and result.symbols == []
 
 
 class TestDerivedMetrics:
@@ -180,20 +245,6 @@ class TestLoadInput:
         result = analyze(a, b)
         assert result.ok
         assert all(s.delta == 0.0 for s in result.symbols)
-
-    def test_legacy_report_doc(self, tmp_path):
-        doc = {
-            "events": {EV: 10},
-            "symbols": [
-                {"image": "JIT.App", "symbol": "m", "counts": {EV: 10},
-                 "percent": {EV: 100.0}},
-            ],
-        }
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(doc))
-        summary = load_input(path)
-        assert summary.totals == {EV: 10}
-        assert summary.symbols[0].key == ("JIT.App", "m")
 
     def test_unrecognized_input_rejected(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -106,16 +106,37 @@ class TestReplayResolution:
 class TestCrossSessionDiff:
     def test_diff_same_config_different_seed(self, store):
         d = store.diff("fop-viprof", "fop-viprof-seed99")
-        assert d.rows
+        assert (d.a_label, d.b_label) == ("fop-viprof", "fop-viprof-seed99")
+        assert d.event == "GLOBAL_POWER_EVENTS"
+        assert d.symbols
         # Same workload model, different schedule: top symbols overlap but
         # shares move.
-        assert any(abs(r.delta) > 0 for r in d.rows)
+        assert any(abs(s.delta) > 0 for s in d.symbols)
 
     def test_diff_mode_mismatch_is_still_comparable(self, store):
         """VIProf vs OProfile on the same run config: the diff exposes the
         attribution gap (JIT.App rows appear; anon rows vanish)."""
         d = store.diff("fop-oprofile", "fop-viprof")
-        appeared = {r.image for r in d.appeared()}
-        vanished = {r.image for r in d.vanished()}
+        appeared = {s.image for s in d.symbols if s.appeared}
+        vanished = {s.image for s in d.symbols if s.vanished}
         assert any(i == "JIT.App" for i in appeared)
         assert any(i.startswith("anon (range:") for i in vanished)
+
+
+class TestReadOnlyArchive:
+    def test_report_and_diff_leave_the_archive_unchanged(self, tmp_path):
+        fresh = SessionStore(tmp_path / "store")
+        for label, seed in (("a", 7), ("b", 99)):
+            run = viprof_profile(
+                by_name("fop"), period=45_000, time_scale=SCALE, seed=seed,
+                session_dir=tmp_path / label,
+            )
+            fresh.archive(run, label)
+
+        def listing():
+            return sorted(fresh.root.rglob("*"))
+
+        before = listing()
+        fresh.report("a")
+        fresh.diff("a", "b")
+        assert listing() == before

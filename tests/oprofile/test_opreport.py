@@ -104,17 +104,6 @@ class TestOpReport:
         assert report.row_for("vmlinux", "do_page_fault") is not None
         assert report.row_for(UNKNOWN_IMAGE, NO_SYMBOLS) is None
 
-    def test_process_summary(self, profiled_machine):
-        kernel, proc, _, sample_dir = profiled_machine
-        summary = OpReport(kernel, sample_dir).process_summary()
-        by_pid = {pid: (name, n) for pid, name, n in summary}
-        assert by_pid[proc.pid][0] == "java"
-        assert by_pid[proc.pid][1] >= 6
-        assert by_pid[424242][0] == "(unknown)"
-        # Sorted by sample count, descending.
-        counts = [n for _, _, n in summary]
-        assert counts == sorted(counts, reverse=True)
-
     def test_totals_match_sample_counts(self, profiled_machine):
         kernel, _, _, sample_dir = profiled_machine
         report = OpReport(kernel, sample_dir).generate()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AddressSpaceError
 from repro.os.address_space import PAGE_SIZE, VMA, AddressSpace, VmaKind
-from repro.os.binary import NO_SYMBOLS, BinaryImage, Symbol
+from repro.os.binary import BinaryImage, Symbol
 
 
 def image():
@@ -79,21 +79,8 @@ class TestAddressSpace:
         with pytest.raises(AddressSpaceError):
             space.unmap(v)
 
-    def test_resolve_symbolic_file(self):
-        space = AddressSpace()
-        space.map(0x10000, 0x4000, VmaKind.FILE, image=image())
-        assert space.resolve_symbolic(0x11080) == ("lib.so", "func")
-        assert space.resolve_symbolic(0x10000) == ("lib.so", NO_SYMBOLS)
-
-    def test_resolve_symbolic_anon(self):
-        space = AddressSpace()
-        space.map(0x60800000, 0x100000, VmaKind.ANON)
-        label, sym = space.resolve_symbolic(0x60840000)
-        assert label.startswith("anon (range:")
-        assert sym == NO_SYMBOLS
-
-    def test_resolve_symbolic_unmapped(self):
-        assert AddressSpace().resolve_symbolic(0x1234) is None
+    def test_resolve_unmapped(self):
+        assert AddressSpace().resolve(0x1234) is None
 
     def test_many_mappings_sorted_lookup(self):
         space = AddressSpace()

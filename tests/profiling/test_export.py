@@ -1,10 +1,9 @@
-"""Tests for XML/CSV report export."""
+"""Tests for CSV report export."""
 
 import csv
 import io
-from xml.etree import ElementTree as ET
 
-from repro.profiling.export import report_to_csv, report_to_xml
+from repro.profiling.export import report_to_csv
 from repro.profiling.model import RawSample, ResolvedSample
 from repro.profiling.report import build_report
 
@@ -25,41 +24,6 @@ def sample_report():
     return build_report(
         samples, events=("GLOBAL_POWER_EVENTS", "BSQ_CACHE_REFERENCE")
     )
-
-
-class TestXmlExport:
-    def test_well_formed_and_complete(self):
-        xml = report_to_xml(sample_report())
-        root = ET.fromstring(xml)
-        assert root.tag == "profile"
-        events = {e.get("name"): e.get("total") for e in root.find("events")}
-        assert events["GLOBAL_POWER_EVENTS"] == "4"
-        symbols = root.find("symbols").findall("symbol")
-        assert {s.get("name") for s in symbols} == {"app.Main.hot", "memset"}
-
-    def test_counts_and_percents(self):
-        root = ET.fromstring(report_to_xml(sample_report()))
-        hot = next(
-            s for s in root.find("symbols") if s.get("name") == "app.Main.hot"
-        )
-        counts = {c.get("event"): c for c in hot}
-        assert counts["GLOBAL_POWER_EVENTS"].get("samples") == "3"
-        assert counts["GLOBAL_POWER_EVENTS"].get("percent") == "75.0000"
-        assert counts["BSQ_CACHE_REFERENCE"].get("samples") == "1"
-
-    def test_zero_counts_omitted(self):
-        root = ET.fromstring(report_to_xml(sample_report()))
-        memset = next(
-            s for s in root.find("symbols") if s.get("name") == "memset"
-        )
-        assert len(memset) == 1  # only the time event
-
-    def test_special_characters_escaped(self):
-        rep = build_report([resolved("a<b>.so", 'f"&g')])
-        root = ET.fromstring(report_to_xml(rep))  # must not raise
-        sym = root.find("symbols").find("symbol")
-        assert sym.get("image") == "a<b>.so"
-        assert sym.get("name") == 'f"&g'
 
 
 class TestCsvExport:

@@ -63,34 +63,6 @@ class TestBuildReport:
         assert rep.image_share("x") == 0.0
 
 
-class TestImageSummary:
-    def test_image_totals_aggregate_symbols(self):
-        samples = [
-            resolved("a.so", "f"),
-            resolved("a.so", "g"),
-            resolved("b.so", "h"),
-        ]
-        rep = build_report(samples)
-        totals = dict(rep.image_totals())
-        assert totals["a.so"]["GLOBAL_POWER_EVENTS"] == 2
-        assert totals["b.so"]["GLOBAL_POWER_EVENTS"] == 1
-
-    def test_image_totals_sorted(self):
-        samples = [resolved("cold.so", "f")] + [resolved("hot.so", "g")] * 3
-        rep = build_report(samples)
-        assert rep.image_totals()[0][0] == "hot.so"
-
-    def test_format_image_summary(self):
-        rep = build_report([resolved("a.so", "f")] * 4)
-        txt = rep.format_image_summary()
-        assert "a.so" in txt and "100.0000" in txt
-
-    def test_limit(self):
-        samples = [resolved(f"img{i}.so", "f") for i in range(10)]
-        rep = build_report(samples)
-        assert len(rep.format_image_summary(limit=3).splitlines()) == 4
-
-
 class TestFormatTable:
     def test_header_labels(self):
         samples = [

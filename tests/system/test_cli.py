@@ -62,6 +62,9 @@ class TestCli:
             ["diff", "fop", "--scale", "0.1", "--period", "20000", "45000"]
         ) == 0
         out = capsys.readouterr().out
+        assert out.startswith(
+            "analyze: period 20000 -> period 45000 [profile]\n"
+        )
         assert "delta" in out
 
     def test_pgo(self, capsys):
