@@ -21,6 +21,8 @@ Usage::
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
 from repro import viprof_profile
 from repro.analysis.timeline import build_timeline
@@ -40,12 +42,13 @@ def main() -> None:
 
     # 1. Observe.
     print(f"[1/4] profiling {args.benchmark} with VIProf ...")
-    prof = viprof_profile(
-        by_name(args.benchmark), period=45_000, time_scale=args.scale,
-        noise=False,
-    )
-    post = prof.viprof_report().post
-    resolved = [post.resolve(s) for s in post.read_samples()]
+    with tempfile.TemporaryDirectory(prefix="viprof-adaptation-") as tmp:
+        prof = viprof_profile(
+            by_name(args.benchmark), period=45_000, time_scale=args.scale,
+            noise=False, session_dir=Path(tmp),
+        )
+        post = prof.viprof_report().post
+        resolved = [post.resolve(s) for s in post.read_samples()]
 
     # 2. Detect phases.
     window = max(1, prof.wall_cycles // 12)

@@ -34,43 +34,50 @@ def main() -> None:
     args = ap.parse_args()
 
     store = SessionStore(Path(tempfile.mkdtemp(prefix="viprof-sessions-")))
+    # The live sessions are archived into the store and removed on exit;
+    # the store stays, for the reader to inspect.
+    with tempfile.TemporaryDirectory(prefix="viprof-live-") as tmp:
+        live = Path(tmp)
+        # 1. Two configurations, archived.
+        dense = viprof_profile(
+            by_name(args.benchmark), period=45_000, time_scale=args.scale,
+            session_dir=live / "dense",
+        )
+        sparse = viprof_profile(
+            by_name(args.benchmark), period=90_000, time_scale=args.scale,
+            seed=11, session_dir=live / "sparse",
+        )
+        store.archive(dense, "dense")
+        store.archive(sparse, "sparse")
+        print(f"archived sessions: {[s.label for s in store.sessions()]} "
+              f"under {store.root}\n")
 
-    # 1. Two configurations, archived.
-    dense = viprof_profile(
-        by_name(args.benchmark), period=45_000, time_scale=args.scale
-    )
-    sparse = viprof_profile(
-        by_name(args.benchmark), period=90_000, time_scale=args.scale, seed=11
-    )
-    store.archive(dense, "dense")
-    store.archive(sparse, "sparse")
-    print(f"archived sessions: {[s.label for s in store.sessions()]} "
-          f"under {store.root}\n")
+        # 2. Cross-session diff: analyze over the two reports' summaries.
+        diff = store.diff("dense", "sparse")
+        print("=== top share movements (dense -> sparse) ===")
+        print(diff.format_table(limit=8))
 
-    # 2. Cross-session diff: analyze over the two reports' summaries.
-    diff = store.diff("dense", "sparse")
-    print("=== top share movements (dense -> sparse) ===")
-    print(diff.format_table(limit=8))
+        # 3. Bytecode-level annotation of the hottest JIT method.
+        vr = dense.viprof_report()
+        hot = next(r for r in vr.report.sorted_rows() if r.image == "JIT.App")
+        ann = vr.post.annotate_jit(hot.symbol, bucket_bytes=64)
+        print(f"\n=== inside {hot.symbol} ===")
+        print(ann.format_table(limit=8))
 
-    # 3. Bytecode-level annotation of the hottest JIT method.
-    vr = dense.viprof_report()
-    hot = next(r for r in vr.report.sorted_rows() if r.image == "JIT.App")
-    ann = vr.post.annotate_jit(hot.symbol, bucket_bytes=64)
-    print(f"\n=== inside {hot.symbol} ===")
-    print(ann.format_table(limit=8))
+        # 4. Phase timeline.
+        resolved = [vr.post.resolve(s) for s in vr.post.read_samples()]
+        tl = build_timeline(
+            resolved, window_cycles=dense.wall_cycles // 10 or 1
+        )
+        print("\n=== phase timeline (10 windows) ===")
+        print(tl.format_table(top=1))
+        print(f"transitions at windows: {tl.transitions() or 'none'}")
 
-    # 4. Phase timeline.
-    resolved = [vr.post.resolve(s) for s in vr.post.read_samples()]
-    tl = build_timeline(resolved, window_cycles=dense.wall_cycles // 10 or 1)
-    print("\n=== phase timeline (10 windows) ===")
-    print(tl.format_table(top=1))
-    print(f"transitions at windows: {tl.transitions() or 'none'}")
-
-    # 5. CSV export.
-    csv_text = report_to_csv(vr.report)
-    out = store.root / "dense.csv"
-    out.write_text(csv_text)
-    print(f"\nCSV export: {out} ({len(csv_text.splitlines())} rows)")
+        # 5. CSV export.
+        csv_text = report_to_csv(vr.report)
+        out = store.root / "dense.csv"
+        out.write_text(csv_text)
+        print(f"\nCSV export: {out} ({len(csv_text.splitlines())} rows)")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ Usage::
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
 from repro import viprof_profile
 from repro.workloads import by_name
@@ -26,12 +28,15 @@ def main() -> None:
     ap.add_argument("--scale", type=float, default=0.3)
     args = ap.parse_args()
 
-    result = viprof_profile(
-        by_name(args.benchmark),
-        period=45_000,
-        time_scale=args.scale,
-        record_callgraph=True,
-    )
+    # The call graph is built in memory; the session is not needed after.
+    with tempfile.TemporaryDirectory(prefix="viprof-callgraph-") as tmp:
+        result = viprof_profile(
+            by_name(args.benchmark),
+            period=45_000,
+            time_scale=args.scale,
+            record_callgraph=True,
+            session_dir=Path(tmp),
+        )
     graph = result.callgraph
     assert graph is not None
     event = "GLOBAL_POWER_EVENTS"

@@ -15,6 +15,8 @@ Usage::
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
 from repro import viprof_profile
 from repro.workloads import by_name
@@ -34,10 +36,13 @@ def main() -> None:
           f"({workload.base_time_s:.1f}s nominal, scale {args.scale}) "
           f"with VIProf @ 1/{args.period} cycles ...\n")
 
-    result = viprof_profile(workload, period=args.period,
-                            time_scale=args.scale)
+    # The session (sample files and code maps) lives until the report
+    # has been read.
+    with tempfile.TemporaryDirectory(prefix="viprof-quickstart-") as tmp:
+        result = viprof_profile(workload, period=args.period,
+                                time_scale=args.scale, session_dir=Path(tmp))
+        vr = result.viprof_report()
 
-    vr = result.viprof_report()
     print("=== VIProf profile (top 15) ===")
     print(vr.report.format_table(limit=15))
 

@@ -143,13 +143,13 @@ GUEST_FAULT_POINTS: tuple[FaultPoint, ...] = (
     FaultPoint(
         GUEST_KILL,
         "repro.xen.engine.MultiStackEngine.run",
-        "kill a guest mid-epoch between VM steps: its current epoch's "
+        "kill a guest mid-epoch between VM chunks: its current epoch's "
         "code map is never emitted (missing map); sibling domains and "
         "the hypervisor-side sample buffer are untouched",
     ),
     FaultPoint(
         GUEST_MAP_TEAR,
-        "repro.xen.engine.MultiStackEngine._exec_guest_step",
+        "repro.xen.engine.MultiStackEngine._take_guest_chunk",
         "kill a guest during agent work and tear its newest epoch map: "
         "the map file keeps a prefix cut inside a record line "
         "(malformed, quarantinable); sibling domains are untouched",

@@ -16,7 +16,7 @@ The profiler-relevant properties of Jikes RVM 2.4.4, all reproduced here:
   version its code maps.
 
 :mod:`repro.jvm.machine` ties these together into :class:`JikesVM`, which
-executes a workload as a deterministic stream of execution steps and fires
+executes a workload as a deterministic stream of activity runs and fires
 the agent hooks VIProf attaches to.
 """
 
@@ -26,7 +26,7 @@ from repro.jvm.heap import Heap, Space
 from repro.jvm.gc import CopyingCollector, GcStats
 from repro.jvm.adaptive import AdaptiveSystem, RecompilationLadder
 from repro.jvm.bootimage import BootImage, RvmMap, RvmMapEntry, build_boot_image
-from repro.jvm.machine import JikesVM, StepKind, VmHooks, VmRun, VmStep, vm_steps
+from repro.jvm.machine import JikesVM, StepKind, VmHooks, VmRun
 
 __all__ = [
     "JavaMethod",
@@ -47,7 +47,5 @@ __all__ = [
     "JikesVM",
     "VmHooks",
     "VmRun",
-    "VmStep",
-    "vm_steps",
     "StepKind",
 ]

@@ -10,10 +10,10 @@ a stretch of execution at one code site (a method burst, a GC phase, an
 agent hook).  A run says *where the program counter dwells* (a concrete
 address range), *how much* it costs (cycles/instructions/data accesses),
 and — for scoring only — the simulator's ground-truth attribution.  The
-system engine takes each run as chunks of at most ``MAX_STEP_CYCLES``
-cycles, runs them through the cache model and the CPU as hardware quanta,
-and lets the armed profiler take samples.  :func:`vm_steps` is the
-per-chunk view of a run stream, one :class:`VmStep` per chunk.
+engines' executor (:class:`repro.system.engine.VmExecutor`) takes each
+run as chunks of at most ``MAX_STEP_CYCLES`` cycles, runs them through
+the cache model and the CPU as hardware quanta, and lets the armed
+profiler take samples.
 
 Determinism: all internal choices flow from the seed given at construction.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from random import Random
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterator, Protocol
 
 from repro.errors import JvmError
 from repro.hardware.memory import WorkingSet
@@ -39,8 +39,6 @@ from repro.profiling.model import Layer, TruthLabel
 __all__ = [
     "StepKind",
     "VmRun",
-    "VmStep",
-    "vm_steps",
     "VmHooks",
     "WorkloadProgram",
     "JikesVM",
@@ -79,31 +77,6 @@ class StepKind(Enum):
     VM = "vm"  # boot-image (VM-internal) code
     NATIVE = "native"  # shared-library code
     AGENT = "agent"  # VIProf VM-agent library work
-
-
-@dataclass(slots=True)
-class VmStep:
-    """One chunk of VM-process execution (the per-chunk view of a
-    :class:`VmRun`).
-
-    Attributes:
-        kind: which code category the PC is in.
-        pc: start address of the swept range.
-        code_len: length of the swept range in bytes.
-        cycles / instructions / accesses: cost of the slice.
-        working_set: data region touched (None => negligible data traffic).
-        truth: simulator ground truth for accuracy scoring.
-    """
-
-    kind: StepKind
-    pc: int
-    code_len: int
-    cycles: int
-    instructions: int
-    accesses: int
-    working_set: WorkingSet | None
-    truth: TruthLabel
-    caller: TruthLabel | None = None
 
 
 class VmHooks:
@@ -223,16 +196,6 @@ class VmRun:
             return 0
         return min(self.n_chunks, -(-cycles // MAX_STEP_CYCLES))
 
-    def steps(self) -> Iterator[VmStep]:
-        """Take the run's remaining chunks, one :class:`VmStep` each."""
-        for cycles, instructions, accesses in self:
-            yield VmStep(
-                kind=self.kind, pc=self.pc, code_len=self.code_len,
-                cycles=cycles, instructions=instructions, accesses=accesses,
-                working_set=self.working_set, truth=self.truth,
-                caller=self.caller,
-            )
-
     def _take(
         self, cpi: float, stats: VmRunStats, stat: str
     ) -> Iterator[tuple[int, int, int]]:
@@ -251,14 +214,6 @@ class VmRun:
             stats.steps += 1
             setattr(stats, stat, getattr(stats, stat) + cycles)
             yield cycles, max(1, int(cycles / cpi)), accesses
-
-
-def vm_steps(runs: Iterable[VmRun]) -> Iterator[VmStep]:
-    """The per-chunk view of a run stream: every run's chunks as
-    :class:`VmStep` records, in order.  The next run is drawn from
-    ``runs`` only once the current one has no chunk left."""
-    for run in runs:
-        yield from run.steps()
 
 
 class JikesVM:

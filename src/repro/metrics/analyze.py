@@ -209,7 +209,15 @@ class AnalysisResult:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def format_table(self, limit: int = 15) -> str:
+        """The comparison as text.  Each section (symbols, panel metrics,
+        regressions) shows at most ``limit`` rows, and a cut section ends
+        with one ``... N more`` line."""
         lines = [f"analyze: {self.a_label} -> {self.b_label} [{self.kind}]"]
+
+        def cut(rows: list, indent: str = "") -> None:
+            if len(rows) > limit:
+                lines.append(f"{indent}... {len(rows) - limit} more")
+
         if self.symbols:
             lines.append(
                 f"{'before %':>9} {'after %':>9} {'delta':>8}  "
@@ -224,19 +232,22 @@ class AnalysisResult:
                     f"{s.before_pct:9.3f} {s.after_pct:9.3f} "
                     f"{s.delta:+8.3f}  {s.image} : {s.symbol}{flag}"
                 )
+            cut(self.symbols)
         if self.metrics:
             lines.append(
                 f"{'before':>12} {'after':>12} {'delta':>10}  panel metric"
             )
-            for m in self.metrics:
+            for m in self.metrics[:limit]:
                 lines.append(
                     f"{m.before:12.4f} {m.after:12.4f} {m.delta:+10.4f}  "
                     f"{m.panel}.{m.metric}"
                 )
+            cut(self.metrics)
         if self.regressions:
             lines.append("regressions:")
-            for r in self.regressions:
+            for r in self.regressions[:limit]:
                 lines.append(f"  FAIL [{r.kind}] {r.subject}: {r.message}")
+            cut(self.regressions, "  ")
         else:
             lines.append("no regressions")
         return "\n".join(lines)

@@ -34,7 +34,7 @@ def run(mode=ProfilerMode.NONE, tmp_path=None, detailed_cache=False, **kw):
         make_tiny_workload(base_time_s=0.2), EngineConfig(**cfg_kw)
     )
     if detailed_cache:
-        engine._cache = DetailedCacheAdapter(
+        engine.vm.cache = DetailedCacheAdapter(
             SetAssociativeCache(CacheGeometry.paper_l2())
         )
     return engine.run()

@@ -82,7 +82,7 @@ def baseline(tmp_path_factory):
     """The fault-free twin: engine + its strict report's multiset."""
     session_dir = tmp_path_factory.mktemp("crash-baseline")
     engine = _run_engine(session_dir)
-    post = engine.viprof.report(engine.boot.rvm_map)
+    post = engine.viprof.report(engine.machine.boot.rvm_map)
     post.generate()
     return {
         "dir": session_dir,
@@ -151,7 +151,7 @@ def test_kill_and_recover(point, selector, baseline, hit_counts, tmp_path):
         assert map_file.read_bytes() == twin.read_bytes()
 
     # --- the degraded report never invents an attribution ------------
-    post = engine.viprof.recovered_report(engine.boot.rvm_map)
+    post = engine.viprof.recovered_report(engine.machine.boot.rvm_map)
     post.generate()
     recovered = _resolution_multiset(post, real_only=True)
     assert not recovered - baseline["multiset"], (

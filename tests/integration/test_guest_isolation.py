@@ -118,11 +118,17 @@ def baseline(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def hit_counts(tmp_path_factory):
-    """Observe-mode twin: how often each guest fault point is reached."""
+def observed(tmp_path_factory):
+    """Observe-mode twin: how often each fault point is reached, and the
+    run that reached them."""
     with arm() as injector:
-        _run(tmp_path_factory.mktemp("fleet-observe"))
-    return dict(injector.hits)
+        fs = _run(tmp_path_factory.mktemp("fleet-observe"))
+    return dict(injector.hits), fs
+
+
+@pytest.fixture(scope="module")
+def hit_counts(observed):
+    return observed[0]
 
 
 def test_every_guest_fault_point_is_reached(hit_counts):
@@ -130,6 +136,23 @@ def test_every_guest_fault_point_is_reached(hit_counts):
     assert set(ALL_GUEST_FAULT_POINT_NAMES) <= set(hit_counts)
     for name in ALL_GUEST_FAULT_POINT_NAMES:
         assert hit_counts[name] >= len(_SELECTORS)
+
+
+def test_fault_points_fire_where_they_fired(observed):
+    """The matrix's kill positions come from these counts: a change that
+    moves a firing (say, ``GUEST_KILL`` once per quiet run instead of
+    once per chunk) shifts every position without failing a matrix
+    case, so the counts are pinned."""
+    hits, fs = observed
+    assert hits == {
+        "guest.kill": 1_307,
+        "guest.map-tear": 141,
+        "agent.map-emit": 22,
+        "codemap.write": 22,
+        "writer.spill": 11,
+    }
+    assert len(fs.result.buffer) == 131
+    assert fs.result.wall_cycles == 2_488_964
 
 
 def test_fleet_counters_partition_exactly(baseline):

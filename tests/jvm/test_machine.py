@@ -1,6 +1,7 @@
 """Integration-y unit tests for the JikesVM facade: compilation flow, step
 streams, GC orchestration, hook firing.  The tests read ``JikesVM.run()``
-chunk by chunk, through its per-chunk view ``vm_steps``."""
+chunk by chunk, through the per-chunk view ``vm_steps`` of the reference
+executor (``tests/system/reference_engine.py``)."""
 
 import itertools
 
@@ -19,10 +20,10 @@ from repro.jvm.machine import (
     VmHooks,
     VmRun,
     VmRunStats,
-    vm_steps,
 )
 from repro.profiling.model import Layer, TruthLabel
 from tests.conftest import make_tiny_workload
+from tests.system.reference_engine import run_steps, vm_steps
 
 BOOT_BASE = 0x6000_0000
 
@@ -329,7 +330,7 @@ class TestVmRun:
     def test_steps_view_shares_the_run(self):
         run = make_run(3 * MAX_STEP_CYCLES, 30)
         next(iter(run))
-        steps = list(run.steps())
+        steps = list(run_steps(run))
         assert [s.cycles for s in steps] == [MAX_STEP_CYCLES] * 2
         assert all(s.pc == run.pc and s.truth is run.truth for s in steps)
 

@@ -148,6 +148,38 @@ class TestReportSummaries:
         assert result.event is None and result.symbols == []
 
 
+class TestFormatTable:
+    @staticmethod
+    def _cut_lines(lines):
+        return [line for line in lines if line.lstrip().startswith("... ")]
+
+    def test_every_section_honours_the_row_limit(self):
+        result = analyze(load_input(REGRESSION_A), load_input(REGRESSION_B))
+        doc = result.to_json()
+        n_sym = len(result.symbols)
+        n_met = len(result.metrics)
+        n_reg = len(result.regressions)
+        assert min(n_sym, n_met, n_reg) > 1
+
+        lines = result.format_table(limit=1).splitlines()
+        assert self._cut_lines(lines) == [
+            f"... {n_sym - 1} more",
+            f"... {n_met - 1} more",
+            f"  ... {n_reg - 1} more",
+        ]
+        # title, then per section: its heading, one row, its cut line
+        assert len(lines) == 1 + 3 * 3
+        assert sum(line.startswith("  FAIL ") for line in lines) == 1
+
+        full = result.format_table(limit=max(n_sym, n_met, n_reg))
+        assert not self._cut_lines(full.splitlines())
+        assert len(full.splitlines()) == 1 + (1 + n_sym) + (1 + n_met) + (
+            1 + n_reg
+        )
+        # The row limit shapes the text only.
+        assert result.to_json() == doc and not result.ok
+
+
 class TestDerivedMetrics:
     def test_total_yields_percentages(self):
         s = SessionSummary(

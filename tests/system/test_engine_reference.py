@@ -1,11 +1,11 @@
-"""Differential property: the engine's VM loop against the per-chunk
-reference loop (``reference_engine.py``).
+"""Differential property: the engine's VM executor against the
+per-chunk reference executor (``reference_engine.py``).
 
-The engine settles each quiet run of VM chunks, and draws each
+The executor settles each quiet run of VM chunks, and draws each
 activity's ITLB misses, in one step; the reference takes every chunk on
-its own.  Fed the same workload and configuration, the two must end in
-the same run: every cycle, the ledger by symbol (in insertion order) and
-by layer, ``CpuStats``, ``VmRunStats``, the GC statistics,
+its own.  Fed the same workload and configuration, the two engines must
+end in the same run: every cycle, the ledger by symbol (in insertion
+order) and by layer, ``CpuStats``, ``VmRunStats``, the GC statistics,
 ``buffer_lost``, the call graph, the ITLB model's misses and stream, and
 the bytes of every session file.
 """
@@ -137,8 +137,8 @@ def outcome(engine_cls, workload, kw, session: Path) -> dict:
         "vm_stats": dataclasses.asdict(run.vm_stats),
         "gc_stats": dataclasses.asdict(run.gc_stats),
         "buffer_lost": run.buffer_lost,
-        "itlb_misses": engine._tlb.misses,
-        "itlb_stream": engine._tlb._rng.bit_generator.state,
+        "itlb_misses": engine.vm.tlb.misses,
+        "itlb_stream": engine.vm.tlb._rng.bit_generator.state,
         "callgraph": (
             (
                 list(run.callgraph.recorder.arcs.items()),
@@ -234,14 +234,13 @@ def test_budget_ending_mid_activity_matches_reference(tmp_path):
             wl, EngineConfig(**kw, session_dir=tmp_path / f"{scale}-mid")
         )
         runs = []
-        vm_runs = engine.machine.run
 
-        def kept():
-            for run in vm_runs():
+        def kept(vm_runs):
+            for run in vm_runs:
                 runs.append(run)
                 yield run
 
-        engine.machine.run = kept
+        engine.vm.runs = kept(engine.vm.runs)
         with hot_code_bytes(_BIG_HOT_CODE):
             engine.run()
         if runs[-1].kind is not StepKind.AGENT and list(runs[-1]):
@@ -285,8 +284,8 @@ def aligned_outcome(engine_cls, counters):
         tiny(base_time_s=0.2),
         EngineConfig(seed=4, noise=False, background=False),
     )
-    engine.machine.run = lambda: _aligned_runs(engine.machine.stats)
-    engine._cache = _QuarterMisses()
+    engine.vm.runs = _aligned_runs(engine.machine.stats)
+    engine.vm.cache = _QuarterMisses()
     for event, period in counters:
         engine.cpu.counters.program(
             CounterConfig(event=event, period=period, count_kernel=False)
@@ -329,23 +328,28 @@ def test_totals_meeting_limits_exactly_match_reference(counters):
 
 
 def test_quiet_run_stops_where_the_next_chunk_would_start_late():
-    """The engine takes no chunk that would start at or after the limit
-    (the next tick or the slice end), as the per-chunk loop checks the
-    clock before each chunk, and comes back for the rest."""
+    """The executor takes no chunk that would start at or after the
+    limit (the next tick or the slice end), as the per-chunk loop checks
+    the clock before each chunk, and comes back for the rest."""
     engine = SystemEngine(tiny(), EngineConfig(seed=1, noise=False))
+    vm = engine.vm
     stats = engine.machine.stats
-    engine._start_run(VmRun(
+    vm.start_run(VmRun(
         StepKind.APP, 0x1000, 0x400, 5 * MAX_STEP_CYCLES, 0, None,
         TruthLabel(Layer.APP_JIT, "JIT.App", "m"), None, 1.5, stats,
         "app_cycles",
     ))
     start = engine.cpu.cycle
-    assert not engine._take_chunks(start + 2 * MAX_STEP_CYCLES)
+    assert not vm.take_chunks(start + 2 * MAX_STEP_CYCLES)
     assert engine.cpu.cycle == start + 2 * MAX_STEP_CYCLES
-    assert stats.steps == 2 and engine._run is not None
-    assert engine._take_chunks(start + 10 * MAX_STEP_CYCLES)
+    assert stats.steps == 2 and vm.current is not None
+    # A limit one cycle ahead takes one chunk.
+    assert not vm.take_chunks(engine.cpu.cycle + 1)
+    assert engine.cpu.cycle == start + 3 * MAX_STEP_CYCLES
+    assert stats.steps == 3 and vm.current is not None
+    assert vm.take_chunks(start + 10 * MAX_STEP_CYCLES)
     assert engine.cpu.cycle == start + 5 * MAX_STEP_CYCLES
-    assert stats.steps == 5 and engine._run is None
+    assert stats.steps == 5 and vm.current is None
     assert engine.cpu.stats.quanta == 5
 
 
@@ -374,6 +378,6 @@ def test_bad_run_raises_like_per_chunk_path(field, value, error, engine_cls):
         yield VmRun(**args)
         raise AssertionError("the bad run must stop the engine")
 
-    engine.machine.run = one_bad_run
+    engine.vm.runs = one_bad_run()
     with pytest.raises(error):
         engine.run()

@@ -34,7 +34,7 @@ class TestMultiStackRun:
 
     def test_both_guests_complete(self, result):
         for g in result.guests.values():
-            assert g.workload_cycles >= g.budget
+            assert g.vm.workload_cycles >= g.vm.budget
             assert g.domain.finished
 
     def test_samples_tagged_per_domain(self, result):
