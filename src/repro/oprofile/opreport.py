@@ -118,31 +118,12 @@ class OpReport:
             workers: shard the session's sample files across this many
                 worker processes (output is byte-identical to ``1``);
                 ``"auto"`` sizes the pool from the machine's core count.
-                Incompatible with ``pid`` — filtering is a sequential
-                pass over the stream.
+                The ``pid`` filter reaches every worker.
         """
-        from repro.pipeline.parallel import resolve_workers
-
-        workers = resolve_workers(workers)
-        if pid is not None and workers > 1:
-            from repro.errors import ProfilerError
-
-            raise ProfilerError(
-                "pid-filtered reports resolve sequentially; "
-                "drop workers or the pid filter"
-            )
-        source = (
-            self.source
-            if pid is None
-            else (
-                ps
-                for ps in self.source
-                if ps.raw.task_id == pid or ps.raw.kernel_mode
-            )
-        )
         return run_pipeline(
-            source,
+            self.source,
             self.chain,
             events=events or self.event_names(),
             workers=workers,
+            pid=pid,
         )

@@ -27,6 +27,7 @@ def run_pipeline(
     chain: ResolverChain,
     events: tuple[str, ...] | None = None,
     workers: int | str = 1,
+    pid: int | None = None,
 ) -> ProfileReport:
     """Resolve and aggregate a sample stream in one constant-memory pass.
 
@@ -35,9 +36,10 @@ def run_pipeline(
     ``events`` fixes the report's column order and drops other events.
     ``workers > 1`` requires a :class:`~repro.pipeline.source.DirectorySource`
     (sharding needs record-addressable files); ``workers="auto"`` picks a
-    count from the machine's core count (1 on a single-core box).  After
-    the run the chain's ``stats_dict()`` covers the whole stream either
-    way.
+    count from the machine's core count (1 on a single-core box).
+    ``pid`` keeps one task's samples and every kernel-mode sample; it
+    too requires a directory-backed source.  After the run the chain's
+    ``stats_dict()`` covers the whole stream either way.
     """
     from repro.pipeline.parallel import (
         consume_source,
@@ -47,8 +49,8 @@ def run_pipeline(
 
     workers = resolve_workers(workers)
     if workers > 1:
-        agg = run_parallel_pipeline(source, chain, events, workers)
+        agg = run_parallel_pipeline(source, chain, events, workers, pid)
     else:
         agg = StreamingAggregator(events)
-        consume_source(source, chain, agg)
+        consume_source(source, chain, agg, pid)
     return agg.report()

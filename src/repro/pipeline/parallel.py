@@ -23,10 +23,12 @@ Exactness is the design constraint, not best-effort parallelism:
 
 The per-shard resolve loop is also the pipeline's sequential path
 (:func:`consume_source`): records are decoded as numpy record arrays,
-one per decode chunk, each chunk is grouped by key in numpy, and its
-distinct keys are counted into one key table per chunk range, which is
-resolved once, a distinct key at a time, when the range ends (or early,
-at :data:`MAX_TABLE_KEYS` keys) — no Python object is built per sample.
+one per decode chunk, and each chunk is grouped by key with one sort of
+a packed u64 key.  Its distinct keys and counts are merged, in numpy,
+into one key table per chunk range, which becomes a ``{key: count}``
+dict and is resolved once, a distinct key at a time, when the range
+ends (or early, at :data:`MAX_TABLE_KEYS` keys) — no Python object is
+built per sample, and the key tuples are built once per table.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import multiprocessing
 
@@ -72,6 +74,12 @@ SPLIT_ALIGN_RECORDS = 4096
 #: population resolves in bounded memory; each flushed table walks its
 #: own keys.
 MAX_TABLE_KEYS = 1 << 16
+
+#: The record fields that make a sample's resolution key, in
+#: :func:`~repro.pipeline.source.sample_key` order; a codec without
+#: ``domain_id`` uses the first four.
+_KEY_FIELDS = ("pc", "epoch", "kernel_mode", "task_id", "domain_id")
+
 
 #: ``workers="auto"`` never picks more than this many shards: resolution
 #: is CPU-bound, so workers beyond the core count only add fork + merge
@@ -172,73 +180,148 @@ def consume_chunks(
     chunks: Iterable[ShardChunk],
     chain: ResolverChain,
     agg: StreamingAggregator,
+    pid: int | None = None,
 ) -> None:
     """Resolve every record in the given chunk ranges into ``agg``.
 
     This is the pipeline's hot loop, and no Python runs per sample in
     it.  Each decode chunk of a range arrives as a numpy record array
-    and collapses to its distinct keys in numpy (:func:`_chunk_keys`);
-    those keys, with their counts, are folded into one first-seen-order
-    ``{key: count}`` table that lives across the range's decode chunks.
-    When the range ends, or once the table holds :data:`MAX_TABLE_KEYS`
-    distinct keys (checked after each decode chunk), the table is
-    resolved by one
-    :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups` call
+    and collapses to its distinct keys in numpy (:func:`_group`).  Those
+    keys and their counts merge, by the same grouping, into the range's
+    key table: one numpy column per key field plus a count column, in
+    first-seen order, kept across the range's decode chunks.  When the
+    range ends, or once the table holds :data:`MAX_TABLE_KEYS` distinct
+    keys (checked after each decode chunk), :func:`_resolve_table` turns
+    it into one ``{key: count}`` dict, resolves that with one
+    :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups` call,
     and the aggregate takes one ``add_counts(..., n)`` per key, in
     first-seen order.  Flushes follow stream order, so row insertion
     order (the report's sort tie-break) is the stream's.  The key layout
     matches :func:`~repro.pipeline.source.sample_key`; ``kernel_mode``
     is the record's int byte here (``1 == True`` hashes identically, so
     the keys unify).
+
+    ``pid`` keeps only that task's records and the kernel-mode ones
+    (``opreport``'s image separation), as a mask over each decode chunk
+    before it is grouped.
     """
     for chunk in chunks:
         with RecordFileReader(chunk.path) as reader:
             event_name = reader.event_name
-            groups: dict[tuple, int] = {}
-            get = groups.get
+            fields = _KEY_FIELDS[: 5 if reader.codec.has_domain else 4]
+            table = None
             for records in reader.iter_field_chunks(
                 chunk.start_record, chunk.n_records
             ):
-                for key, count in _chunk_keys(records):
-                    groups[key] = get(key, 0) + count
-                if len(groups) >= MAX_TABLE_KEYS:
-                    _resolve_table(groups, event_name, chain, agg)
-                    groups.clear()
-            _resolve_table(groups, event_name, chain, agg)
+                if pid is not None:
+                    records = records[
+                        (records["task_id"] == pid)
+                        | (records["kernel_mode"] != 0)
+                    ]
+                    if not len(records):
+                        continue
+                table = _count_chunk(table, [records[f] for f in fields])
+                if len(table[1]) >= MAX_TABLE_KEYS:
+                    _resolve_table(_table_dict(table), event_name, chain, agg)
+                    table = None
+            if table is not None:
+                _resolve_table(_table_dict(table), event_name, chain, agg)
 
 
-def _chunk_keys(records: np.ndarray) -> Iterator[tuple[tuple, int]]:
-    """One non-empty decode chunk's distinct keys and their sample
-    counts, in the order each key first occurs.
+#: A range's key table: one numpy column per key field, one row per
+#: distinct key in first-seen order, and the keys' counts.
+_KeyTable = tuple[list[np.ndarray], np.ndarray]
 
-    One stable ``np.lexsort`` over ``pc``, ``epoch`` and one exact u64 of
-    ``task_id | kernel_mode << 32 | domain_id << 40`` (32 + 8 + 16 bits)
-    lines equal keys up in runs; stability makes each run's head its
-    key's first record.  Only the heads, put back in record order,
-    become Python tuples.
+
+def _count_chunk(
+    table: _KeyTable | None, keys: list[np.ndarray]
+) -> _KeyTable:
+    """Merge one non-empty decode chunk's key columns into ``table``
+    (``None`` for a new one), by the same grouping as the chunk's own."""
+    keys = [np.ascontiguousarray(key) for key in keys]
+    firsts, runs = _group(keys)
+    heads = [key[firsts] for key in keys]
+    if table is None:
+        return heads, runs
+    columns, counts = table
+    # Table rows first: a key's first row is where it was first seen.
+    rows = [np.concatenate(pair) for pair in zip(columns, heads)]
+    firsts, counts = _group(rows, np.concatenate((counts, runs)))
+    return [row[firsts] for row in rows], counts
+
+
+def _group(
+    columns: list[np.ndarray], weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by their key ``columns``: each distinct key's first
+    row index, in row order, and its count (its number of rows, or the
+    sum of their ``weights``).
+
+    One stable sort lines equal keys up in runs (:func:`_sort_keys`), so
+    a run's head is its key's first row, and sorting the heads puts the
+    keys back in first-seen order.
     """
-    has_domain = "domain_id" in records.dtype.names
-    pc, epoch = records["pc"], records["epoch"]
-    rest = records["task_id"].astype(np.uint64)
-    rest |= records["kernel_mode"].astype(np.uint64) << 32
-    if has_domain:
-        rest |= records["domain_id"].astype(np.uint64) << 40
-    order = np.lexsort((rest, epoch, pc))
+    order, ranked = _sort_keys(columns)
     same = np.ones(len(order) - 1, dtype=bool)
-    for column in (pc, epoch, rest):
-        ranked = column[order]
-        same &= ranked[1:] == ranked[:-1]
+    for column in ranked:
+        same &= column[1:] == column[:-1]
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    counts = np.diff(starts, append=len(order))
     firsts = order[starts]
+    if weights is None:
+        counts = np.diff(starts, append=len(order))
+    else:
+        counts = np.add.reduceat(weights[order], starts)
     seen = np.argsort(firsts)
-    heads = records[firsts[seen]]
-    domains = heads["domain_id"].tolist() if has_domain else repeat(None)
-    keys = zip(
-        heads["pc"].tolist(), heads["epoch"].tolist(),
-        heads["kernel_mode"].tolist(), heads["task_id"].tolist(), domains,
-    )
-    return zip(keys, counts[seen].tolist())
+    return firsts[seen], counts[seen]
+
+
+def _sort_keys(
+    columns: list[np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A stable order of the rows that puts equal keys next to each
+    other, and the sorted keys as columns whose adjacent rows are equal
+    exactly where the keys are.
+
+    When the columns' spans (``max - min``) and the row index fit in 64
+    bits together, each ``column - min`` is packed into one u64, most
+    significant first, with the row index in the low bits, and one
+    ``np.sort`` of it gives both: the packing is injective and keeps
+    ``np.lexsort``'s order, and the row index makes every value
+    distinct, so the sort is stable.  Otherwise the columns are
+    lexsorted.
+    """
+    n = len(columns[0])
+    lows = [int(column.min()) for column in columns]
+    bits = [
+        (int(column.max()) - low).bit_length()
+        for column, low in zip(columns, lows)
+    ]
+    index_bits = (n - 1).bit_length()
+    if sum(bits) + index_bits > 64:
+        order = np.lexsort(columns[::-1])
+        return order, [column[order] for column in columns]
+    packed = np.zeros(n, dtype=np.uint64)
+    for column, low, width in zip(columns, lows, bits):
+        if width:
+            packed <<= np.uint64(width)
+            # Mod 2**64 arithmetic: exact for a signed column too.
+            packed |= column.astype(np.uint64) - np.uint64(low % (1 << 64))
+    packed <<= np.uint64(index_bits)
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    index = np.uint64((1 << index_bits) - 1)
+    return packed & index, [packed >> np.uint64(index_bits)]
+
+
+def _table_dict(table: _KeyTable) -> dict[tuple, int]:
+    """A key table as the ``{key: count}`` dict ``resolve_groups`` takes,
+    built once per table: one ``tolist()`` per key column, and ``None``
+    for the domain of a codec that has none."""
+    columns, counts = table
+    lists: list = [column.tolist() for column in columns]
+    if len(lists) < len(_KEY_FIELDS):
+        lists.append(repeat(None))
+    return dict(zip(zip(*lists), counts.tolist()))
 
 
 def _resolve_table(
@@ -248,8 +331,6 @@ def _resolve_table(
     agg: StreamingAggregator,
 ) -> None:
     """Resolve one key table and fold each key's count into ``agg``."""
-    if not groups:
-        return
     entries = chain.resolve_groups(groups)
     add_counts = agg.add_counts
     for key, count in groups.items():
@@ -261,16 +342,24 @@ def consume_source(
     source: Iterable[object],
     chain: ResolverChain,
     agg: StreamingAggregator,
+    pid: int | None = None,
 ) -> None:
     """Resolve a whole source into ``agg``: directory-backed sources
     through the decode-chunk loop, anything else through
-    :meth:`~repro.pipeline.resolver.ResolverChain.resolve_stream`."""
+    :meth:`~repro.pipeline.resolver.ResolverChain.resolve_stream`.
+    ``pid`` filters as in :func:`consume_chunks`; only a
+    directory-backed source takes it."""
     if isinstance(source, DirectorySource):
         whole_files = [
             ShardChunk(str(p), 0, _record_count(p)) for p in source.paths()
         ]
-        consume_chunks(whole_files, chain, agg)
+        consume_chunks(whole_files, chain, agg, pid)
         return
+    if pid is not None:
+        raise ProfilerError(
+            "a pid filter needs a directory-backed source "
+            f"(got {type(source).__name__})"
+        )
     for resolved in chain.resolve_stream(source):
         agg.add(resolved)
 
@@ -287,6 +376,7 @@ def _record_count(path: Path | str) -> int:
 
 def _resolve_shard_worker(
     payload: tuple[bytes, list[ShardChunk], tuple[str, ...] | None],
+    pid: int | None = None,
 ) -> tuple[dict[str, object], StreamingAggregator]:
     """Worker entry: resolve one shard on a private chain copy and return
     the chain's counter deltas
@@ -296,7 +386,7 @@ def _resolve_shard_worker(
     chain: ResolverChain = pickle.loads(chain_bytes)
     chain.reset_stats()
     agg = StreamingAggregator(events)
-    consume_chunks(chunks, chain, agg)
+    consume_chunks(chunks, chain, agg, pid)
     return chain.export_stats(), agg
 
 
@@ -305,19 +395,21 @@ def run_parallel_pipeline(
     chain: ResolverChain,
     events: tuple[str, ...] | None,
     workers: int,
+    pid: int | None = None,
 ) -> StreamingAggregator:
     """Resolve a directory-backed source across ``workers`` processes.
 
     Returns the merged aggregator; the parent ``chain`` has absorbed every
     worker's counter deltas, so ``chain.stats_dict()`` reports the whole
-    run.  Falls back to the sequential loop when the plan yields a
-    single shard (tiny inputs) — same results either way.
+    run.  ``pid`` reaches every worker and filters as in
+    :func:`consume_chunks`.  Falls back to the sequential loop when the
+    plan yields a single shard (tiny inputs) — same results either way.
     """
     if not isinstance(source, DirectorySource):
         raise ProfilerError(
             "parallel resolution needs a directory-backed source "
-            f"(got {type(source).__name__}); filtered or in-memory streams "
-            "resolve sequentially"
+            f"(got {type(source).__name__}); in-memory streams resolve "
+            "sequentially"
         )
     try:
         chain_bytes = pickle.dumps(chain)
@@ -330,7 +422,7 @@ def run_parallel_pipeline(
     if not shards:
         return agg
     if len(shards) == 1:
-        consume_chunks(shards[0], chain, agg)
+        consume_chunks(shards[0], chain, agg, pid)
         return agg
     # fork shares the parent's loaded modules and page cache; spawn works
     # too (workers re-import repro) but pays interpreter start-up.
@@ -344,7 +436,7 @@ def run_parallel_pipeline(
     with ProcessPoolExecutor(
         max_workers=len(shards), mp_context=ctx
     ) as pool:
-        results = list(pool.map(_resolve_shard_worker, payloads))
+        results = list(pool.map(_resolve_shard_worker, payloads, repeat(pid)))
     # Merge in shard order: shards are contiguous in stream order, so
     # order-preserving merges reproduce the sequential first-seen order.
     for stats, part in results:

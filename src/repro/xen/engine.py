@@ -52,11 +52,11 @@ XEN_TIMER_PERIOD = 34_000
 
 @dataclass(frozen=True)
 class GuestSpec:
-    """One guest stack to build."""
+    """One guest stack to build; ``seed=None`` takes the engine's seed."""
 
     workload: Workload
     weight: int = 256
-    seed: int = 7
+    seed: int | None = None
 
 
 @dataclass
@@ -246,7 +246,10 @@ class MultiStackResult:
 
 
 class MultiStackEngine:
-    """Runs N guest stacks under the hypervisor with XenoProf attached."""
+    """Runs N guest stacks under the hypervisor with XenoProf attached.
+
+    ``seed`` seeds every guest whose :class:`GuestSpec` sets no seed.
+    """
 
     def __init__(
         self,
@@ -283,16 +286,17 @@ class MultiStackEngine:
 
     def _build_guest(self, spec: GuestSpec, time_scale: float) -> _Guest:
         wl = spec.workload
+        seed = self.seed if spec.seed is None else spec.seed
         domain = self.hypervisor.create_domain(wl.name, weight=spec.weight)
         did = domain.domain_id
         kernel = Kernel()
         map_dir = self.session_dir / f"dom{did}" / "jit-maps"
         process, machine = build_jvm_stack(
-            kernel, wl, spec.seed ^ (wl.seed << 8) ^ (did << 17),
+            kernel, wl, seed ^ (wl.seed << 8) ^ (did << 17),
             agent=lambda pid, epoch: ViprofVmAgent(writer=CodeMapWriter(map_dir)),
         )
         vm = VmExecutor(
-            self.cpu, machine, spec.seed ^ did,
+            self.cpu, machine, seed ^ did,
             budget=wl.budget_cycles(time_scale), task_id=process.pid,
             nmi_truth=self._nmi_truth,
         )

@@ -37,6 +37,7 @@ from repro.profiling.model import RawSample
 from repro.profiling.record_codec import (
     CORE_CODEC,
     DOMAIN_CODEC,
+    RecordFileReader,
     RecordFileWriter,
     codec_for_magic,
     probe_sample_file,
@@ -488,6 +489,75 @@ class TestChunkTables:
         assert _consumed_tables(ranges, decode_chunk=32, max_keys=1 << 16) == [
             [((7, -1, kmode, task, domain), 2) for task, kmode, domain in fields]
         ]
+
+
+def _boundary_keys(codec, total_bits):
+    """Six records over three keys whose column spans, with the 3-bit
+    row index, need ``total_bits`` bits: epoch 10 bits (crossing zero),
+    kernel mode 8 (bytes 2 to 255), task 4, domain 3 (XPRS only), and
+    ``pc`` the rest."""
+    key_bits = total_bits - 3 - 10 - 8 - 4 - (3 if codec.has_domain else 0)
+    lo = (1 << 63, 5, 2, -(1 << 9), 1)
+    hi = ((1 << 63) + (1 << key_bits) - 1, 20, 255, (1 << 9) - 1, 8)
+    mid = (1 << 63, 12, 128, 0, 8)
+    return [lo, hi, mid, hi, lo, mid]
+
+
+#: Fixed key lists, as ``(pc, task_id, kernel_mode, epoch, domain_id)``.
+FIXED_KEYS = {
+    "epoch-crosses-zero": [
+        (0x4000, 9, 0, e, 2) for e in (-2, 1, -2, 0, 1, -1, 0, -2)
+    ],
+    "kernel-mode-bytes": [
+        (0x4000 + 8 * (i % 3), 9, b, 3, 2)
+        for i, b in enumerate((2, 7, 128, 255, 0, 1, 255, 2, 7, 1))
+    ],
+    "one-record": [((1 << 64) - 1, (1 << 32) - 1, 255, -(1 << 63), 65_535)],
+    "one-key": [(0xC000_1000, 4, 1, 6, 3)] * 50,
+}
+
+
+def _sorted_runs(path):
+    """``_sort_keys``' ranked columns for the file's one decode chunk:
+    one packed column, or every key column after the lexsort."""
+    with RecordFileReader(path) as reader:
+        (records,) = reader.iter_field_chunks()
+        n_fields = 5 if reader.codec.has_domain else 4
+    return parallel._sort_keys(
+        [records[f] for f in parallel._KEY_FIELDS[:n_fields]]
+    )[1]
+
+
+@pytest.mark.parametrize(
+    "codec", [CORE_CODEC, DOMAIN_CODEC], ids=["vprs", "xprs"]
+)
+class TestKeyPacking:
+    """Fixed cases at the edges of the packed sort key: the tables equal
+    the per-record loop's whichever way a decode chunk is sorted."""
+
+    @pytest.mark.parametrize(
+        "total_bits, packed", [(64, True), (65, False)],
+        ids=["64-bits-packed", "65-bits-lexsort"],
+    )
+    def test_packing_boundary(self, tmp_path, codec, total_bits, packed):
+        keys = _boundary_keys(codec, total_bits)
+        path = _write_records(tmp_path / "ev.samples", codec, keys)
+        assert (len(_sorted_runs(path)) == 1) is packed
+        ranges = [ShardChunk(path, 0, len(keys))]
+        tables = _consumed_tables(ranges, 32, 1 << 16)
+        assert tables == _reference_tables(path, ranges, 32, 1 << 16)
+        assert [n for _, n in tables[0]] == [2, 2, 2]
+
+    @pytest.mark.parametrize("case", sorted(FIXED_KEYS))
+    @pytest.mark.parametrize("decode_chunk", [1, 3, 32])
+    def test_fixed_cases(self, tmp_path, codec, case, decode_chunk):
+        keys = FIXED_KEYS[case]
+        path = _write_records(tmp_path / "ev.samples", codec, keys)
+        assert len(_sorted_runs(path)) == 1
+        ranges = [ShardChunk(path, 0, len(keys))]
+        assert _consumed_tables(ranges, decode_chunk, 1 << 16) == (
+            _reference_tables(path, ranges, decode_chunk, 1 << 16)
+        )
 
 
 class TestQuarantinedParity:

@@ -7,6 +7,7 @@ a shard plan must cover the directory's record stream exactly once, in
 order, at aligned split points.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from repro.profiling.record_codec import (
 from repro.system.api import viprof_profile
 from repro.viprof.postprocess import ViprofReport
 from repro.workloads import by_name
+from tests.pipeline.oracle import oracle_report
 
 #: Records per replicated sample file: enough that two and four workers
 #: split a file at an aligned record inside it.
@@ -215,17 +217,15 @@ class TestShardResult:
             other.absorb_stats(stats)
 
 
-@pytest.fixture(scope="module")
-def replicated(tmp_path_factory):
-    """The golden fop run's sample files (13 + 2 records), each
-    replicated past :data:`MULTI_SHARD_RECORDS`, and a function that
-    builds a fresh post-processor over them: VIProf's by default, stock
-    opreport's with ``stock=True``."""
+def replicated_session(root: Path, period: int, time_scale: float):
+    """A seed-7 fop run's sample files, each replicated past
+    :data:`MULTI_SHARD_RECORDS`, and a function that builds a fresh
+    post-processor over them: VIProf's by default, stock opreport's with
+    ``stock=True``."""
     from repro.oprofile.opreport import OpReport
 
-    root = tmp_path_factory.mktemp("multi-shard")
     run = viprof_profile(
-        by_name("fop"), period=90_000, time_scale=0.1, seed=7,
+        by_name("fop"), period=period, time_scale=time_scale, seed=7,
         session_dir=root / "session",
     )
     sample_dir = root / "samples"
@@ -244,6 +244,23 @@ def replicated(tmp_path_factory):
         )
 
     return sample_dir, post_for
+
+
+@pytest.fixture(scope="module")
+def replicated(tmp_path_factory):
+    """The golden fop run's sample files (13 + 2 records), replicated."""
+    return replicated_session(
+        tmp_path_factory.mktemp("multi-shard"), 90_000, 0.1
+    )
+
+
+@pytest.fixture(scope="module")
+def replicated_tasks(tmp_path_factory):
+    """A fop run at period 20,000 and scale 0.3, replicated: its samples
+    come from three user tasks, and its kernel-mode samples from one."""
+    return replicated_session(
+        tmp_path_factory.mktemp("multi-task"), 20_000, 0.3
+    )
 
 
 def resolve(post, workers):
@@ -318,6 +335,40 @@ class TestMultiShardParity:
             assert (b["hits"], b["misses"]) == (2 * a["hits"], 2 * a["misses"])
 
 
+    def test_pid_filter_parity(self, replicated_tasks):
+        # The pid filter masks each decode chunk, in every worker: one
+        # task's samples plus every kernel-mode one (here all another
+        # task's), at workers 1 and 2, against the oracle over the
+        # filtered per-sample stream.
+        sample_dir, post_for = replicated_tasks
+        source = DirectorySource(sample_dir)
+        assert_plans_split_files(source, 2)
+        user_tasks = Counter(
+            ps.raw.task_id for ps in source if not ps.raw.kernel_mode
+        )
+        _, (pid, _) = user_tasks.most_common(2)
+        kept = [
+            ps for ps in source if ps.raw.task_id == pid or ps.raw.kernel_mode
+        ]
+        assert any(ps.raw.kernel_mode and ps.raw.task_id != pid for ps in kept)
+        post = post_for()
+        reference, ref_stats = oracle_report(
+            post.chain, kept, events=post.event_names()
+        )
+        for workers in (1, 2):
+            post = post_for()
+            report = post.generate(pid=pid, workers=workers)
+            assert report.format_table(limit=10_000) == (
+                reference.format_table(limit=10_000)
+            )
+            assert report.totals == reference.totals
+            assert [(r.image, r.symbol) for r in report.rows] == [
+                (r.image, r.symbol) for r in reference.rows
+            ]
+            assert post.chain.stats_dict() == ref_stats
+            assert sum(report.totals.values()) == len(kept)
+
+
 class TestParallelGuards:
     def test_dead_worker_raises(self, tmp_path, monkeypatch):
         """A worker process that dies mid-shard breaks the pool: the run
@@ -338,10 +389,10 @@ class TestParallelGuards:
         parent_pid = os.getpid()
         consume = parallel.consume_chunks
 
-        def die_in_worker(chunks, chain, agg):
+        def die_in_worker(chunks, chain, agg, pid=None):
             if os.getpid() != parent_pid:
                 os._exit(3)
-            consume(chunks, chain, agg)
+            consume(chunks, chain, agg, pid)
 
         monkeypatch.setattr(parallel, "consume_chunks", die_in_worker)
         with pytest.raises(BrokenProcessPool):
@@ -355,16 +406,11 @@ class TestParallelGuards:
                 iter([]), ResolverChain([]), events=None, workers=2
             )
 
-    def test_pid_filter_is_sequential_only(self, tmp_path):
-        run = viprof_profile(
-            by_name("fop"), period=90_000, time_scale=0.1, seed=7,
-            session_dir=tmp_path / "session",
-        )
-        from repro.oprofile.opreport import OpReport
+    def test_pid_filter_needs_directory_source(self):
+        from repro.pipeline import ResolverChain, run_pipeline
 
-        rep = OpReport(run.kernel, run.sample_dir)
-        with pytest.raises(ProfilerError, match="pid"):
-            rep.generate(pid=1, workers=2)
+        with pytest.raises(ProfilerError, match="pid filter"):
+            run_pipeline(iter([]), ResolverChain([]), pid=1)
 
     def test_consume_chunks_rejects_bad_range(self, tmp_path):
         from repro.errors import SampleFormatError

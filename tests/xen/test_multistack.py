@@ -51,6 +51,35 @@ class TestMultiStackRun:
         assert d1.cpu_cycles > d0.cpu_cycles
 
 
+class TestEngineSeed:
+    """A guest whose spec sets no seed takes the engine's, so the engine
+    seed changes the run; an explicit ``GuestSpec(seed=...)`` wins."""
+
+    @staticmethod
+    def stream(result):
+        return [(s.domain_id, s.raw) for s in result.buffer.samples]
+
+    def fleet(self, tmp_path, seed):
+        workloads = fleet_workloads(3, base_time_s=0.05, seed=7)
+        return run_fleet(
+            workloads, period=9000, session_dir=tmp_path / f"s{seed}",
+            seed=seed,
+        ).result
+
+    def test_engine_seed_reaches_guests(self, tmp_path):
+        at_7 = self.fleet(tmp_path, 7)
+        assert self.stream(self.fleet(tmp_path, 11)) != self.stream(at_7)
+        explicit = MultiStackEngine(
+            [
+                GuestSpec(w, seed=7)
+                for w in fleet_workloads(3, base_time_s=0.05, seed=7)
+            ],
+            period=9000, session_dir=tmp_path / "explicit", seed=11,
+        ).run()
+        assert self.stream(explicit) == self.stream(at_7)
+        assert explicit.wall_cycles == at_7.wall_cycles
+
+
 class TestCrossStackReports:
     def test_domain_reports_isolated(self, result):
         r0 = result.domain_report(0)
