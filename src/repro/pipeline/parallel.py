@@ -287,7 +287,10 @@ def _sort_keys(
     significant first, with the row index in the low bits, and one
     ``np.sort`` of it gives both: the packing is injective and keeps
     ``np.lexsort``'s order, and the row index makes every value
-    distinct, so the sort is stable.  Otherwise the columns are
+    distinct, so the sort is stable.  The key is built in place from the
+    row index up, through one scratch column, and the sorted key is
+    split back into the scratch (the row order) and itself (the key), so
+    a decode chunk costs two u64 buffers.  Otherwise the columns are
     lexsorted.
     """
     n = len(columns[0])
@@ -300,17 +303,21 @@ def _sort_keys(
     if sum(bits) + index_bits > 64:
         order = np.lexsort(columns[::-1])
         return order, [column[order] for column in columns]
-    packed = np.zeros(n, dtype=np.uint64)
-    for column, low, width in zip(columns, lows, bits):
+    packed = np.arange(n, dtype=np.uint64)
+    scratch = np.empty(n, dtype=np.uint64)
+    shift = index_bits
+    for column, low, width in zip(columns[::-1], lows[::-1], bits[::-1]):
         if width:
-            packed <<= np.uint64(width)
             # Mod 2**64 arithmetic: exact for a signed column too.
-            packed |= column.astype(np.uint64) - np.uint64(low % (1 << 64))
-    packed <<= np.uint64(index_bits)
-    packed |= np.arange(n, dtype=np.uint64)
+            np.copyto(scratch, column, casting="unsafe")
+            scratch -= np.uint64(low % (1 << 64))
+            scratch <<= np.uint64(shift)
+            packed |= scratch
+            shift += width
     packed.sort()
-    index = np.uint64((1 << index_bits) - 1)
-    return packed & index, [packed >> np.uint64(index_bits)]
+    np.bitwise_and(packed, np.uint64((1 << index_bits) - 1), out=scratch)
+    packed >>= np.uint64(index_bits)
+    return scratch, [packed]
 
 
 def _table_dict(table: _KeyTable) -> dict[tuple, int]:

@@ -1,8 +1,8 @@
 """The resolver chain: ordered stages, one resolution path, one counter.
 
-A :class:`ResolverChain` is the pipeline's "PC → symbol" engine.  Samples
-are offered to each stage in order; the first stage to return a resolved
-sample claims it.  Samples no stage claims fall through to the terminal
+A :class:`ResolverChain` is the pipeline's "PC → symbol" engine.  PCs
+are offered to each stage in order; the first stage to answer one with
+a claim takes it.  PCs no stage claims fall through to the terminal
 fallback stage (``(unknown)`` attribution by default).
 
 Every caller — the decode-chunk loop, :meth:`ResolverChain.resolve_stream`
@@ -14,8 +14,9 @@ a bucket to a domain's chain — goes through :meth:`ResolverChain.resolve_group
 2. the distinct keys are sorted into buckets sharing ``(epoch,
    kernel_mode, task_id, domain_id)`` — one ascending PC run each — and
    each bucket is walked down the stages once
-   (:meth:`ResolverChain.resolve_key_run`), the JIT stage answering the
-   whole run with one batched backward epoch walk;
+   (:meth:`ResolverChain.resolve_key_run`): every stage takes the PCs
+   still pending and cuts them at its range edges, the JIT stage
+   answering its slice with one batched backward epoch walk;
 3. every key's claim is counted ``count`` times in one
    ``Counter[(claim_index, outcome)]``.
 
@@ -29,11 +30,10 @@ shows in them, and shard workers merge by adding counters
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby, islice
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import ProfilerError
 from repro.pipeline.source import (
@@ -42,7 +42,7 @@ from repro.pipeline.source import (
     sample_key,
 )
 from repro.pipeline.stages import FallbackStage, ResolverStage
-from repro.profiling.model import RawSample, ResolvedSample
+from repro.profiling.model import ResolvedSample
 
 __all__ = ["Resolution", "StageStats", "ResolverChain"]
 
@@ -50,8 +50,7 @@ __all__ = ["Resolution", "StageStats", "ResolverChain"]
 STREAM_CHUNK = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class Resolution:
+class Resolution(NamedTuple):
     """The outcome of one stage walk for one key.
 
     ``claim`` is ``(claim_index, outcome)``: the position of the claiming
@@ -90,12 +89,12 @@ class StageStats:
         return self.hits + self.misses
 
 
-def _bucket_sort_key(key: tuple) -> tuple:
-    # Bucket id first (epoch, kernel_mode, task, domain), ascending pc
-    # within the bucket.  domain_id is None for single-stack streams; map
-    # it below any real domain so the sort never compares None with int.
-    pc, epoch, kmode, task, domain = key
-    return (epoch, kmode, task, -1 if domain is None else domain, pc)
+def _bucket_order(item: tuple[tuple, list[tuple]]) -> tuple:
+    # Buckets by (epoch, kernel_mode, task, domain).  domain_id is None
+    # for single-stack streams; map it below any real domain so the sort
+    # never compares None with int.
+    epoch, kmode, task, domain = item[0]
+    return (epoch, kmode, task, -1 if domain is None else domain)
 
 
 class ResolverChain:
@@ -151,10 +150,14 @@ class ResolverChain:
         The one resolution path: one :meth:`resolve_key_run` per bucket
         of distinct keys.
         """
+        runs: dict[tuple, list[tuple]] = defaultdict(list)
+        for key in groups:
+            runs[key[1:]].append(key)
         entries: dict[tuple, Resolution] = {}
-        keys = sorted(groups, key=_bucket_sort_key)
-        for _, bucket in groupby(keys, key=itemgetter(slice(1, None))):
-            entries.update(self.resolve_key_run(list(bucket), groups))
+        for _, run in sorted(runs.items(), key=_bucket_order):
+            # A bucket's keys differ only in the pc, so this sorts by pc.
+            run.sort()
+            entries.update(self.resolve_key_run(run, groups))
         outcomes = self.outcomes
         for key, count in groups.items():
             outcomes[entries[key].claim] += count
@@ -165,49 +168,37 @@ class ResolverChain:
     ) -> dict[tuple, Resolution]:
         """Walk the stages once for one bucket of **distinct** keys
         sharing ``(epoch, kernel_mode, task_id, domain_id)``, PCs
-        ascending.  Each stage answers the keys still pending with one
-        :meth:`~repro.pipeline.stages.ResolverStage.resolve_group` call;
+        ascending.  Each stage answers the PCs still pending with one
+        :meth:`~repro.pipeline.stages.ResolverStage.resolve_run` call;
         the fallback claims the rest.  Counts nothing: the caller
         (:meth:`resolve_groups`) counts the claims."""
-        samples = [
-            PipelineSample(
-                # No stage reads the event or the cycle, so a key stands
-                # for every sample that shares it.
-                raw=RawSample(
-                    pc=key[0], event_name="", task_id=key[3],
-                    kernel_mode=bool(key[2]), cycle=0, epoch=key[1],
-                ),
-                domain_id=key[4],
-            )
-            for key in keys
-        ]
+        bucket = keys[0][1:]
+        all_pcs = [key[0] for key in keys]
+        all_counts = [counts[key] for key in keys]
+        pcs, weights = all_pcs, all_counts
         entries: dict[tuple, Resolution] = {}
-        pending = list(range(len(keys)))
+        pending: Sequence[int] = range(len(keys))
         last = len(self.stages)
         for idx, stage in enumerate(self._all_stages):
-            if not pending:
-                break
-            group = stage.resolve_group(
-                [samples[i] for i in pending],
-                [counts[keys[i]] for i in pending],
-            )
             still: list[int] = []
-            for i, res in zip(pending, group):
-                if res is None:
+            claims = stage.resolve_run(bucket, pcs, weights)
+            for i, claim in zip(pending, claims):
+                if claim is None:
                     still.append(i)
-                    continue
-                resolved, outcome = res
-                entries[keys[i]] = Resolution(
-                    image=resolved.image,
-                    symbol=resolved.symbol,
-                    offset=resolved.offset,
-                    claim=(idx, outcome),
-                )
-            if still and idx == last:  # a fallback must be terminal
+                else:
+                    image, symbol, offset, outcome = claim
+                    entries[keys[i]] = Resolution(
+                        image, symbol, offset, (idx, outcome)
+                    )
+            if not still:
+                break
+            if idx == last:  # a fallback must be terminal
                 raise ProfilerError(
                     f"fallback stage {self.fallback.name!r} declined a sample"
                 )
             pending = still
+            pcs = [all_pcs[i] for i in still]
+            weights = [all_counts[i] for i in still]
         return entries
 
     def resolve(self, sample: PipelineSample) -> ResolvedSample:

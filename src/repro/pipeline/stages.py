@@ -1,10 +1,14 @@
 """Resolver stages — the single "PC → symbol" vocabulary of the tree.
 
-Each stage answers one question about a sample and either *claims* it
-(returns a :class:`~repro.profiling.model.ResolvedSample`) or passes it
-down the chain (returns None).  Stock ``opreport``, VIProf, and the
-multi-domain XenoProf report are nothing but different orderings of these
-stages (see :mod:`repro.pipeline` for the canonical compositions):
+The chain offers a stage one *bucket* of distinct sample keys at a time:
+the keys share ``(epoch, kernel_mode, task_id, domain_id)`` and their
+PCs arrive as one ascending run.  A stage cuts that run at its own range
+edges with ``bisect`` (the kernel base, a heap registration, a task's
+VMAs, ``XEN_BASE``), looks each PC of its slices up once, and answers
+each PC with a :data:`Claim` or None to pass it down the chain.  Stock
+``opreport``, VIProf, and the multi-domain XenoProf report are nothing
+but different orderings of these stages (see :mod:`repro.pipeline` for
+the canonical compositions):
 
 * :class:`KernelSymbolStage` — kernel-mode PCs against the ``vmlinux``
   symbol table;
@@ -26,27 +30,27 @@ stages (see :mod:`repro.pipeline` for the canonical compositions):
 Stages keep no counters.  The chain counts every claim under ``(claim
 index, outcome)`` and derives per-stage hits, misses and detail from that
 one counter (:meth:`~repro.pipeline.resolver.ResolverChain.stats_dict`).
+The per-sample reference these stages are held to lives in the tests
+(``tests/pipeline/oracle.py``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import ProfilerError
+from repro.errors import AddressSpaceError, ProfilerError
 from repro.jvm.bootimage import BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL
 from repro.jvm.machine import JIT_APP_IMAGE_LABEL
-from repro.os.address_space import VmaKind
-from repro.os.binary import NO_SYMBOLS
+from repro.os.address_space import VMA, AddressSpace, VmaKind
+from repro.os.binary import NO_SYMBOLS, BinaryImage
 from repro.os.kernel import Kernel
-from repro.pipeline.source import sample_key
-from repro.profiling.model import ResolvedSample
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.jvm.bootimage import RvmMap
     from repro.pipeline.resolver import ResolverChain
-    from repro.pipeline.source import PipelineSample
     from repro.viprof.codemap import CodeMapIndex
     from repro.viprof.runtime_profiler import VmRegistration
     from repro.xen.hypervisor import Hypervisor
@@ -54,6 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "UNKNOWN_IMAGE",
     "UNRESOLVED_JIT",
+    "Bucket",
+    "Claim",
     "ResolverStage",
     "KernelSymbolStage",
     "JitEpochStage",
@@ -71,19 +77,27 @@ UNKNOWN_IMAGE = "(unknown)"
 #: Symbol label for VM-heap samples no epoch map ever held.
 UNRESOLVED_JIT = "(unresolved jit)"
 
-#: One bucket's answer from :meth:`ResolverStage.resolve_group`: per
-#: sample, ``(resolved, outcome)`` for a claim or None for a pass-down.
-GroupResult = list[tuple[ResolvedSample, str | None] | None]
+#: What a bucket's keys share besides the PC: ``(epoch, kernel_mode,
+#: task_id, domain_id)``, the tail of
+#: :func:`~repro.pipeline.source.sample_key`.
+Bucket = tuple[int, int, int, int | None]
+
+#: A stage's answer for one PC: ``(image, symbol, offset, outcome)``.
+#: ``offset`` is the PC's byte offset within the symbol (-1 when
+#: unknown); ``outcome`` labels the claim for the chain's counter (the
+#: JIT stage's ``own``/``earlier``/``unresolved``/``blocked``, None for
+#: the other stages).
+Claim = tuple[str, str, int, str | None]
 
 
 class ResolverStage:
     """One step of a resolver chain.
 
-    ``resolve`` returns a resolved sample to claim the sample, or None to
-    pass it to the next stage.  ``name`` keys the chain's per-stage
-    counters.  The chain offers samples a bucket at a time through
-    :meth:`resolve_group`, which by default asks :meth:`resolve` per
-    sample; stages with a batched answer override it.
+    :meth:`resolve_run` answers one bucket: ``pcs`` are the bucket's
+    pending distinct PCs in ascending order and ``counts[i]`` is how
+    many samples ``pcs[i]`` stands for.  It returns one entry per PC,
+    aligned with ``pcs``: a :data:`Claim`, or None to pass the PC to
+    the next stage.  ``name`` keys the chain's per-stage counters.
 
     ``chains`` lists the inner chains a stage routes to (the Xen domain
     dispatcher); the outer chain resets, exports and absorbs their
@@ -93,22 +107,10 @@ class ResolverStage:
     name: str = "stage"
     chains: "Mapping[int, ResolverChain]" = MappingProxyType({})
 
-    def resolve(self, sample: "PipelineSample") -> ResolvedSample | None:
+    def resolve_run(
+        self, bucket: Bucket, pcs: Sequence[int], counts: Sequence[int]
+    ) -> list[Claim | None]:
         raise NotImplementedError
-
-    def resolve_group(
-        self, samples: "list[PipelineSample]", counts: list[int]
-    ) -> GroupResult:
-        """Resolve one bucket: samples share ``(epoch, kernel_mode,
-        task_id, domain_id)``, arrive with PCs ascending and distinct,
-        and ``counts[i]`` is how many stream samples ``samples[i]``
-        stands for.  Returns a positionally aligned list — ``(resolved,
-        outcome)`` for claims, None for pass-downs."""
-        out: list[tuple[ResolvedSample, str | None] | None] = []
-        for sample in samples:
-            resolved = self.resolve(sample)
-            out.append(None if resolved is None else (resolved, None))
-        return out
 
     def detail_dict(self, outcomes: Counter) -> dict[str, object] | None:
         """Stage-specific detail for the chain's stats entry, derived
@@ -121,25 +123,58 @@ class ResolverStage:
         return None
 
 
+def _symbol_claim(image: BinaryImage, offset: int) -> Claim:
+    """An image offset through the image's ELF symbols."""
+    sym = image.symbol_at(offset)
+    if sym is None:
+        return (image.name, NO_SYMBOLS, -1, None)
+    return (image.name, sym.name, offset - sym.offset, None)
+
+
+def _vma_slices(
+    space: AddressSpace, pcs: Sequence[int]
+) -> Iterator[tuple[VMA, int, int]]:
+    """``(vma, lo, hi)`` for each VMA of ``space``, in address order,
+    that holds some of the ascending ``pcs``: ``pcs[lo:hi]`` are the
+    ones it holds."""
+    lo, n = 0, len(pcs)
+    for vma in space:
+        lo = bisect_left(pcs, vma.start, lo)
+        if lo == n:
+            return
+        hi = bisect_left(pcs, vma.end, lo)
+        if hi > lo:
+            yield vma, lo, hi
+            lo = hi
+
+
 class KernelSymbolStage(ResolverStage):
-    """Kernel-mode samples (or kernel-range PCs) against ``vmlinux``."""
+    """Kernel-mode samples (or kernel-range PCs) against ``vmlinux``.
+
+    A kernel-mode bucket is the kernel's whole; a user PC in one is a
+    corrupt sample and raises :class:`~repro.errors.AddressSpaceError`
+    for the lowest such PC.
+    """
 
     name = "kernel"
 
     def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
 
-    def resolve(self, sample: "PipelineSample") -> ResolvedSample | None:
-        raw = sample.raw
-        if not raw.kernel_mode and not self.kernel.is_kernel_address(raw.pc):
-            return None
-        image, symbol = self.kernel.resolve_kernel(raw.pc)
-        koff = raw.pc - self.kernel.layout.kernel_base
-        sym = self.kernel.image.symbol_at(koff)
-        return ResolvedSample(
-            raw=raw, image=image, symbol=symbol,
-            offset=(koff - sym.offset) if sym is not None else -1,
-        )
+    def resolve_run(
+        self, bucket: Bucket, pcs: Sequence[int], counts: Sequence[int]
+    ) -> list[Claim | None]:
+        base = self.kernel.layout.kernel_base
+        if bucket[1]:
+            if pcs and pcs[0] < base:
+                raise AddressSpaceError(f"{pcs[0]:#x} is not a kernel address")
+            start = 0
+        else:
+            start = bisect_left(pcs, base)
+        image = self.kernel.image
+        out: list[Claim | None] = [None] * start
+        out.extend(_symbol_claim(image, pc - base) for pc in pcs[start:])
+        return out
 
 
 class JitStageStats:
@@ -222,68 +257,45 @@ class JitEpochStage(ResolverStage):
         self.strict = strict
         self._registrations = {r.task_id: r for r in registrations}
 
-    def resolve_group(
-        self, samples: "list[PipelineSample]", counts: list[int]
-    ) -> GroupResult:
-        """One epoch walk for the whole ascending PC run
-        (:meth:`~repro.viprof.codemap.CodeMapIndex.resolve_run`) instead
-        of one backward walk per sample."""
+    def resolve_run(
+        self, bucket: Bucket, pcs: Sequence[int], counts: Sequence[int]
+    ) -> list[Claim | None]:
+        """The task's heap ``[heap_low, heap_high)`` is one slice, and
+        one epoch walk answers it
+        (:meth:`~repro.viprof.codemap.CodeMapIndex.resolve_run`)."""
         from repro.viprof.codemap import RESOLVE_BLOCKED
 
-        out: list[tuple[ResolvedSample, str | None] | None] = (
-            [None] * len(samples)
-        )
-        if not samples:
-            return out
-        # The bucket shares task_id (it is part of the bucket key), so
-        # registration and heap bounds are checked once per run.
-        reg = self._registrations.get(samples[0].raw.task_id)
+        out: list[Claim | None] = [None] * len(pcs)
+        epoch, _, task_id, _ = bucket
+        reg = self._registrations.get(task_id)
         if reg is None:
             return out
-        covered = [
-            i for i, s in enumerate(samples) if reg.covers(s.raw.pc)
-        ]
-        if not covered:
+        lo = bisect_left(pcs, reg.heap_low)
+        hi = bisect_left(pcs, reg.heap_high, lo)
+        if lo == hi:
             return out
         hits = self.codemaps.resolve_run(
-            samples[covered[0]].raw.epoch,
-            [samples[i].raw.pc for i in covered],
-            backward=self.backward,
+            epoch, pcs[lo:hi], backward=self.backward
         )
-        for i, hit in zip(covered, hits):
-            raw = samples[i].raw
+        for i, hit in enumerate(hits, lo):
             if hit is RESOLVE_BLOCKED:
                 if self.strict:
                     raise ProfilerError(
-                        f"epoch walk for pc {raw.pc:#x} (epoch {raw.epoch}) "
+                        f"epoch walk for pc {pcs[i]:#x} (epoch {epoch}) "
                         "blocked by a quarantined code map; rerun the "
                         "pipeline in degraded mode (strict=False) to "
                         "account for salvaged sessions"
                     )
-                out[i] = (
-                    ResolvedSample(
-                        raw=raw, image=JIT_APP_IMAGE_LABEL,
-                        symbol=UNRESOLVED_JIT,
-                    ),
-                    "blocked",
-                )
+                out[i] = (JIT_APP_IMAGE_LABEL, UNRESOLVED_JIT, -1, "blocked")
             elif hit is None:
                 out[i] = (
-                    ResolvedSample(
-                        raw=raw, image=JIT_APP_IMAGE_LABEL,
-                        symbol=UNRESOLVED_JIT,
-                    ),
-                    "unresolved",
+                    JIT_APP_IMAGE_LABEL, UNRESOLVED_JIT, -1, "unresolved"
                 )
             else:
                 record, found_epoch = hit
                 out[i] = (
-                    ResolvedSample(
-                        raw=raw, image=JIT_APP_IMAGE_LABEL,
-                        symbol=record.name,
-                        offset=raw.pc - record.address,
-                    ),
-                    "own" if found_epoch == raw.epoch else "earlier",
+                    JIT_APP_IMAGE_LABEL, record.name, pcs[i] - record.address,
+                    "own" if found_epoch == epoch else "earlier",
                 )
         return out
 
@@ -306,27 +318,34 @@ class BootImageStage(ResolverStage):
         self.kernel = kernel
         self.rvm_map = rvm_map
 
-    def resolve(self, sample: "PipelineSample") -> ResolvedSample | None:
-        raw = sample.raw
-        proc = self.kernel.process(raw.task_id)
+    def resolve_run(
+        self, bucket: Bucket, pcs: Sequence[int], counts: Sequence[int]
+    ) -> list[Claim | None]:
+        """The slice is the task's boot-image mapping; each PC in it is
+        looked up in ``RVM.map``."""
+        out: list[Claim | None] = [None] * len(pcs)
+        proc = self.kernel.process(bucket[2])
         if proc is None:
-            return None
-        vma = proc.address_space.resolve(raw.pc)
-        if vma is None or vma.kind is not VmaKind.FILE:
-            return None
-        assert vma.image is not None
-        if vma.image.name != BOOT_IMAGE_NAME:
-            return None
-        off = vma.to_image_offset(raw.pc)
-        entry = self.rvm_map.resolve(off)
-        if entry is None:
-            return ResolvedSample(
-                raw=raw, image=RVM_MAP_IMAGE_LABEL, symbol=NO_SYMBOLS
-            )
-        return ResolvedSample(
-            raw=raw, image=RVM_MAP_IMAGE_LABEL, symbol=entry.name,
-            offset=off - entry.offset,
-        )
+            return out
+        resolve = self.rvm_map.resolve
+        for vma in proc.address_space:
+            if vma.kind is not VmaKind.FILE:
+                continue
+            assert vma.image is not None
+            if vma.image.name != BOOT_IMAGE_NAME:
+                continue
+            lo = bisect_left(pcs, vma.start)
+            delta = vma.image_offset - vma.start
+            for i in range(lo, bisect_left(pcs, vma.end, lo)):
+                off = pcs[i] + delta
+                entry = resolve(off)
+                out[i] = (
+                    (RVM_MAP_IMAGE_LABEL, NO_SYMBOLS, -1, None)
+                    if entry is None
+                    else (RVM_MAP_IMAGE_LABEL, entry.name, off - entry.offset,
+                          None)
+                )
+        return out
 
 
 class TaskVmaStage(ResolverStage):
@@ -337,25 +356,27 @@ class TaskVmaStage(ResolverStage):
     def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
 
-    def resolve(self, sample: "PipelineSample") -> ResolvedSample | None:
-        raw = sample.raw
-        proc = self.kernel.process(raw.task_id)
+    def resolve_run(
+        self, bucket: Bucket, pcs: Sequence[int], counts: Sequence[int]
+    ) -> list[Claim | None]:
+        """One slice per VMA of the task, in address order: a
+        file-backed slice resolves through the image's ELF symbols, any
+        other takes the region's one label."""
+        out: list[Claim | None] = [None] * len(pcs)
+        proc = self.kernel.process(bucket[2])
         if proc is None:
-            return None
-        vma = proc.address_space.resolve(raw.pc)
-        if vma is None:
-            return None
-        if vma.kind is VmaKind.FILE:
-            assert vma.image is not None
-            off = vma.to_image_offset(raw.pc)
-            sym = vma.image.symbol_at(off)
-            return ResolvedSample(
-                raw=raw,
-                image=vma.image.name,
-                symbol=sym.name if sym is not None else NO_SYMBOLS,
-                offset=(off - sym.offset) if sym is not None else -1,
-            )
-        return ResolvedSample(raw=raw, image=vma.label(), symbol=NO_SYMBOLS)
+            return out
+        for vma, lo, hi in _vma_slices(proc.address_space, pcs):
+            if vma.kind is VmaKind.FILE:
+                assert vma.image is not None
+                image = vma.image
+                delta = vma.image_offset - vma.start
+                out[lo:hi] = [
+                    _symbol_claim(image, pc + delta) for pc in pcs[lo:hi]
+                ]
+            else:
+                out[lo:hi] = [(vma.label(), NO_SYMBOLS, -1, None)] * (hi - lo)
+        return out
 
 
 class HypervisorStage(ResolverStage):
@@ -366,21 +387,29 @@ class HypervisorStage(ResolverStage):
     def __init__(self, hypervisor: "Hypervisor") -> None:
         self.hypervisor = hypervisor
 
-    def resolve(self, sample: "PipelineSample") -> ResolvedSample | None:
-        raw = sample.raw
-        if not self.hypervisor.is_xen_address(raw.pc):
-            return None
-        image, symbol = self.hypervisor.resolve(raw.pc)
-        return ResolvedSample(raw=raw, image=image, symbol=symbol)
+    def resolve_run(
+        self, bucket: Bucket, pcs: Sequence[int], counts: Sequence[int]
+    ) -> list[Claim | None]:
+        # Imported here: the xen package imports the pipeline.
+        from repro.xen.hypervisor import XEN_BASE
+
+        start = bisect_left(pcs, XEN_BASE)
+        image = self.hypervisor.image
+        out: list[Claim | None] = [None] * start
+        out.extend(
+            (image.name, image.symbol_name_at(pc - XEN_BASE), -1, None)
+            for pc in pcs[start:]
+        )
+        return out
 
 
 class DomainDispatchStage(ResolverStage):
     """Hands each bucket to its domain's own resolver chain.
 
-    A bucket shares its domain id (it is part of the bucket key), so the
-    whole bucket — with its sample counts — goes to that domain's chain
-    in one :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups`
-    call, which counts the claims there.
+    A bucket shares its domain id, so the whole bucket — with its sample
+    counts — goes to that domain's chain in one
+    :meth:`~repro.pipeline.resolver.ResolverChain.resolve_groups` call,
+    which counts the claims there.
 
     Terminal: a sample tagged with an unknown domain is a corrupt stream,
     reported as a :class:`~repro.errors.ProfilerError` rather than
@@ -392,26 +421,19 @@ class DomainDispatchStage(ResolverStage):
     def __init__(self, chains: Mapping[int, "ResolverChain"]) -> None:
         self.chains = dict(chains)
 
-    def resolve_group(
-        self, samples: "list[PipelineSample]", counts: list[int]
-    ) -> GroupResult:
-        domain = samples[0].domain_id if samples else None
+    def resolve_run(
+        self, bucket: Bucket, pcs: Sequence[int], counts: Sequence[int]
+    ) -> list[Claim | None]:
+        domain = bucket[3]
         chain = self.chains.get(domain)  # type: ignore[arg-type]
         if chain is None:
             raise ProfilerError(f"no resolver for domain {domain}")
-        keys = [sample_key(s) for s in samples]
+        keys = [(pc, *bucket) for pc in pcs]
         entries = chain.resolve_groups(dict(zip(keys, counts)))
-        out: list[tuple[ResolvedSample, str | None] | None] = []
-        for sample, key in zip(samples, keys):
-            e = entries[key]
-            out.append((
-                ResolvedSample(
-                    raw=sample.raw, image=e.image, symbol=e.symbol,
-                    offset=e.offset,
-                ),
-                None,
-            ))
-        return out
+        return [
+            (e.image, e.symbol, e.offset, None)
+            for e in map(entries.__getitem__, keys)
+        ]
 
     def detail_dict(self, outcomes: Counter) -> dict[str, object]:
         """The inner chains' full counters, keyed ``dom{id}``, so the
@@ -445,7 +467,7 @@ class FallbackStage(ResolverStage):
 
     name = "unresolved"
 
-    def resolve(self, sample: "PipelineSample") -> ResolvedSample | None:
-        return ResolvedSample(
-            raw=sample.raw, image=UNKNOWN_IMAGE, symbol=NO_SYMBOLS
-        )
+    def resolve_run(
+        self, bucket: Bucket, pcs: Sequence[int], counts: Sequence[int]
+    ) -> list[Claim | None]:
+        return [(UNKNOWN_IMAGE, NO_SYMBOLS, -1, None)] * len(pcs)

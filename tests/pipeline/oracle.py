@@ -1,17 +1,21 @@
 """The reference resolver: one sample at a time, straight down the stages.
 
 Production resolution (:meth:`repro.pipeline.ResolverChain.resolve_groups`)
-groups samples by key, walks bucket by bucket and derives its
-statistics from one claim counter.  This oracle does none of that: it
-offers every sample to every stage in order, resolves the JIT step with
-its own per-address backward walk (:func:`walk`, a linear scan of each
-map's records — it shares neither the production walk nor its interval
-table), recurses into the domain chain for the Xen dispatch, and counts
-hits, misses and the JIT split by hand as it goes.  Parity tests compare
-production reports and the whole ``stats_dict()`` against it.
+groups samples by key, walks bucket by bucket, lets each stage cut a
+bucket's ascending PC run at its range edges, and derives its statistics
+from one claim counter.  This oracle does none of that: it offers every
+sample to every stage in order and answers each stage's question with
+its own per-sample lookup, by linear scan — the task's VMAs, an image's
+symbols, the ``RVM.map`` entries, and each epoch map's records for the
+JIT step (:func:`walk`).  It calls no production lookup (no bisect, no
+interval table, no stage method); it recurses into the domain chain for
+the Xen dispatch, and counts hits, misses and the JIT split by hand as
+it goes.  Parity tests compare production reports and the whole
+``stats_dict()`` against it.
 
-It reads a chain's stages but never its counters, so a chain can be
-handed to the oracle and to production alike.
+It reads a chain's stages' inputs (kernel, maps, registrations) but
+never its counters, so a chain can be handed to the oracle and to
+production alike.
 """
 
 from __future__ import annotations
@@ -19,20 +23,131 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from repro.errors import ProfilerError
+from repro.errors import AddressSpaceError, ProfilerError
+from repro.jvm.bootimage import BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL
 from repro.jvm.machine import JIT_APP_IMAGE_LABEL
+from repro.os.address_space import VmaKind
+from repro.os.binary import NO_SYMBOLS
 from repro.pipeline import (
+    UNKNOWN_IMAGE,
     UNRESOLVED_JIT,
+    BootImageStage,
     DomainDispatchStage,
+    FallbackStage,
+    HypervisorStage,
     JitEpochStage,
+    KernelSymbolStage,
     ResolverChain,
+    TaskVmaStage,
     iter_pipeline_samples,
 )
 from repro.profiling.model import ResolvedSample
 from repro.profiling.report import ProfileReport, StreamingAggregator
 from repro.viprof.codemap import RESOLVE_BLOCKED
+from repro.xen.hypervisor import XEN_BASE
 
 __all__ = ["Oracle", "oracle_report", "walk"]
+
+
+def _covering(entries, offset: int):
+    """The entry (a symbol or an ``RVM.map`` row) whose
+    ``[offset, offset + size)`` holds ``offset``, by linear scan."""
+    for entry in entries:
+        if entry.offset <= offset < entry.offset + entry.size:
+            return entry
+    return None
+
+
+def _vma_of(kernel, task_id: int, pc: int):
+    """The VMA of task ``task_id`` that holds ``pc``, by linear scan
+    (None for an unknown task or an unmapped PC)."""
+    proc = kernel.process(task_id)
+    if proc is None:
+        return None
+    for vma in proc.address_space.vmas:
+        if vma.start <= pc < vma.end:
+            return vma
+    return None
+
+
+def _symbolized(raw, image, offset: int) -> ResolvedSample:
+    """``offset`` into ``image`` through its symbols (``(no symbols)``,
+    offset -1, in a gap or a stripped image)."""
+    sym = _covering(image.symbols, offset)
+    if sym is None:
+        return ResolvedSample(raw=raw, image=image.name, symbol=NO_SYMBOLS)
+    return ResolvedSample(
+        raw=raw, image=image.name, symbol=sym.name, offset=offset - sym.offset
+    )
+
+
+def kernel_stage(stage: KernelSymbolStage, raw) -> ResolvedSample | None:
+    base = stage.kernel.layout.kernel_base
+    if raw.pc < base:
+        if raw.kernel_mode:
+            raise AddressSpaceError(f"{raw.pc:#x} is not a kernel address")
+        return None
+    return _symbolized(raw, stage.kernel.image, raw.pc - base)
+
+
+def boot_image_stage(stage: BootImageStage, raw) -> ResolvedSample | None:
+    vma = _vma_of(stage.kernel, raw.task_id, raw.pc)
+    if (
+        vma is None
+        or vma.kind is not VmaKind.FILE
+        or vma.image.name != BOOT_IMAGE_NAME
+    ):
+        return None
+    off = raw.pc - vma.start + vma.image_offset
+    entry = _covering(stage.rvm_map.entries, off)
+    if entry is None:
+        return ResolvedSample(
+            raw=raw, image=RVM_MAP_IMAGE_LABEL, symbol=NO_SYMBOLS
+        )
+    return ResolvedSample(
+        raw=raw, image=RVM_MAP_IMAGE_LABEL, symbol=entry.name,
+        offset=off - entry.offset,
+    )
+
+
+def task_vma_stage(stage: TaskVmaStage, raw) -> ResolvedSample | None:
+    vma = _vma_of(stage.kernel, raw.task_id, raw.pc)
+    if vma is None:
+        return None
+    if vma.kind is VmaKind.FILE:
+        return _symbolized(raw, vma.image, raw.pc - vma.start + vma.image_offset)
+    label = (
+        f"anon (range:{vma.start:#x}-{vma.end:#x})"
+        if vma.kind is VmaKind.ANON
+        else vma.kind.value
+    )
+    return ResolvedSample(raw=raw, image=label, symbol=NO_SYMBOLS)
+
+
+def hypervisor_stage(stage: HypervisorStage, raw) -> ResolvedSample | None:
+    if raw.pc < XEN_BASE:
+        return None
+    image = stage.hypervisor.image
+    sym = _covering(image.symbols, raw.pc - XEN_BASE)
+    return ResolvedSample(
+        raw=raw, image=image.name,
+        symbol=sym.name if sym is not None else NO_SYMBOLS,
+    )
+
+
+def fallback_stage(stage: FallbackStage, raw) -> ResolvedSample:
+    return ResolvedSample(raw=raw, image=UNKNOWN_IMAGE, symbol=NO_SYMBOLS)
+
+
+#: The per-sample reference for each stage type without chain state of
+#: its own (the JIT and dispatch stages are methods of :class:`Oracle`).
+REFERENCES = {
+    KernelSymbolStage: kernel_stage,
+    BootImageStage: boot_image_stage,
+    TaskVmaStage: task_vma_stage,
+    HypervisorStage: hypervisor_stage,
+    FallbackStage: fallback_stage,
+}
 
 
 def walk(codemaps, epoch: int, pc: int, backward: bool = True):
@@ -86,7 +201,7 @@ class Oracle:
                     )
                 resolved = self.inner[sample.domain_id].resolve(sample)
             else:
-                resolved = stage.resolve(sample)
+                resolved = REFERENCES[type(stage)](stage, sample.raw)
             if resolved is not None:
                 self.hits[idx] += 1
                 return resolved
@@ -102,8 +217,10 @@ class Oracle:
         if hit is RESOLVE_BLOCKED:
             if stage.strict:
                 raise ProfilerError(
-                    f"epoch walk for pc {raw.pc:#x} blocked by a "
-                    "quarantined code map"
+                    f"epoch walk for pc {raw.pc:#x} (epoch {raw.epoch}) "
+                    "blocked by a quarantined code map; rerun the "
+                    "pipeline in degraded mode (strict=False) to "
+                    "account for salvaged sessions"
                 )
             self.jit["blocked"] += 1
             return ResolvedSample(
